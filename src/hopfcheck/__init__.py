@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .comodules import (
     ComoduleRep,
     check_comodule_axioms,
-    colinear_hom_space,
-    comodule_to_dual_module,
     dual_comodule,
     regular_comodule,
     tensor_comodules,
@@ -51,9 +49,7 @@ from .duality import (
     evaluation,
     hs_rank,
     split_retraction,
-    verify_coev_colinearity,
     verify_coev_equivariance,
-    verify_ev_colinearity,
     verify_ev_equivariance,
     verify_serre,
 )

@@ -15,23 +15,19 @@ import sys
 from . import __version__
 from .campaign import CATEGORIES, run_campaign
 from .catalog import catalog_entries, lookup
-from .comodules import check_comodule_axioms, dual_comodule, tensor_comodules
 from .documents import canonical_json, load_document, object_from_doc, object_to_doc
-from .duality import category_of
+from .duality import (
+    axioms_in_category,
+    brute_force_in_category,
+    category_of,
+    dual_in_category,
+    semisimple_in_category,
+    tensor_in_category,
+)
 from .errors import AxiomError, BoundExceededError, HopfMismatchError, ParseError
 from .fields import field_by_name, field_name
 from .hopf import HopfAlgebraData
-from .modules import check_module_axioms, dual_module, tensor_modules
-from .semisimple import (
-    DEFAULT_ORACLE_BOUND,
-    brute_force_cosemisimple,
-    brute_force_semisimple,
-    brute_force_yd_semisimple,
-    is_cosemisimple,
-    is_semisimple,
-    is_yd_semisimple,
-)
-from .yd import check_yd_compat, dual_yd, tensor_yd
+from .semisimple import DEFAULT_ORACLE_BOUND
 
 
 def _resolve_hopf(ref: str) -> HopfAlgebraData:
@@ -83,14 +79,8 @@ def _cmd_check(args) -> int:
             witness = _antipode_square_witness(obj)
             print(f"hopf axioms: {status}, involutory: NO (S^2 != id on basis element {witness})")
     else:
-        kind = category_of(obj)
-        if kind == "module":
-            report = check_module_axioms(obj)
-        elif kind == "comodule":
-            report = check_comodule_axioms(obj)
-        else:
-            report = check_yd_compat(obj)
-        print(f"{kind} axioms: {'PASS' if report.ok else 'FAIL'}")
+        report = axioms_in_category(obj)
+        print(f"{category_of(obj)} axioms: {'PASS' if report.ok else 'FAIL'}")
     if not report.ok:
         for check in report.failures():
             print(f"  {check.describe()}")
@@ -103,18 +93,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_semisimple(args) -> int:
     obj, _ = _load_target(args.target)
-    kind = category_of(obj)
-    decide = {"module": is_semisimple, "comodule": is_cosemisimple, "yd": is_yd_semisimple}[kind]
-    brute = {
-        "module": brute_force_semisimple,
-        "comodule": brute_force_cosemisimple,
-        "yd": brute_force_yd_semisimple,
-    }[kind]
-    report = decide(obj)
+    report = semisimple_in_category(obj)
     line = f"{str(report.verdict).lower()} (radical dim {report.radical_dim}, method {report.method})"
     if args.oracle:
         try:
-            agreement = brute(obj, args.bound) == report.verdict
+            agreement = brute_force_in_category(obj, args.bound) == report.verdict
             line += ", oracle: agrees" if agreement else ", oracle: DISAGREES"
             if not agreement:
                 print(line)
@@ -127,8 +110,7 @@ def _cmd_semisimple(args) -> int:
 
 def _cmd_dual(args) -> int:
     obj, _ = _load_target(args.target)
-    kind = category_of(obj)
-    built = {"module": dual_module, "comodule": dual_comodule, "yd": dual_yd}[kind](obj)
+    built = dual_in_category(obj)
     _write_or_print(canonical_json(object_to_doc(built)), args.out)
     return 0
 
@@ -136,10 +118,7 @@ def _cmd_dual(args) -> int:
 def _cmd_tensor(args) -> int:
     a, _ = _load_target(args.left)
     b, _ = _load_target(args.right)
-    if category_of(a) != category_of(b):
-        raise HopfMismatchError("cannot tensor objects of different kinds")
-    kind = category_of(a)
-    built = {"module": tensor_modules, "comodule": tensor_comodules, "yd": tensor_yd}[kind](a, b)
+    built = tensor_in_category(a, b)
     _write_or_print(canonical_json(object_to_doc(built)), args.out)
     return 0
 
@@ -209,7 +188,6 @@ def _cmd_campaign(args) -> int:
         fields=fields,
         oracle=args.oracle,
         bound=args.bound,
-        inject_fault=args.inject_fault,
     )
     if args.format == "machine":
         text = canonical_json(report.to_doc())
@@ -217,6 +195,16 @@ def _cmd_campaign(args) -> int:
         text = _render_table(report)
     _write_or_print(text, args.out)
     return 0 if report.ok else 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("semisimple", help="decide (co)semisimplicity of an object")
     p.add_argument("target")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force oracle")
-    p.add_argument("--bound", type=int, default=DEFAULT_ORACLE_BOUND, help="oracle vector cap")
+    p.add_argument("--bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND, help="oracle vector cap")
     p.set_defaults(func=_cmd_semisimple)
 
     p = sub.add_parser("dual", help="construct the dual object and emit its document")
@@ -263,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "machine"), default="table")
     p.add_argument("--out")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--bound", type=int, default=DEFAULT_ORACLE_BOUND)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND)
     p.set_defaults(func=_cmd_campaign)
 
     return parser

@@ -1,16 +1,31 @@
-"""Right comodules as coaction structure tensors.
+"""Right comodules, stored as the modules over the dual Hopf algebra they are.
 
 ``coaction[a][b][t]`` is the coefficient of ``e_b (x) h_t`` in the coaction
-applied to ``e_a``.  Cosemisimplicity questions are answered by converting
-to a module over the convolution-dual algebra, so the one radical engine
-serves both sides.
+applied to ``e_a``.  For finite-dimensional H a right H-comodule is the same
+thing as a left H*-module: the dual basis functional f_t acts by
+``B_t[b][a] = coaction[a][b][t]`` (Montgomery, *Hopf Algebras and Their
+Actions on Rings*, 1.6).  Subcomodules, colinear maps, the tensor product and
+the dual are exactly the H*-module ones, so a ``ComoduleRep`` keeps only that
+module (``star_module``) and every comodule construction is the module
+construction over ``H.dual_algebra()``.  ``coaction`` is a read-only view of
+the same data in comodule terms.
 """
 
 from __future__ import annotations
 
 from .hopf import AxiomReport, HopfAlgebraData
-from .matrix import Matrix, kernel_basis
-from .modules import ModuleRep, require_same_hopf
+from .matrix import Matrix
+from .modules import (
+    ModuleRep,
+    check_module_axioms,
+    direct_sum_modules,
+    dual_module,
+    require_same_hopf,
+    tensor_modules,
+)
+
+# module axiom over H*  ->  the comodule axiom it is
+_CHECK_NAMES = {"unit_acts_as_identity": "counit_law", "action_multiplicative": "coassociativity"}
 
 
 class ComoduleRep:
@@ -19,89 +34,48 @@ class ComoduleRep:
             len(row) != dim or any(len(cell) != hopf.dim for cell in row) for row in coaction
         ):
             raise ValueError(f"coaction tensor is not {dim}x{dim}x{hopf.dim}")
+        action = [
+            Matrix(hopf.field, dim, dim, [[coaction[a][b][t] for a in range(dim)] for b in range(dim)])
+            for t in range(hopf.dim)
+        ]
         self.hopf = hopf
-        self.dim = dim
-        self.coaction = coaction
         self.name = name
+        self.star_module = ModuleRep(hopf.dual_algebra(), dim, action, name=name)
+
+    @classmethod
+    def over_dual(cls, hopf: HopfAlgebraData, star_module: ModuleRep, name: str = "") -> ComoduleRep:
+        """The H-comodule that an H*-module is."""
+        require_same_hopf(star_module.algebra, hopf.dual_algebra())
+        c = cls.__new__(cls)
+        c.hopf = hopf
+        c.name = name
+        c.star_module = star_module
+        return c
+
+    @property
+    def dim(self) -> int:
+        return self.star_module.dim
 
     @property
     def field(self):
         return self.hopf.field
 
+    @property
+    def coaction(self):
+        mats = [m.entries for m in self.star_module.action]
+        return [[[mat[b][a] for mat in mats] for b in range(self.dim)] for a in range(self.dim)]
+
     def __repr__(self):
         return f"<ComoduleRep {self.name or '?'} dim={self.dim} over {self.hopf.name or '?'}>"
 
-    def component_matrices(self) -> list[Matrix]:
-        """One matrix per algebra basis element: B_t[b][a] = coaction[a][b][t].
-
-        ``B_t`` applied to a vector is the e-leg of its coaction paired with
-        the t-th coordinate of the H-leg; a subspace is a subcomodule exactly
-        when it is stable under every ``B_t``.
-        """
-        field = self.field
-        zero = field.zero()
-        mats = []
-        for t in range(self.hopf.dim):
-            e = [[zero] * self.dim for _ in range(self.dim)]
-            for a in range(self.dim):
-                for b in range(self.dim):
-                    x = self.coaction[a][b][t]
-                    if x:
-                        e[b][a] = x
-            mats.append(Matrix(field, self.dim, self.dim, e))
-        return mats
-
 
 def check_comodule_axioms(c: ComoduleRep) -> AxiomReport:
-    report = AxiomReport(c.name or "comodule")
-    h = c.hopf
-    field = h.field
-
-    violation = None
-    for a in range(c.dim):
-        for b in range(c.dim):
-            want = field.one() if a == b else field.zero()
-            got = field.zero()
-            for t, x in enumerate(c.coaction[a][b]):
-                if x:
-                    got = field.add(got, field.mul(x, h.counit[t]))
-            if got != want:
-                violation = (a, b)
-                break
-        if violation:
-            break
-    report.record("counit_law", violation)
-
-    violation = None
-    n = h.dim
-    for a in range(c.dim):
-        for b in range(c.dim):
-            for s in range(n):
-                for t in range(n):
-                    lhs = field.zero()
-                    for b2 in range(c.dim):
-                        x = c.coaction[a][b2][t]
-                        if x:
-                            y = c.coaction[b2][b][s]
-                            if y:
-                                lhs = field.add(lhs, field.mul(x, y))
-                    rhs = field.zero()
-                    for u in range(n):
-                        x = c.coaction[a][b][u]
-                        if x:
-                            y = h.comult[u][s][t]
-                            if y:
-                                rhs = field.add(rhs, field.mul(x, y))
-                    if lhs != rhs:
-                        violation = (a, b, s, t)
-                        break
-                if violation:
-                    break
-            if violation:
-                break
-        if violation:
-            break
-    report.record("coassociativity", violation)
+    """Counit law and coassociativity: the unit and multiplicativity laws of
+    the H*-action, under their comodule names."""
+    report = check_module_axioms(c.star_module)
+    report.subject = c.name or "comodule"
+    for check in report.checks:
+        check.name = _CHECK_NAMES[check.name]
     return report
 
 
@@ -119,97 +93,17 @@ def regular_comodule(h: HopfAlgebraData) -> ComoduleRep:
 def tensor_comodules(m: ComoduleRep, n: ComoduleRep, name: str = "") -> ComoduleRep:
     """Coact on both factors and multiply the two H-legs."""
     require_same_hopf(m.hopf, n.hopf)
-    h = m.hopf
-    field = h.field
-    dim = m.dim * n.dim
-    zero = field.zero()
-    coaction = [[[zero] * h.dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(m.dim):
-        for a2 in range(m.dim):
-            for s in range(h.dim):
-                x = m.coaction[a][a2][s]
-                if not x:
-                    continue
-                mult_row = h.mult[s]
-                for b in range(n.dim):
-                    src = a * n.dim + b
-                    for b2 in range(n.dim):
-                        dst = a2 * n.dim + b2
-                        cell = coaction[src][dst]
-                        for t in range(h.dim):
-                            y = n.coaction[b][b2][t]
-                            if not y:
-                                continue
-                            xy = field.mul(x, y)
-                            for u, c in enumerate(mult_row[t]):
-                                if c:
-                                    cell[u] = field.add(cell[u], field.mul(xy, c))
-    return ComoduleRep(h, dim, coaction, name=name or f"({m.name})(x)({n.name})")
+    label = name or f"({m.name})(x)({n.name})"
+    return ComoduleRep.over_dual(m.hopf, tensor_modules(m.star_module, n.star_module, name=label), label)
 
 
 def dual_comodule(n: ComoduleRep, name: str = "") -> ComoduleRep:
     """Dual coaction: transpose the e-legs and push the H-leg through the antipode."""
-    h = n.hopf
-    field = h.field
-    zero = field.zero()
-    coaction = [[[zero] * h.dim for _ in range(n.dim)] for _ in range(n.dim)]
-    for i in range(n.dim):
-        for j in range(n.dim):
-            cell = coaction[i][j]
-            for s in range(h.dim):
-                x = n.coaction[j][i][s]
-                if not x:
-                    continue
-                for t in range(h.dim):
-                    y = h.antipode.entries[t][s]
-                    if y:
-                        cell[t] = field.add(cell[t], field.mul(x, y))
-    return ComoduleRep(h, n.dim, coaction, name=name or f"({n.name})*")
-
-
-def comodule_to_dual_module(c: ComoduleRep) -> ModuleRep:
-    """The same data viewed as a module over the convolution-dual algebra."""
-    return ModuleRep(
-        c.hopf.dual_algebra(), c.dim, c.component_matrices(), name=f"{c.name or 'comodule'}^"
-    )
-
-
-def colinear_hom_space(m: ComoduleRep, n: ComoduleRep) -> list[Matrix]:
-    """Canonical basis of maps g with rho_N . g = (g (x) id) . rho_M."""
-    require_same_hopf(m.hopf, n.hopf)
-    field = m.field
-    zero = field.zero()
-    nd, md = n.dim, m.dim
-    if nd * md == 0:
-        return []
-    rows = []
-    for a in range(md):
-        for c in range(nd):
-            for t in range(m.hopf.dim):
-                coeff = [zero] * (nd * md)
-                for b in range(nd):
-                    x = n.coaction[b][c][t]
-                    if x:
-                        coeff[b * md + a] = field.add(coeff[b * md + a], x)
-                for b2 in range(md):
-                    x = m.coaction[a][b2][t]
-                    if x:
-                        coeff[c * md + b2] = field.sub(coeff[c * md + b2], x)
-                rows.append(coeff)
-    system = Matrix(field, len(rows), nd * md, rows)
-    return [Matrix.from_flat(field, nd, md, v.flatten()) for v in kernel_basis(system)]
+    label = name or f"({n.name})*"
+    return ComoduleRep.over_dual(n.hopf, dual_module(n.star_module, name=label), label)
 
 
 def direct_sum_comodules(m: ComoduleRep, n: ComoduleRep, name: str = "") -> ComoduleRep:
     require_same_hopf(m.hopf, n.hopf)
-    h = m.hopf
-    zero = h.field.zero()
-    dim = m.dim + n.dim
-    coaction = [[[zero] * h.dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(m.dim):
-        for b in range(m.dim):
-            coaction[a][b] = list(m.coaction[a][b])
-    for a in range(n.dim):
-        for b in range(n.dim):
-            coaction[m.dim + a][m.dim + b] = list(n.coaction[a][b])
-    return ComoduleRep(h, dim, coaction, name=name or f"({m.name})+({n.name})")
+    label = name or f"({m.name})+({n.name})"
+    return ComoduleRep.over_dual(m.hopf, direct_sum_modules(m.star_module, n.star_module, name=label), label)

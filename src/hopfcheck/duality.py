@@ -10,7 +10,9 @@ coevaluation splits with retraction (dim(N)*1_k)^-1 * evaluation.
 Equivariance of the coevaluation only needs the antipode axiom and must
 hold over every Hopf algebra here; equivariance of the evaluation uses
 S = S^-1 and is expected to fail on non-involutory inputs.  Both are
-checked as exact identities rather than assumed.
+checked as exact identities rather than assumed.  A comodule is checked as
+the module over the dual Hopf algebra H* that it is: there equivariance is
+colinearity, and H* is involutory exactly when H is.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .comodules import (
     ComoduleRep,
-    colinear_hom_space,
+    check_comodule_axioms,
     dual_comodule,
     tensor_comodules,
     trivial_comodule,
@@ -36,6 +38,7 @@ from .hopf import AxiomReport, HopfAlgebraData
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
     ModuleRep,
+    check_module_axioms,
     dual_module,
     hom_space,
     require_hopf,
@@ -44,12 +47,16 @@ from .modules import (
     trivial_module,
 )
 from .semisimple import (
+    DEFAULT_ORACLE_BOUND,
     SemisimplicityReport,
+    brute_force_cosemisimple,
+    brute_force_semisimple,
+    brute_force_yd_semisimple,
     is_cosemisimple,
     is_semisimple,
     is_yd_semisimple,
 )
-from .yd import YDModuleRep, dual_yd, tensor_yd, trivial_yd, yd_hom_space
+from .yd import YDModuleRep, check_yd_compat, dual_yd, tensor_yd, trivial_yd, yd_hom_space
 
 MODULE = "module"
 COMODULE = "comodule"
@@ -83,7 +90,7 @@ def evaluation(obj) -> Matrix:
     return coevaluation(obj).transpose()
 
 
-# categorical dispatch --------------------------------------------------------
+# categorical dispatch: the one place that tells the three kinds apart ------
 
 
 def category_of(obj) -> str:
@@ -99,8 +106,6 @@ def category_of(obj) -> str:
 def hopf_of(obj) -> HopfAlgebraData:
     if isinstance(obj, ModuleRep):
         return require_hopf(obj.algebra)
-    if isinstance(obj, ComoduleRep):
-        return obj.hopf
     return obj.hopf
 
 
@@ -136,9 +141,18 @@ def hom_in_category(a, b) -> list[Matrix]:
     kind = category_of(a)
     if kind == MODULE:
         return hom_space(a, b)
-    if kind == COMODULE:
-        return colinear_hom_space(a, b)
+    if kind == COMODULE:  # colinear maps are the H*-linear maps
+        return hom_space(a.star_module, b.star_module)
     return yd_hom_space(a, b)
+
+
+def axioms_in_category(obj) -> AxiomReport:
+    kind = category_of(obj)
+    if kind == MODULE:
+        return check_module_axioms(obj)
+    if kind == COMODULE:
+        return check_comodule_axioms(obj)
+    return check_yd_compat(obj)
 
 
 def semisimple_in_category(obj) -> SemisimplicityReport:
@@ -148,6 +162,15 @@ def semisimple_in_category(obj) -> SemisimplicityReport:
     if kind == COMODULE:
         return is_cosemisimple(obj)
     return is_yd_semisimple(obj)
+
+
+def brute_force_in_category(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
+    kind = category_of(obj)
+    if kind == MODULE:
+        return brute_force_semisimple(obj, bound)
+    if kind == COMODULE:
+        return brute_force_cosemisimple(obj, bound)
+    return brute_force_yd_semisimple(obj, bound)
 
 
 # equivariance of the canonical maps ------------------------------------------
@@ -180,62 +203,6 @@ def verify_ev_equivariance(n: ModuleRep) -> AxiomReport:
             violation = (i,)
             break
     report.record("evaluation_equivariant", violation)
-    return report
-
-
-def verify_coev_colinearity(n: ComoduleRep) -> AxiomReport:
-    """The coaction fixes the canonical element up to a unit H-leg."""
-    h = n.hopf
-    field = h.field
-    square = tensor_comodules(n, dual_comodule(n))
-    coev = coevaluation(n).flatten()
-    report = AxiomReport(f"coevaluation colinearity on {n.name or 'comodule'}")
-    violation = None
-    dim2 = square.dim
-    for b in range(dim2):
-        for t in range(h.dim):
-            got = field.zero()
-            for a in range(dim2):
-                x = coev[a]
-                if x:
-                    y = square.coaction[a][b][t]
-                    if y:
-                        got = field.add(got, field.mul(x, y))
-            want = field.mul(coev[b], h.unit[t])
-            if got != want:
-                violation = (divmod(b, n.dim), t)
-                break
-        if violation:
-            break
-    report.record("coevaluation_colinear", violation)
-    return report
-
-
-def verify_ev_colinearity(n: ComoduleRep) -> AxiomReport:
-    """The pairing is a comodule map; holds when S is an involution."""
-    h = n.hopf
-    field = h.field
-    square = tensor_comodules(n, dual_comodule(n))
-    ev = evaluation(n).flatten()
-    report = AxiomReport(f"evaluation colinearity on {n.name or 'comodule'}")
-    violation = None
-    dim2 = square.dim
-    for a in range(dim2):
-        for t in range(h.dim):
-            got = field.zero()
-            for b in range(dim2):
-                x = square.coaction[a][b][t]
-                if x:
-                    y = ev[b]
-                    if y:
-                        got = field.add(got, field.mul(x, y))
-            want = field.mul(ev[a], h.unit[t])
-            if got != want:
-                violation = (divmod(a, n.dim), t)
-                break
-        if violation:
-            break
-    report.record("evaluation_colinear", violation)
     return report
 
 
@@ -286,15 +253,6 @@ def _in_span(basis: list[Matrix], target: Matrix) -> bool:
         return True
     except NoSolutionError:
         return False
-
-
-def _module_part(obj) -> ModuleRep | None:
-    kind = category_of(obj)
-    if kind == MODULE:
-        return obj
-    if kind == YD:
-        return obj.module
-    return None
 
 
 def build_strong_dual_certificates(obj) -> tuple[SplitMonoCertificate, SplitMonoCertificate]:
@@ -436,10 +394,11 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     def cached_verdict(obj):
         if cache is None:
             return semisimple_in_category(obj).verdict
-        key = id(obj)
-        if key not in cache:
-            cache[key] = semisimple_in_category(obj).verdict
-        return cache[key]
+        # keyed by the object, not its id: the cache keeps it alive, so a
+        # collected object's id cannot be reused for a stale verdict
+        if obj not in cache:
+            cache[obj] = semisimple_in_category(obj).verdict
+        return cache[obj]
 
     product = tensor_in_category(m, n)
     hypothesis = semisimple_in_category(product).verdict

@@ -375,14 +375,26 @@ class HopfAlgebraData(AlgebraData):
         """Coordinates of the antipode applied to sum v_i b_i."""
         return [row_val for row_val in (self.antipode * Matrix.column(self.field, v)).flatten()]
 
-    def dual_algebra(self) -> AlgebraData:
-        """Convolution algebra on the dual basis: mult*[i][j][t] = comult[t][i][j]."""
+    def dual_algebra(self) -> HopfAlgebraData:
+        """The dual Hopf algebra H* on the dual basis.
+
+        Every structure map is the transpose of its partner in H:
+        mult*[i][j][t] = comult[t][i][j], comult*[i][j][t] = mult[j][t][i],
+        unit* = counit, counit* = unit and S* = S^T.  Only the algebra axioms
+        of H* are checked here; the rest are those of H read backwards.
+        """
         if self._dual_algebra is None:
             n = self.dim
             mult = [[[self.comult[t][i][j] for t in range(n)] for j in range(n)] for i in range(n)]
-            self._dual_algebra = AlgebraData(
-                self.field, n, mult, list(self.counit), name=f"{self.name}^*"
+            comult = [[[self.mult[j][t][i] for t in range(n)] for j in range(n)] for i in range(n)]
+            dual = HopfAlgebraData(
+                self.field, n, mult, list(self.counit), comult, list(self.unit),
+                self.antipode.transpose(), name=f"{self.name}^*", unchecked=True,
             )
+            report = dual.check_algebra_axioms()
+            if not report.ok:
+                raise AxiomError(report)
+            self._dual_algebra = dual
         return self._dual_algebra
 
 
@@ -394,5 +406,5 @@ def is_involutory(h: HopfAlgebraData) -> bool:
     return h.is_involutory()
 
 
-def dual_algebra(h: HopfAlgebraData) -> AlgebraData:
+def dual_algebra(h: HopfAlgebraData) -> HopfAlgebraData:
     return h.dual_algebra()

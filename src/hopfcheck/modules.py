@@ -3,7 +3,9 @@ element of the algebra.
 
 Tensor products use the diagonal coproduct action; the basis of a tensor
 product is ordered with the second factor fastest, so iterated products
-agree entry-for-entry without reindexing.
+agree entry-for-entry without reindexing.  Comodules are modules over the
+dual Hopf algebra, so the tensor product, dual and Hom solver here serve
+comodules and both faces of a Yetter-Drinfel'd module as well.
 """
 
 from __future__ import annotations
@@ -106,21 +108,40 @@ def regular_module(algebra: AlgebraData) -> ModuleRep:
 
 
 def tensor_modules(m: ModuleRep, n: ModuleRep, name: str = "") -> ModuleRep:
-    """Diagonal action through the coproduct on the Kronecker-ordered basis."""
+    """Diagonal action through the coproduct on the Kronecker-ordered basis.
+
+    Each nonzero coproduct term c * b_j (x) b_t adds c * A_j (x) A_t into the
+    accumulator of b_i entry by entry; no intermediate matrices are built.
+    """
     require_same_hopf(m.algebra, n.algebra)
     h = require_hopf(m.algebra)
     field = h.field
-    dim = m.dim * n.dim
+    p = field.characteristic
+    zero = field.zero()
+    nd = n.dim
+    dim = m.dim * nd
+    m_entries = [_nonzero_entries(a) for a in m.action]
+    n_entries = [_nonzero_entries(a) for a in n.action]
     action = []
     for i in range(h.dim):
-        acc = Matrix.zeros(field, dim, dim)
-        for j in range(h.dim):
-            row = h.comult[i][j]
+        acc = [[zero] * dim for _ in range(dim)]
+        for j, row in enumerate(h.comult[i]):
             for t, c in enumerate(row):
-                if c:
-                    acc = acc + m.action[j].kron(n.action[t]).scale(c)
-        action.append(acc)
+                if not c:
+                    continue
+                right = n_entries[t]
+                for a, b, x in m_entries[j]:
+                    cx = c * x
+                    for r, s, y in right:
+                        acc[a * nd + r][b * nd + s] += cx * y
+        if p:
+            acc = [[x % p for x in row] for row in acc]
+        action.append(Matrix(field, dim, dim, acc))
     return ModuleRep(h, dim, action, name=name or f"({m.name})(x)({n.name})")
+
+
+def _nonzero_entries(a: Matrix) -> list[tuple]:
+    return [(r, c, x) for r, row in enumerate(a.entries) for c, x in enumerate(row) if x]
 
 
 def dual_module(n: ModuleRep, name: str = "") -> ModuleRep:
@@ -140,26 +161,31 @@ def dual_module(n: ModuleRep, name: str = "") -> ModuleRep:
 
 def hom_space(m: ModuleRep, n: ModuleRep) -> list[Matrix]:
     """Canonical basis of the intertwiners g with g.A_i^M = A_i^N.g."""
-    require_same_hopf(m.algebra, n.algebra)
-    field = m.field
+    return joint_hom_space([(m, n)])
+
+
+def joint_hom_space(pairs) -> list[Matrix]:
+    """Canonical basis of the maps g that intertwine every (source, target)
+    pair of modules at once; all sources share one space, all targets another."""
+    md, nd = pairs[0][0].dim, pairs[0][1].dim
+    field = pairs[0][0].field
     zero = field.zero()
-    nd, md = n.dim, m.dim
     rows = []
-    for i in range(m.algebra.dim):
-        am = m.action[i]
-        an = n.action[i]
-        for r in range(nd):
-            for c in range(md):
-                coeff = [zero] * (nd * md)
-                for s in range(md):
-                    x = am.entries[s][c]
-                    if x:
-                        coeff[r * md + s] = field.add(coeff[r * md + s], x)
-                for s in range(nd):
-                    x = an.entries[r][s]
-                    if x:
-                        coeff[s * md + c] = field.sub(coeff[s * md + c], x)
-                rows.append(coeff)
+    for m, n in pairs:
+        require_same_hopf(m.algebra, n.algebra)
+        for am, an in zip(m.action, n.action):
+            for r in range(nd):
+                for c in range(md):
+                    coeff = [zero] * (nd * md)
+                    for s in range(md):
+                        x = am.entries[s][c]
+                        if x:
+                            coeff[r * md + s] = field.add(coeff[r * md + s], x)
+                    for s in range(nd):
+                        x = an.entries[r][s]
+                        if x:
+                            coeff[s * md + c] = field.sub(coeff[s * md + c], x)
+                    rows.append(coeff)
     if nd * md == 0:
         return []
     system = Matrix(field, len(rows), nd * md, rows)

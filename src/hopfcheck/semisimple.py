@@ -10,6 +10,10 @@ and computes the radical through its (faithful) regular representation:
   characteristic-polynomial coefficient forms of index 1, p, p^2, ...,
   the standard iterated trace-form algorithm for algebras over F_p.
 
+A comodule is decided as the module over the dual Hopf algebra H* that it
+is, and a Yetter-Drinfel'd module through the H-action and H*-action
+matrices together.
+
 Verdicts carry a radical basis as a certificate; every element is checked
 to be nilpotent before the report is returned.  A brute-force oracle that
 enumerates all submodules over small finite fields provides the
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .comodules import ComoduleRep, comodule_to_dual_module
+from .comodules import ComoduleRep
 from .errors import BoundExceededError
 from .fields import Field
 from .matrix import EchelonSpan, Matrix, kernel_basis, solve_linear
@@ -276,14 +280,15 @@ def is_semisimple(m: ModuleRep) -> SemisimplicityReport:
 
 
 def is_cosemisimple(c: ComoduleRep) -> SemisimplicityReport:
-    return is_semisimple(comodule_to_dual_module(c))
+    """A comodule is cosemisimple exactly when it is semisimple as an H*-module."""
+    return is_semisimple(c.star_module)
 
 
 def is_yd_semisimple(y: YDModuleRep) -> SemisimplicityReport:
-    """Radical criterion on the algebra generated by the action matrices and
-    the coaction component operators; their joint stable subspaces are
-    exactly the subobjects in the Yetter-Drinfel'd category."""
-    operators = list(y.module.action) + y.comodule.component_matrices()
+    """Radical criterion on the algebra generated by the H-action and the
+    H*-action matrices; their joint stable subspaces are exactly the
+    subobjects in the Yetter-Drinfel'd category."""
+    operators = list(y.module.action) + y.comodule.star_module.action
     return _operator_semisimplicity(y.field, y.dim, operators)
 
 
@@ -369,10 +374,9 @@ def brute_force_semisimple(m: ModuleRep, bound: int = DEFAULT_ORACLE_BOUND) -> b
 
 
 def brute_force_cosemisimple(c: ComoduleRep, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    converted = comodule_to_dual_module(c)
-    return _brute_force_operators(converted.field, converted.dim, converted.action, bound)
+    return _brute_force_operators(c.field, c.dim, c.star_module.action, bound)
 
 
 def brute_force_yd_semisimple(y: YDModuleRep, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    operators = list(y.module.action) + y.comodule.component_matrices()
+    operators = list(y.module.action) + y.comodule.star_module.action
     return _brute_force_operators(y.field, y.dim, operators, bound)

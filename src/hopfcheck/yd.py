@@ -17,11 +17,12 @@ from .comodules import (
     trivial_comodule,
 )
 from .hopf import AxiomReport, HopfAlgebraData
-from .matrix import Matrix, kernel_basis
+from .matrix import Matrix
 from .modules import (
     ModuleRep,
     check_module_axioms,
     dual_module,
+    joint_hom_space,
     require_same_hopf,
     tensor_modules,
     trivial_module,
@@ -145,41 +146,8 @@ def dual_yd(y: YDModuleRep, name: str = "") -> YDModuleRep:
 
 
 def yd_hom_space(y1: YDModuleRep, y2: YDModuleRep) -> list[Matrix]:
-    """Maps that intertwine the actions and the coactions, as one stacked system."""
-    require_same_hopf(y1.hopf, y2.hopf)
-    field = y1.field
-    zero = field.zero()
-    nd, md = y2.dim, y1.dim
-    if nd * md == 0:
-        return []
-    rows = []
-    for i in range(y1.hopf.dim):
-        am = y1.module.action[i]
-        an = y2.module.action[i]
-        for r in range(nd):
-            for c in range(md):
-                coeff = [zero] * (nd * md)
-                for s in range(md):
-                    x = am.entries[s][c]
-                    if x:
-                        coeff[r * md + s] = field.add(coeff[r * md + s], x)
-                for s in range(nd):
-                    x = an.entries[r][s]
-                    if x:
-                        coeff[s * md + c] = field.sub(coeff[s * md + c], x)
-                rows.append(coeff)
-    for a in range(md):
-        for c in range(nd):
-            for t in range(y1.hopf.dim):
-                coeff = [zero] * (nd * md)
-                for b in range(nd):
-                    x = y2.comodule.coaction[b][c][t]
-                    if x:
-                        coeff[b * md + a] = field.add(coeff[b * md + a], x)
-                for b2 in range(md):
-                    x = y1.comodule.coaction[a][b2][t]
-                    if x:
-                        coeff[c * md + b2] = field.sub(coeff[c * md + b2], x)
-                rows.append(coeff)
-    system = Matrix(field, len(rows), nd * md, rows)
-    return [Matrix.from_flat(field, nd, md, v.flatten()) for v in kernel_basis(system)]
+    """Maps that intertwine the H-actions and the coactions (the H*-actions)
+    at once, as one stacked system."""
+    return joint_hom_space(
+        [(y1.module, y2.module), (y1.comodule.star_module, y2.comodule.star_module)]
+    )

@@ -3,6 +3,8 @@ its measured numbers.  Everything is exact arithmetic, so every comparison
 is equality; runtime ceilings are asserted where stated.
 """
 
+import hashlib
+import os
 import time
 from fractions import Fraction
 
@@ -11,14 +13,12 @@ import pytest
 from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import catalog_entries, lookup
 from hopfcheck.comodules import dual_comodule
-from hopfcheck.documents import hopf_from_doc, hopf_to_doc
+from hopfcheck.documents import canonical_json, hopf_from_doc, hopf_to_doc
 from hopfcheck.duality import (
     build_strong_dual_certificates,
     coevaluation,
     evaluation,
-    verify_coev_colinearity,
     verify_coev_equivariance,
-    verify_ev_colinearity,
     verify_ev_equivariance,
 )
 from hopfcheck.errors import RankNotInvertibleError
@@ -84,20 +84,16 @@ def test_criterion_3_equivariance_dichotomy():
         if entry.expected_failure:
             continue
         involutory = not entry.id.startswith("H4/")
-        if entry.kind == "module":
-            assert verify_coev_equivariance(entry.payload).ok, entry.id
-            coev_checked += 1
-            if verify_ev_equivariance(entry.payload).ok:
-                continue
-            assert not involutory, f"evaluation equivariance failed on involutory {entry.id}"
-            ev_failures.add(entry.id)
-        elif entry.kind == "comodule":
-            assert verify_coev_colinearity(entry.payload).ok, entry.id
-            coev_checked += 1
-            if verify_ev_colinearity(entry.payload).ok:
-                continue
-            assert not involutory, f"evaluation colinearity failed on involutory {entry.id}"
-            ev_failures.add(entry.id)
+        if entry.kind not in ("module", "comodule"):
+            continue
+        # a comodule is checked as its H*-module, where equivariance is colinearity
+        face = entry.payload if entry.kind == "module" else entry.payload.star_module
+        assert verify_coev_equivariance(face).ok, entry.id
+        coev_checked += 1
+        if verify_ev_equivariance(face).ok:
+            continue
+        assert not involutory, f"evaluation equivariance failed on involutory {entry.id}"
+        ev_failures.add(entry.id)
     assert ev_failures == EXPECTED_EV_WITNESSES
     _report(
         3,
@@ -169,6 +165,11 @@ def test_criterion_6_maschke_consistency():
     _report(6, f"regular k[G] semisimple iff char does not divide |G|: {checked} instances, 0 mismatches")
 
 
+# sha256 of the canonical default campaign report minus wall_time: code
+# under the campaign may be restructured, the report may not change
+EXPECTED_REPORT_SHA256 = os.path.join(os.path.dirname(__file__), "campaign_report.sha256")
+
+
 def test_criterion_7_serre_campaign():
     start = time.time()
     report = run_campaign()
@@ -186,10 +187,13 @@ def test_criterion_7_serre_campaign():
     doc_a.pop("wall_time")
     doc_b.pop("wall_time")
     assert doc_a == doc_b
+    with open(EXPECTED_REPORT_SHA256, encoding="utf-8") as fh:
+        expected = fh.read().strip()
+    assert hashlib.sha256(canonical_json(doc_a).encode("utf-8")).hexdigest() == expected
     _report(
         7,
         f"{report.pairs_checked} tensor pairs over {len(report.field_list)} fields in {elapsed:.1f}s, "
-        f"0 counterexamples, deterministic report",
+        f"0 counterexamples, deterministic report equal to the recorded one",
     )
 
 
@@ -243,7 +247,7 @@ def _bump(value):
     return value + 1
 
 
-def test_criterion_9_fault_injection():
+def test_criterion_9_fault_injection(serre_fault):
     corruptions = 0
     for hid in ("kC2/Q", "kC2/F2", "H4/Q"):
         doc = hopf_to_doc(lookup(hid).payload)
@@ -253,7 +257,8 @@ def test_criterion_9_fault_injection():
             corruptions += 1
 
     # a corrupted semisimplicity verdict must surface as a campaign failure
-    faulted = run_campaign(categories=("module",), fields=("F2",), inject_fault=True)
+    faulted = run_campaign(categories=("module",), fields=("F2",))
+    assert len(serre_fault) == 1
     assert not faulted.ok
     assert any(c["type"] == "serre_inconsistency" for c in faulted.counterexamples)
     _report(9, f"all {corruptions} single-constant corruptions caught; injected verdict fault fails the campaign")

@@ -139,11 +139,31 @@ def test_campaign_machine_format_is_deterministic(tmp_path, capsys):
     assert docs[0]["ok"] is True
 
 
-def test_campaign_fault_injection_exits_nonzero(capsys):
-    code, out, _ = run(capsys, "campaign", "--field", "F2", "--category", "module", "--inject-fault")
+def test_campaign_fault_injection_exits_nonzero(capsys, serre_fault):
+    code, out, _ = run(capsys, "campaign", "--field", "F2", "--category", "module")
+    assert len(serre_fault) == 1
     assert code == 1
     assert "FAILED" in out
     assert "serre_inconsistency" in out
+
+
+def test_campaign_over_a_field_without_entries_is_a_usage_error(capsys):
+    # alone it would check nothing and print CONSISTENT; next to F2 it would
+    # silently drop out of the report
+    for fields in (["--field", "F11"], ["--field", "F2", "--field", "F11"]):
+        code, out, err = run(capsys, "campaign", *fields, "--category", "module")
+        assert code == 2, fields
+        assert "no catalog entries over F11" in err and out == "", fields
+
+
+def test_non_positive_oracle_bound_is_a_usage_error(capsys):
+    for bound in ("-5", "0"):
+        code, out, err = run(capsys, "campaign", "--field", "F2", "--oracle", "--bound", bound)
+        assert code == 2, bound
+        assert "positive integer" in err and out == ""
+        code, out, err = run(capsys, "semisimple", "kC2/F2/regular", "--oracle", "--bound", bound)
+        assert code == 2, bound
+        assert "positive integer" in err and out == ""
 
 
 def test_campaign_yd_only(capsys):

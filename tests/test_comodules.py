@@ -3,18 +3,18 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.catalog import lookup
+from comodule_reference import colinear_hom
 from hopfcheck.comodules import (
     ComoduleRep,
     check_comodule_axioms,
-    colinear_hom_space,
-    comodule_to_dual_module,
     dual_comodule,
     tensor_comodules,
     trivial_comodule,
 )
+from hopfcheck.duality import hom_in_category
 from hopfcheck.errors import HopfMismatchError
 from hopfcheck.fields import QQ
-from hopfcheck.modules import check_module_axioms, hom_space
+from hopfcheck.modules import check_module_axioms, regular_module
 
 
 def test_trivial_comodule_axioms():
@@ -34,6 +34,26 @@ def test_corrupted_counit_row_fails():
     report = check_comodule_axioms(bad)
     assert not report.ok
     assert "counit_law" in {x.name for x in report.failures()}
+
+
+def test_check_names_are_the_comodule_axioms():
+    report = check_comodule_axioms(lookup("kS3/F2/coregular").payload)
+    assert [c.name for c in report.checks] == ["counit_law", "coassociativity"]
+    assert report.subject == "coregular"
+
+
+def test_coaction_view_round_trips():
+    for cid in ("kS3/Q/coregular", "kdC3/F3/corot2", "H4/F5/coregular"):
+        c = lookup(cid).payload
+        again = ComoduleRep(c.hopf, c.dim, c.coaction, name=c.name)
+        assert again.star_module.action == c.star_module.action, cid
+        assert again.coaction == c.coaction, cid
+
+
+def test_over_dual_rejects_a_module_over_h_itself():
+    h = lookup("kS3/Q").payload  # not isomorphic to its dual as an algebra
+    with pytest.raises(HopfMismatchError):
+        ComoduleRep.over_dual(h, regular_module(h))
 
 
 def test_tensor_with_trivial_keeps_coaction():
@@ -107,7 +127,7 @@ def test_double_dual_comodule_for_involutory():
 
 def test_trivial_comodule_converts_to_counit_of_dual():
     h = lookup("kC2/Q").payload
-    converted = comodule_to_dual_module(trivial_comodule(h))
+    converted = trivial_comodule(h).star_module
     # the t-th dual basis functional acts by its value on the unit
     for t in range(h.dim):
         assert converted.action[t].entries == [[h.unit[t]]]
@@ -115,26 +135,26 @@ def test_trivial_comodule_converts_to_counit_of_dual():
 
 def test_regular_comodule_converts_to_regular_dual_module():
     h = lookup("kC2/Q").payload
-    converted = comodule_to_dual_module(lookup("kC2/Q/coregular").payload)
+    converted = lookup("kC2/Q/coregular").payload.star_module
     dual = h.dual_algebra()
     assert converted.action == dual.regular_action_matrices()
 
 
 def test_converted_modules_pass_axioms():
     for cid in ("kC2/F2/coregular", "kS3/Q/coline_t", "kdC2/F2/cononsplit2", "H4/Q/coregular"):
-        converted = comodule_to_dual_module(lookup(cid).payload)
+        converted = lookup(cid).payload.star_module
         assert check_module_axioms(converted).ok, cid
 
 
 def test_colinear_hom_trivial_to_trivial():
     triv = lookup("kC2/Q/cotrivial").payload
-    assert len(colinear_hom_space(triv, triv)) == 1
+    assert len(hom_in_category(triv, triv)) == 1
 
 
 def test_colinear_hom_between_distinct_degrees_is_zero():
     triv = lookup("kC2/Q/cotrivial").payload
     line = lookup("kC2/Q/coline_g").payload
-    assert colinear_hom_space(triv, line) == []
+    assert hom_in_category(triv, line) == []
 
 
 def test_colinear_hom_matches_converted_module_hom():
@@ -146,16 +166,15 @@ def test_colinear_hom_matches_converted_module_hom():
     ]
     for a, b in pairs:
         ca, cb = lookup(a).payload, lookup(b).payload
-        direct = colinear_hom_space(ca, cb)
-        converted = hom_space(comodule_to_dual_module(ca), comodule_to_dual_module(cb))
-        assert len(direct) == len(converted), (a, b)
+        direct = colinear_hom(ca.hopf, ca.coaction, cb.coaction)
+        assert hom_in_category(ca, cb) == direct, (a, b)
 
 
 def test_colinearity_defining_equation():
     a = lookup("kS3/Q/coline_t").payload
     b = lookup("kS3/Q/coregular").payload
     h = a.hopf
-    for g in colinear_hom_space(a, b):
+    for g in hom_in_category(a, b):
         for aa in range(a.dim):
             for c in range(b.dim):
                 for t in range(h.dim):

@@ -91,6 +91,27 @@ def test_dual_algebra_f2_pointwise_idempotents():
         assert dual.mult[i][1 - i] == [0, 0]
 
 
+def test_dual_hopf_algebra_passes_the_full_axiom_check():
+    entries = [e for e in catalog_entries() if e.kind == "hopf"]
+    assert len(entries) == 37
+    for entry in entries:
+        h = entry.payload
+        dual = h.dual_algebra()
+        assert isinstance(dual, HopfAlgebraData), entry.id
+        assert dual.check_hopf_axioms().ok, entry.id
+        # S* = S^T, so H* is involutory exactly when H is
+        assert dual.is_involutory() == h.is_involutory(), entry.id
+        assert h.dual_algebra() is dual, entry.id  # memoized
+
+
+def test_dual_of_dual_recovers_the_structure_constants():
+    for hid in ("kS3/Q", "kdC3/F3", "H4/F5"):
+        h = lookup(hid).payload
+        dd = h.dual_algebra().dual_algebra()
+        assert (dd.mult, dd.comult, dd.unit, dd.counit) == (h.mult, h.comult, h.unit, h.counit), hid
+        assert dd.antipode == h.antipode, hid
+
+
 def test_dual_algebra_commutative_iff_cocommutative():
     for hid in ("kC2/Q", "kS3/Q", "kdS3/Q"):
         h = lookup(hid).payload

@@ -6,18 +6,13 @@ seconds together, so they live in their own module.
 
 from itertools import combinations_with_replacement
 
+import comodule_reference as ref
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup, objects_over, yd_group_line
-from hopfcheck.comodules import (
-    check_comodule_axioms,
-    colinear_hom_space,
-    comodule_to_dual_module,
-    dual_comodule,
-    tensor_comodules,
-)
-from hopfcheck.duality import coevaluation, evaluation
+from hopfcheck.comodules import ComoduleRep, check_comodule_axioms, dual_comodule, tensor_comodules
+from hopfcheck.duality import coevaluation, evaluation, hom_in_category
 from hopfcheck.modules import check_module_axioms, dual_module, hom_space, tensor_modules
 from hopfcheck.semisimple import acting_algebra, is_semisimple
-from hopfcheck.yd import check_yd_compat, tensor_yd
+from hopfcheck.yd import check_yd_compat, dual_yd, tensor_yd
 
 
 def _valid_objects(hopf_id, kind):
@@ -63,17 +58,75 @@ def test_conversion_preserves_hom_dimensions_for_all_pairs():
     for hopf_entry in hopf_entries():
         comodules = _valid_objects(hopf_entry.id, "comodule")
         for em, en in combinations_with_replacement(comodules, 2):
-            direct = len(colinear_hom_space(em.payload, en.payload))
-            converted = len(
-                hom_space(comodule_to_dual_module(em.payload), comodule_to_dual_module(en.payload))
-            )
+            h = em.payload.hopf
+            direct = len(ref.colinear_hom(h, em.payload.coaction, en.payload.coaction))
+            converted = len(hom_space(em.payload.star_module, en.payload.star_module))
             assert direct == converted, (em.id, en.id)
             # Hom dimension is direction-sensitive in general; check both
-            direct_rev = len(colinear_hom_space(en.payload, em.payload))
-            converted_rev = len(
-                hom_space(comodule_to_dual_module(en.payload), comodule_to_dual_module(em.payload))
-            )
+            direct_rev = len(ref.colinear_hom(h, en.payload.coaction, em.payload.coaction))
+            converted_rev = len(hom_space(en.payload.star_module, em.payload.star_module))
             assert direct_rev == converted_rev, (en.id, em.id)
+
+
+def _comodule_parts():
+    """(hopf id, label, comodule) for every catalog comodule and YD comodule part."""
+    for hopf_entry in hopf_entries():
+        for entry in _valid_objects(hopf_entry.id, "comodule"):
+            yield hopf_entry.id, entry.id, entry.payload
+        for entry in _valid_objects(hopf_entry.id, "yd"):
+            yield hopf_entry.id, entry.id, entry.payload.comodule
+
+
+def _reference_verdicts(c: ComoduleRep) -> dict:
+    return {
+        "counit_law": ref.counit_violation(c.hopf, c.coaction) is None,
+        "coassociativity": ref.coassociativity_violation(c.hopf, c.coaction) is None,
+    }
+
+
+def test_h_star_route_matches_the_coaction_reference_on_every_comodule():
+    # duals, axiom verdicts on the object and on every one-entry corruption
+    checked = 0
+    for _, label, c in _comodule_parts():
+        h = c.hopf
+        assert dual_comodule(c).coaction == ref.dual_coaction(h, c.coaction), label
+        assert {x.name: x.passed for x in check_comodule_axioms(c).checks} == _reference_verdicts(c), label
+        for t in range(h.dim):
+            bad = c.coaction
+            bad[0][0][t] = h.field.add(bad[0][0][t], h.field.one())
+            broken = ComoduleRep(h, c.dim, bad, name="broken")
+            verdicts = {x.name: x.passed for x in check_comodule_axioms(broken).checks}
+            assert verdicts == _reference_verdicts(broken), (label, t)
+            checked += 1
+    assert checked > 300
+
+
+def test_h_star_route_matches_the_coaction_reference_on_every_pair():
+    # tensor coactions and Hom bases in both directions, equal entry for entry
+    pairs = 0
+    by_hopf: dict = {}
+    for hid, label, c in _comodule_parts():
+        by_hopf.setdefault(hid, []).append((label, c))
+    for members in by_hopf.values():
+        for (la, a), (lb, b) in combinations_with_replacement(members, 2):
+            h = a.hopf
+            assert tensor_comodules(a, b).coaction == ref.tensor_coaction(h, a.coaction, b.coaction), (la, lb)
+            assert hom_in_category(a, b) == ref.colinear_hom(h, a.coaction, b.coaction), (la, lb)
+            assert hom_in_category(b, a) == ref.colinear_hom(h, b.coaction, a.coaction), (lb, la)
+            pairs += 1
+    assert pairs > 300
+
+
+def test_yd_constructions_match_the_coaction_reference():
+    for hopf_entry in hopf_entries():
+        yds = _valid_objects(hopf_entry.id, "yd")
+        for entry in yds:
+            y = entry.payload
+            assert dual_yd(y).comodule.coaction == ref.dual_coaction(y.hopf, y.comodule.coaction), entry.id
+        for em, en in combinations_with_replacement(yds, 2):
+            a, b = em.payload.comodule, en.payload.comodule
+            got = tensor_yd(em.payload, en.payload).comodule.coaction
+            assert got == ref.tensor_coaction(a.hopf, a.coaction, b.coaction), (em.id, en.id)
 
 
 def test_rank_one_yd_lines_match_the_conjugation_criterion():
