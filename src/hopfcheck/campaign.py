@@ -24,15 +24,15 @@ from .duality import (
     axioms_in_category,
     brute_force_in_category,
     build_strong_dual_certificates,
+    cached_verdict,
     coevaluation,
     evaluation,
     hs_rank,
-    semisimple_in_category,
     verify_coev_equivariance,
     verify_ev_equivariance,
     verify_serre,
 )
-from .errors import BoundExceededError, NotInvolutoryError, RankNotInvertibleError
+from .errors import BoundExceededError, CertificateError, NotInvolutoryError, RankNotInvertibleError
 from .semisimple import DEFAULT_ORACLE_BOUND
 
 CATEGORIES = ("module", "comodule", "yd")
@@ -156,6 +156,8 @@ def run_campaign(
                     continue
                 valid.append(entry)
 
+            # one verdict per object, shared by the oracle and the pairs
+            verdict_cache: dict = {}
             for entry in valid:
                 obj = entry.payload
 
@@ -200,7 +202,7 @@ def run_campaign(
                     if rank.invertible:
                         cert_failures.append(entry.id)
                         report.counterexamples.append({"type": "certificate_refused", "id": entry.id})
-                except AssertionError:
+                except CertificateError:
                     cert_failures.append(entry.id)
                     report.counterexamples.append({"type": "certificate_reverification", "id": entry.id})
 
@@ -208,7 +210,7 @@ def run_campaign(
                 if oracle:
                     try:
                         brute = brute_force_in_category(obj, bound)
-                        engine = semisimple_in_category(obj).verdict
+                        engine = cached_verdict(obj, verdict_cache)
                         oracle_checked += 1
                         if brute != engine:
                             report.counterexamples.append(
@@ -218,7 +220,6 @@ def run_campaign(
                         oracle_skipped.append(entry.id)
 
             # the semisimplicity implication over all same-kind pairs
-            verdict_cache: dict = {}
             for em, en in combinations_with_replacement(valid, 2):
                 verdict = verify_serre(em.payload, en.payload, cache=verdict_cache)
                 report.serre_verdicts.append(verdict)

@@ -40,8 +40,13 @@ def _resolve_hopf(ref: str) -> HopfAlgebraData:
 def _load_target(target: str, unchecked: bool = False):
     """A catalog id or a path to a JSON document."""
     if target.endswith(".json"):
-        doc = load_document(target)
-        return object_from_doc(doc, _resolve_hopf, unchecked=unchecked), None
+        obj = object_from_doc(load_document(target), _resolve_hopf, unchecked=unchecked)
+        # catalog entries are checked when built; a document is checked here
+        if not unchecked and not isinstance(obj, HopfAlgebraData):
+            report = axioms_in_category(obj)
+            if not report.ok:
+                raise AxiomError(report)
+        return obj, None
     try:
         entry = lookup(target)
     except KeyError as exc:
@@ -270,6 +275,8 @@ def main(argv=None) -> int:
         return 2
     except AxiomError as exc:
         print(f"axiom failure: {exc}", file=sys.stderr)
+        for check in exc.report.failures():
+            print(f"  {check.describe()}", file=sys.stderr)
         return 1
     except (HopfMismatchError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

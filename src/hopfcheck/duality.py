@@ -27,6 +27,7 @@ from .comodules import (
     trivial_comodule,
 )
 from .errors import (
+    CertificateError,
     NotAMorphismError,
     NotInjectiveError,
     NotInvolutoryError,
@@ -289,7 +290,7 @@ def build_strong_dual_certificates(obj) -> tuple[SplitMonoCertificate, SplitMono
             context=f"{tag} of {getattr(obj, 'name', '?')}",
         )
         if not cert.verify(unit_obj, square):
-            raise AssertionError(f"certificate failed re-verification: {cert.context}")
+            raise CertificateError(f"certificate failed re-verification: {cert.context}")
         certificates.append(cert)
     return certificates[0], certificates[1]
 
@@ -335,7 +336,7 @@ def split_retraction(mono: Matrix, sub, ambient) -> SplitMonoCertificate:
         context=f"retraction of {getattr(sub, 'name', '?')} -> {getattr(ambient, 'name', '?')}",
     )
     if not (retraction * mono).is_identity():
-        raise AssertionError("solved retraction failed re-verification")
+        raise CertificateError("solved retraction failed re-verification")
     return cert
 
 
@@ -377,6 +378,17 @@ class SerreVerdict:
         }
 
 
+def cached_verdict(obj, cache: dict | None = None) -> bool:
+    """The semisimplicity verdict of ``obj``, memoized in ``cache`` if given."""
+    if cache is None:
+        return semisimple_in_category(obj).verdict
+    # keyed by the object, not its id: the cache keeps it alive, so a
+    # collected object's id cannot be reused for a stale verdict
+    if obj not in cache:
+        cache[obj] = semisimple_in_category(obj).verdict
+    return cache[obj]
+
+
 def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     """Check one tensor-pair instance of the semisimplicity implication.
 
@@ -391,19 +403,10 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     h = hopf_of(m)
     require_same_hopf(h, hopf_of(n))
 
-    def cached_verdict(obj):
-        if cache is None:
-            return semisimple_in_category(obj).verdict
-        # keyed by the object, not its id: the cache keeps it alive, so a
-        # collected object's id cannot be reused for a stale verdict
-        if obj not in cache:
-            cache[obj] = semisimple_in_category(obj).verdict
-        return cache[obj]
-
     product = tensor_in_category(m, n)
     hypothesis = semisimple_in_category(product).verdict
-    conclusion_m = cached_verdict(m)
-    conclusion_n = cached_verdict(n)
+    conclusion_m = cached_verdict(m, cache)
+    conclusion_n = cached_verdict(n, cache)
     rank_m = hs_rank(m.dim, h.field).invertible
     rank_n = hs_rank(n.dim, h.field).invertible
     verdict = SerreVerdict(

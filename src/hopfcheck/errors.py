@@ -40,3 +40,7 @@ class NotSplitError(ValueError):
 
 class ParseError(ValueError):
     """A document failed to parse; the message names the offending field."""
+
+
+class CertificateError(AssertionError):
+    """A freshly built certificate failed its own re-verification."""

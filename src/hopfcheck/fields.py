@@ -7,7 +7,11 @@ arithmetic goes through the field so the two representations never mix.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# digits and one slash only: Fraction() alone would also take "1e999999999"
+_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -129,10 +133,17 @@ class Rationals(Field):
         return str(a)
 
     def scalar_from_doc(self, value):
-        if isinstance(value, str):
+        """A JSON integer, or a string "a" or "a/b" in lowest terms with b > 1:
+        exactly the canonical form ``scalar_to_doc`` emits."""
+        if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, str) and _RATIONAL_LITERAL.fullmatch(value):
+            try:
+                x = Fraction(value)
+            except (ValueError, ZeroDivisionError):  # over int()'s digit limit, or "a/0"
+                x = None
+            if x is not None and str(x) == value:
+                return x
         raise ValueError(f"not a rational literal: {value!r}")
 
     def spec_to_doc(self):

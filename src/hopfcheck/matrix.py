@@ -344,6 +344,15 @@ class EchelonSpan:
     def contains(self, vec) -> bool:
         return not any(self._reduce(vec))
 
+    def coordinates(self, vec):
+        """Coordinates of ``vec`` in ``basis_rows``, or None outside the span.
+
+        The basis is reduced, so a member's coordinates are its entries at
+        the pivot columns."""
+        if not self.contains(vec):
+            return None
+        return [vec[pc] for pc in sorted(self._rows)]
+
     def add(self, vec) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
         v = self._reduce(vec)

@@ -1,18 +1,19 @@
 """Semisimplicity decisions via Jacobson-radical computation.
 
-The engine works on any list of operators on F^m: it spins the unital
-matrix algebra they generate, extracts that algebra's structure constants,
-and computes the radical through its (faithful) regular representation:
+An object is semisimple exactly when the image of its acting algebra in
+End(V) is: H for a module, the dual H* for a comodule, and the Drinfel'd
+double D(H) = H* H for a Yetter-Drinfel'd module.  The engine takes
+operators that span that image.  An image is already closed under products,
+so the reduced echelon basis of their span is the algebra's basis, its
+structure constants are read off at the pivot columns, and a product that
+leaves the span is refused as not coming from a module.  The radical is
+computed through the image's (faithful) regular representation:
 
 * characteristic 0: the radical is the kernel of the trace form
   tr(xy) (Dickson's criterion);
 * characteristic p: a descending chain of subspaces cut out by the
   characteristic-polynomial coefficient forms of index 1, p, p^2, ...,
   the standard iterated trace-form algorithm for algebras over F_p.
-
-A comodule is decided as the module over the dual Hopf algebra H* that it
-is, and a Yetter-Drinfel'd module through the H-action and H*-action
-matrices together.
 
 Verdicts carry a radical basis as a certificate; every element is checked
 to be nilpotent before the report is returned.  A brute-force oracle that
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 from .comodules import ComoduleRep
 from .errors import BoundExceededError
 from .fields import Field
-from .matrix import EchelonSpan, Matrix, kernel_basis, solve_linear
-from .modules import ModuleRep
+from .hopf import AlgebraData
+from .matrix import EchelonSpan, Matrix, kernel_basis
+from .modules import ModuleRep, regular_module
 from .yd import YDModuleRep
 
 DEFAULT_ORACLE_BOUND = 6561  # largest vector count the brute force will walk
@@ -116,58 +118,37 @@ def charpoly(m: Matrix) -> list:
     return polys[n]
 
 
-def spin_algebra(field: Field, dim: int, generators: list[Matrix]) -> list[Matrix]:
-    """Canonical basis of the unital matrix algebra generated by the operators."""
-    if dim == 0:
-        return []
+def _image_module(field: Field, dim: int, operators: list[Matrix]) -> ModuleRep:
+    """The image A of the acting algebra in End(F^dim), acting on F^dim.
+
+    The operators must span the image of an algebra (the action of a
+    module).  The reduced echelon basis of span(I, operators) is A's
+    basis: the returned module's action, over A with structure constants
+    read off at the pivot columns.  A product outside the span means the
+    operators are not a module's action, and is refused.
+    """
+    identity = Matrix.identity(field, dim).flatten()
     span = EchelonSpan(field, dim * dim)
-    work: list[Matrix] = []
-    for m in [Matrix.identity(field, dim)] + list(generators):
-        if span.add(m.flatten()):
-            work.append(m)
-    idx = 0
-    while idx < len(work):
-        x = work[idx]
-        idx += 1
-        for g in generators:
-            prod = x * g
-            if span.add(prod.flatten()):
-                work.append(prod)
-    return [Matrix.from_flat(field, dim, dim, row) for row in span.basis_rows()]
+    for flat in [identity] + [m.flatten() for m in operators]:
+        span.add(flat)
+    basis = [Matrix.from_flat(field, dim, dim, row) for row in span.basis_rows()]
+    mult = []
+    for a in basis:
+        row = []
+        for b in basis:
+            coords = span.coordinates((a * b).flatten())
+            if coords is None:
+                raise ValueError("the operators are not a module's action: a product leaves their span")
+            row.append(coords)
+        mult.append(row)
+    # associative by construction and closed as just checked
+    image = AlgebraData(field, len(basis), mult, span.coordinates(identity), name="image", unchecked=True)
+    return ModuleRep(image, dim, basis, name="image")
 
 
 def acting_algebra(m: ModuleRep) -> list[Matrix]:
     """Canonical basis of the image of the algebra in End(M)."""
-    return spin_algebra(m.field, m.dim, m.action)
-
-
-def _structure_constants(field: Field, dim: int, basis: list[Matrix]):
-    """Multiplication tensor of the spanned algebra in the given basis."""
-    r = len(basis)
-    width = dim * dim
-    flats = [b.flatten() for b in basis]
-    cols = Matrix(field, width, r, [[f[i] for f in flats] for i in range(width)])
-    flat_products = []
-    for u in range(r):
-        for v in range(r):
-            flat_products.append((basis[u] * basis[v]).flatten())
-    rhs = Matrix(field, width, r * r, [[col[i] for col in flat_products] for i in range(width)])
-    coords = solve_linear(cols, rhs)
-    return [[[coords.entries[t][u * r + v] for t in range(r)] for v in range(r)] for u in range(r)]
-
-
-def _left_mult_matrices(field: Field, mult) -> list[Matrix]:
-    r = len(mult)
-    mats = []
-    for u in range(r):
-        zero = field.zero()
-        e = [[zero] * r for _ in range(r)]
-        for v in range(r):
-            for t, c in enumerate(mult[u][v]):
-                if c:
-                    e[t][v] = c
-        mats.append(Matrix(field, r, r, e))
-    return mats
+    return _image_module(m.field, m.dim, m.action).action
 
 
 def _fast_trace_of_product(a: Matrix, b: Matrix):
@@ -190,85 +171,46 @@ def _canonical_vectors(field: Field, vectors: list[list]) -> list[list]:
     return span.basis_rows()
 
 
-def _radical_coordinates(field: Field, mult) -> tuple[list[list], str]:
-    """Radical of the abstract algebra, as coordinate vectors in its basis.
+def _radical_coordinates(algebra: AlgebraData) -> list[list]:
+    """Radical of the algebra, as reduced coordinate vectors in its basis.
 
     Uses the regular representation, which is faithful because the algebra
     is unital, so all characteristic polynomials have size dim(A).
     """
-    r = len(mult)
-    if r == 0:
-        return [], "TraceForm"
-    lmats = _left_mult_matrices(field, mult)
+    field, r = algebra.field, algebra.dim
+    regular = regular_module(algebra)
     p = field.characteristic
-    one = field.one()
-
-    def element_matrix(coords) -> Matrix:
-        acc = Matrix.zeros(field, r, r)
-        for u, c in enumerate(coords):
-            if c:
-                acc = acc + lmats[u].scale(c)
-        return acc
-
     # current subspace, initially the whole algebra in coordinates
-    current = [[one if v == u else field.zero() for v in range(r)] for u in range(r)]
-    method = "TraceForm" if p == 0 else "IteratedTraceForm"
-
+    current = Matrix.identity(field, r).entries
     q = 1
-    while True:
-        if not current:
-            break
-        mats = [element_matrix(c) for c in current]
-        s = len(mats)
+    while current:
+        mats = [regular.action_of_vector(c) for c in current]
         gram_rows = []
-        for a in range(s):
-            row = []
-            for b in range(s):
-                if q == 1:
-                    row.append(_fast_trace_of_product(mats[a], mats[b]))
-                else:
-                    row.append(charpoly(mats[a] * mats[b])[r - q])
-            gram_rows.append(row)
-        gram = Matrix(field, s, s, gram_rows)
-        alpha_vectors = kernel_basis(gram.transpose())
-        new_vectors = []
-        for alpha in alpha_vectors:
-            combo = [field.zero()] * r
-            for a, coeff in enumerate(col[0] for col in alpha.entries):
-                if coeff:
-                    for u in range(r):
-                        x = current[a][u]
-                        if x:
-                            combo[u] = field.add(combo[u], field.mul(coeff, x))
-            new_vectors.append(combo)
-        current = _canonical_vectors(field, new_vectors) if new_vectors else []
-        if p == 0:
-            break
+        for a in mats:
+            if q == 1:
+                gram_rows.append([_fast_trace_of_product(a, b) for b in mats])
+            else:
+                gram_rows.append([charpoly(a * b)[r - q] for b in mats])
+        gram = Matrix.from_rows(field, gram_rows)
+        alphas = [alpha.flatten() for alpha in kernel_basis(gram.transpose())]
+        if not alphas:
+            return []
+        combos = Matrix.from_rows(field, alphas) * Matrix.from_rows(field, current)
+        current = _canonical_vectors(field, combos.entries)
         q *= p
-        if q > r:
+        if p == 0 or q > r:
             break
-    return current, method
+    return current
 
 
 def _operator_semisimplicity(field: Field, dim: int, operators: list[Matrix]) -> SemisimplicityReport:
-    method_for_char = "TraceForm" if field.characteristic == 0 else "IteratedTraceForm"
+    """Verdict on the image of an algebra, given operators spanning it."""
+    method = "TraceForm" if field.characteristic == 0 else "IteratedTraceForm"
     if dim == 0:
-        return SemisimplicityReport(True, 0, [], method_for_char)
-    basis = spin_algebra(field, dim, operators)
-    mult = _structure_constants(field, dim, basis)
-    coords, method = _radical_coordinates(field, mult)
-    radical = []
-    for c in coords:
-        acc = Matrix.zeros(field, dim, dim)
-        for u, coeff in enumerate(c):
-            if coeff:
-                acc = acc + basis[u].scale(coeff)
-        radical.append(acc)
-    if radical:
-        radical = [
-            Matrix.from_flat(field, dim, dim, row)
-            for row in _canonical_vectors(field, [m.flatten() for m in radical])
-        ]
+        return SemisimplicityReport(True, 0, [], method)
+    image = _image_module(field, dim, operators)
+    # the radical coordinates are reduced, so their images form a reduced basis
+    radical = [image.action_of_vector(c) for c in _radical_coordinates(image.algebra)]
     for z in radical:
         if not z.power(dim).is_zero():
             raise AssertionError("radical certificate failed nilpotency check")
@@ -285,11 +227,10 @@ def is_cosemisimple(c: ComoduleRep) -> SemisimplicityReport:
 
 
 def is_yd_semisimple(y: YDModuleRep) -> SemisimplicityReport:
-    """Radical criterion on the algebra generated by the H-action and the
-    H*-action matrices; their joint stable subspaces are exactly the
-    subobjects in the Yetter-Drinfel'd category."""
-    operators = list(y.module.action) + y.comodule.star_module.action
-    return _operator_semisimplicity(y.field, y.dim, operators)
+    """Radical criterion on the image of the Drinfel'd double D(H), spanned
+    by ``double_action``; its stable subspaces are exactly the subobjects
+    in the Yetter-Drinfel'd category."""
+    return _operator_semisimplicity(y.field, y.dim, y.double_action)
 
 
 # brute-force oracle ---------------------------------------------------------
@@ -322,6 +263,9 @@ def _brute_force_operators(field: Field, dim: int, operators: list[Matrix], boun
         raise BoundExceededError(f"{p}^{dim} exceeds the oracle bound {bound}")
     if dim == 0:
         return True
+    # a YD object's n^2 products repeat and vanish often; the distinct
+    # nonzero operators have the same invariant subspaces
+    operators = list(dict.fromkeys(op for op in operators if not op.is_zero()))
 
     spaces: dict[tuple, list] = {(): []}
     for vec in itertools.product(range(p), repeat=dim):
@@ -378,5 +322,4 @@ def brute_force_cosemisimple(c: ComoduleRep, bound: int = DEFAULT_ORACLE_BOUND) 
 
 
 def brute_force_yd_semisimple(y: YDModuleRep, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    operators = list(y.module.action) + y.comodule.star_module.action
-    return _brute_force_operators(y.field, y.dim, operators, bound)
+    return _brute_force_operators(y.field, y.dim, y.double_action, bound)

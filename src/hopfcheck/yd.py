@@ -50,6 +50,15 @@ class YDModuleRep:
     def field(self):
         return self.module.field
 
+    @property
+    def double_action(self) -> list[Matrix]:
+        """The n^2 products B_t A_j of the H*-action with the H-action.
+
+        They are the action of the basis f_t h_j of the Drinfel'd double
+        D(H) = H* H, so they span the image of D(H) in End(V); D(H) itself
+        is never built."""
+        return [b * a for b in self.comodule.star_module.action for a in self.module.action]
+
     def __repr__(self):
         return f"<YDModuleRep {self.name or '?'} dim={self.dim} over {self.hopf.name or '?'}>"
 

@@ -1,7 +1,7 @@
 import json
 
 from hopfcheck.cli import main
-from hopfcheck.documents import canonical_json, hopf_to_doc
+from hopfcheck.documents import canonical_json, hopf_to_doc, object_to_doc
 from hopfcheck.catalog import lookup
 
 
@@ -188,3 +188,32 @@ def test_check_negative_fixture_reports_and_exits_zero(capsys):
     assert code == 0
     assert "FAIL" in out
     assert "tagged negative fixture" in out
+
+
+def test_commands_refuse_a_document_failing_its_axioms(tmp_path, capsys):
+    # g acts by an idempotent, not an involution: g.g = e fails
+    doc = json.loads(canonical_json(object_to_doc(lookup("kC2/Q/regular").payload)))
+    doc["action"][1] = [["1", "1"], ["0", "0"]]
+    path = str(tmp_path / "idempotent.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(doc))
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1
+    assert "action_multiplicative: FAIL" in out
+    # every other command checks the document first instead of using it
+    for argv in (["semisimple", path], ["dual", path], ["export", path], ["tensor", path, "kC2/Q/regular"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == "", argv
+        assert "action_multiplicative: FAIL" in err, argv
+
+
+def test_division_by_zero_literal_is_a_parse_error(tmp_path, capsys):
+    doc = json.loads(canonical_json(object_to_doc(lookup("kC2/Q/regular").payload)))
+    doc["action"][1][0][0] = "1/0"
+    path = tmp_path / "zero_denominator.json"
+    path.write_text(canonical_json(doc))
+    for command in ("check", "semisimple"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2, command
+        assert "parse error" in err and "'1/0'" in err, command

@@ -226,3 +226,28 @@ def test_certificate_serialization_shape():
     assert set(doc) == {"category", "context", "mono", "retraction"}
     assert doc["category"] == "module"
     assert doc["retraction"] == [["1/2", "0", "0", "1/2"]]
+
+
+def test_campaign_counts_only_certificate_errors_as_certificate_failures(monkeypatch):
+    import hopfcheck.campaign
+    from hopfcheck.campaign import run_campaign
+    from hopfcheck.errors import CertificateError
+
+    def failing_builder(exc):
+        def build(obj):
+            raise exc("raised inside the certificate builder")
+
+        return build
+
+    # a failed re-verification is a counterexample of its own type ...
+    target = (hopfcheck.campaign, "build_strong_dual_certificates")
+    monkeypatch.setattr(*target, failing_builder(CertificateError))
+    report = run_campaign(categories=("module",), fields=["F2"])
+    types = {c["type"] for c in report.counterexamples}
+    assert types == {"certificate_reverification"}
+    assert report.certificates["failures"] and not report.ok
+
+    # ... while an unrelated assertion is a bug and surfaces
+    monkeypatch.setattr(*target, failing_builder(AssertionError))
+    with pytest.raises(AssertionError, match="raised inside the certificate builder"):
+        run_campaign(categories=("module",), fields=["F2"])

@@ -71,6 +71,15 @@ def test_rational_doc_encoding():
         QQ.scalar_from_doc([1])
 
 
+@pytest.mark.parametrize(
+    "literal", ["1.5", "1e3", "1_000", " 3 ", "+3", "2/4", "3/1", "1/0", "-0", "007", True, False, None]
+)
+def test_rational_literals_outside_the_canonical_grammar_are_rejected(literal):
+    # only "a" or "a/b" in lowest terms with b > 1, and JSON integers
+    with pytest.raises(ValueError, match="not a rational literal"):
+        QQ.scalar_from_doc(literal)
+
+
 def test_prime_field_doc_encoding():
     f = GF(5)
     assert f.scalar_to_doc(7) == 2

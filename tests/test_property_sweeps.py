@@ -7,11 +7,12 @@ seconds together, so they live in their own module.
 from itertools import combinations_with_replacement
 
 import comodule_reference as ref
+from semisimple_reference import spin_algebra
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup, objects_over, yd_group_line
 from hopfcheck.comodules import ComoduleRep, check_comodule_axioms, dual_comodule, tensor_comodules
-from hopfcheck.duality import coevaluation, evaluation, hom_in_category
+from hopfcheck.duality import coevaluation, evaluation, hom_in_category, tensor_in_category
 from hopfcheck.modules import check_module_axioms, dual_module, hom_space, tensor_modules
-from hopfcheck.semisimple import acting_algebra, is_semisimple
+from hopfcheck.semisimple import _image_module, acting_algebra, is_semisimple
 from hopfcheck.yd import check_yd_compat, dual_yd, tensor_yd
 
 
@@ -171,3 +172,32 @@ def test_radical_certificates_trace_orthogonal_in_every_characteristic():
                 assert (r * b).power(m.dim).is_zero(), mid  # two-sided nil products
                 for c in algebra:
                     assert ((r * b) * c).trace() == zero, mid
+
+def _engine_and_spin(obj, kind):
+    """The engine's image basis and the reference spin of the same object."""
+    if kind == "module":
+        return acting_algebra(obj), spin_algebra(obj.field, obj.dim, obj.action)
+    if kind == "comodule":
+        star = obj.star_module
+        return acting_algebra(star), spin_algebra(obj.field, obj.dim, star.action)
+    both = list(obj.module.action) + obj.comodule.star_module.action
+    return _image_module(obj.field, obj.dim, obj.double_action).action, spin_algebra(obj.field, obj.dim, both)
+
+
+def test_image_basis_equals_the_spin_on_every_object_and_campaign_pair():
+    # the span of a module's operators (H, H* or D(H)) is already closed
+    # under products, so the engine's plain span must equal the closure
+    compared = 0
+    for hopf_entry in hopf_entries():
+        for kind in ("module", "comodule", "yd"):
+            valid = _valid_objects(hopf_entry.id, kind)
+            objects = [(e.id, e.payload) for e in valid]
+            objects += [
+                (f"{a.id} (x) {b.id}", tensor_in_category(a.payload, b.payload))
+                for a, b in combinations_with_replacement(valid, 2)
+            ]
+            for label, obj in objects:
+                engine, spin = _engine_and_spin(obj, kind)
+                assert engine == spin, label
+                compared += 1
+    assert compared > 500  # not vacuous: 836 objects and pairs today

@@ -18,8 +18,8 @@ from hopfcheck.semisimple import (
     is_cosemisimple,
     is_semisimple,
     is_yd_semisimple,
-    spin_algebra,
 )
+from hopfcheck.semisimple import _operator_semisimplicity
 from hopfcheck.yd import YDModuleRep
 
 
@@ -89,9 +89,9 @@ def test_acting_algebra_dimensions():
     assert len(acting_algebra(lookup("kS3/Q/regular").payload)) == 6
 
 
-def test_spin_algebra_closes_under_products():
+def test_acting_algebra_closes_under_products():
     reg = lookup("kS3/F2/regular").payload
-    basis = spin_algebra(reg.field, reg.dim, reg.action)
+    basis = acting_algebra(reg)
     flat = {tuple(b.flatten()) for b in basis}
     from hopfcheck.matrix import EchelonSpan
 
@@ -102,6 +102,16 @@ def test_spin_algebra_closes_under_products():
         for b in basis:
             assert span.contains((a * b).flatten())
     assert len(flat) == len(basis)
+
+
+def test_operators_spanning_no_algebra_are_refused():
+    # E12 and E21 generate all of M_2(Q), but I, E12, E21 span no algebra:
+    # E12 E21 = E11 lies outside, so these are not the action of a module
+    one, zero = Fraction(1), Fraction(0)
+    e12 = Matrix.from_rows(QQ, [[zero, one], [zero, zero]])
+    e21 = Matrix.from_rows(QQ, [[zero, zero], [one, zero]])
+    with pytest.raises(ValueError, match="not a module's action"):
+        _operator_semisimplicity(QQ, 2, [e12, e21])
 
 
 def test_regular_c2_rationals_semisimple_with_idempotent_eigenlines():
