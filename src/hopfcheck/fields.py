@@ -1,8 +1,10 @@
 """Exact base-field arithmetic: the rationals and prime fields F_p.
 
 Scalars are plain Python values interpreted relative to a field object:
-``Fraction`` for the rationals, ``int`` in ``[0, p)`` for F_p.  All
-arithmetic goes through the field so the two representations never mix.
+for the rationals an ``int`` when the value is integral and a ``Fraction``
+otherwise, for F_p an ``int`` in ``[0, p)``.  All arithmetic goes through
+the field (or, for matrices, through ``matrix.Matrix``), so scalars of two
+fields never mix.
 """
 
 from __future__ import annotations
@@ -95,18 +97,24 @@ class Field:
 
 
 class Rationals(Field):
-    """The field of rational numbers with arbitrary-precision arithmetic."""
+    """The field of rational numbers with arbitrary-precision arithmetic.
+
+    A scalar is an ``int`` when it is integral and a ``Fraction`` otherwise;
+    ``int`` and ``Fraction`` compare and hash alike, so the two may meet in
+    one matrix.  The only true division is ``invert``'s, on a ``Fraction``:
+    ``int / int`` would make a float.
+    """
 
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -123,7 +131,10 @@ class Rationals(Field):
     def invert(self, a):
         if not a:
             raise NotInvertibleError("0 has no inverse")
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:  # the usual pivot: no Fraction needed
+            return int(a)
+        x = 1 / Fraction(a)
+        return x if x.denominator != 1 else x.numerator
 
     def is_zero(self, a) -> bool:
         return not a
@@ -134,16 +145,17 @@ class Rationals(Field):
 
     def scalar_from_doc(self, value):
         """A JSON integer, or a string "a" or "a/b" in lowest terms with b > 1:
-        exactly the canonical form ``scalar_to_doc`` emits."""
+        exactly the canonical form ``scalar_to_doc`` emits.  Integers come
+        back as ``int``, "a/b" as ``Fraction``."""
         if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
+            return value
         if isinstance(value, str) and _RATIONAL_LITERAL.fullmatch(value):
             try:
                 x = Fraction(value)
             except (ValueError, ZeroDivisionError):  # over int()'s digit limit, or "a/0"
                 x = None
             if x is not None and str(x) == value:
-                return x
+                return x if x.denominator != 1 else x.numerator
         raise ValueError(f"not a rational literal: {value!r}")
 
     def spec_to_doc(self):

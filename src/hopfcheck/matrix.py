@@ -8,7 +8,17 @@ bit-identical results.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .fields import Field
+
+
+def _cleared(entries):
+    """Rational rows as integer rows: (entries scaled by d, d), d the lcm
+    of the denominators."""
+    d = lcm(*{x.denominator for row in entries for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in entries], d
 
 
 class NoSolutionError(ValueError):
@@ -75,7 +85,19 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}: {body})"
 
+    def _check_field(self, other, op):
+        if other.field != self.field:
+            raise ValueError(f"field mismatch: {self.field!r} {op} {other.field!r}")
+
+    def _check_addend(self, other, op):
+        # fields are cached singletons, so identity settles the common case
+        if other.field is not self.field:
+            self._check_field(other, op)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} {op} {other.rows}x{other.cols}")
+
     def __add__(self, other):
+        self._check_addend(other, "+")
         add = self.field.add
         return Matrix(
             self.field,
@@ -85,6 +107,7 @@ class Matrix:
         )
 
     def __sub__(self, other):
+        self._check_addend(other, "-")
         sub = self.field.sub
         return Matrix(
             self.field,
@@ -102,18 +125,33 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols, [[mul(scalar, a) for a in r] for r in self.entries])
 
     def __mul__(self, other):
-        """Matrix product (zero entries skipped; F_p reduced once per row)."""
+        """Matrix product on integer rows, zero entries skipped.
+
+        F_p residues are multiplied as they are and reduced once per output
+        row.  Over Q two all-``int`` operands are multiplied as they are;
+        otherwise each operand is first scaled to integers by the lcm of its
+        denominators, and each output entry is divided once by the product
+        of the two lcms: an ``int`` when it divides exactly, a ``Fraction``
+        otherwise.
+        """
         if not isinstance(other, Matrix):
             return self.scale(other)
+        if other.field is not self.field:
+            self._check_field(other, "*")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         p = self.field.characteristic
-        zero = self.field.zero()
+        aentries, oentries, d = self.entries, other.entries, 1
+        # a row sums to a Fraction exactly when one of its entries is one;
+        # `in` stops at the first such row, so at most one row adds Fractions
+        if not p and Fraction in map(type, map(sum, aentries + oentries)):
+            aentries, da = _cleared(aentries)
+            oentries, db = _cleared(oentries)
+            d = da * db
         ocols = other.cols
-        oentries = other.entries
         out = []
-        for arow in self.entries:
-            acc = [zero] * ocols
+        for arow in aentries:
+            acc = [0] * ocols
             for k, a in enumerate(arow):
                 if not a:
                     continue
@@ -122,6 +160,8 @@ class Matrix:
             if p:
                 acc = [x % p for x in acc]
             out.append(acc)
+        if d != 1:
+            out = [[Fraction(x, d) if x % d else x // d for x in row] for row in out]
         return Matrix(self.field, self.rows, ocols, out)
 
     def transpose(self):
@@ -168,10 +208,10 @@ class Matrix:
     def is_identity(self):
         if self.rows != self.cols:
             return False
-        one = self.field.one()
+        zero, one = self.field.zero(), self.field.one()
         for i, row in enumerate(self.entries):
             for j, x in enumerate(row):
-                if x != (one if i == j else self.field.zero()):
+                if x != (one if i == j else zero):
                     return False
         return True
 

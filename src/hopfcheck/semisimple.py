@@ -152,9 +152,8 @@ def acting_algebra(m: ModuleRep) -> list[Matrix]:
 
 
 def _fast_trace_of_product(a: Matrix, b: Matrix):
-    field = a.field
-    p = field.characteristic
-    total = 0 if p else field.zero()
+    p = a.field.characteristic
+    total = 0
     for i, arow in enumerate(a.entries):
         for j, x in enumerate(arow):
             if x:

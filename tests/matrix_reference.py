@@ -1,0 +1,21 @@
+"""Entrywise reference product, independent of ``Matrix.__mul__``'s kernel.
+
+Each output entry is a sum of ``Fraction`` products, the textbook definition
+with no denominator clearing and no zero skipping; over F_p the sum is
+reduced at the end.
+"""
+
+from fractions import Fraction
+
+
+def reference_product(a_rows, b_rows, inner: int, cols: int, p: int = 0):
+    out = []
+    for arow in a_rows:
+        row = []
+        for c in range(cols):
+            total = Fraction(0)
+            for k in range(inner):
+                total += Fraction(arow[k]) * Fraction(b_rows[k][c])
+            row.append(total % p if p else total)
+        out.append(row)
+    return out

@@ -103,3 +103,24 @@ def test_field_by_name():
     assert field_by_name("Fp:13") == GF(13)
     with pytest.raises(ValueError):
         field_by_name("R")
+
+
+def test_integral_rationals_are_ints():
+    for x, want in ((QQ.zero(), 0), (QQ.one(), 1), (QQ.from_int(3), 3)):
+        assert type(x) is int and x == want
+
+
+def test_rational_inverse_is_an_int_exactly_when_integral():
+    assert type(QQ.invert(-1)) is int and QQ.invert(-1) == -1
+    assert type(QQ.invert(Fraction(1))) is int and QQ.invert(Fraction(1)) == 1
+    assert type(QQ.invert(Fraction(1, 3))) is int and QQ.invert(Fraction(1, 3)) == 3
+    assert type(QQ.invert(2)) is Fraction and QQ.invert(2) == Fraction(1, 2)
+    assert type(QQ.invert(Fraction(-2, 3))) is Fraction and QQ.invert(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
+def test_rational_literals_decode_to_int_or_fraction():
+    assert type(QQ.scalar_from_doc(3)) is int and QQ.scalar_from_doc(3) == 3
+    assert type(QQ.scalar_from_doc("3")) is int and QQ.scalar_from_doc("3") == 3
+    assert type(QQ.scalar_from_doc("-3/2")) is Fraction and QQ.scalar_from_doc("-3/2") == Fraction(-3, 2)
+    # the encoding cannot tell the two representations apart
+    assert QQ.scalar_to_doc(3) == QQ.scalar_to_doc(Fraction(3)) == "3"

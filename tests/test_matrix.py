@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matrix_reference import reference_product
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import (
     EchelonSpan,
@@ -158,3 +161,76 @@ def test_echelon_span_membership_and_canonical_rows():
         [Fraction(1), Fraction(0), Fraction(1)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
+
+
+# the product kernel against the entrywise reference ----------------------------------
+
+_RATIONALS = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),  # integral ones too
+)
+
+
+@st.composite
+def _rows(draw, n, m, scalars):
+    # whole zero rows exercise the skip of zero entries
+    return [[0] * m if draw(st.booleans()) else [draw(scalars) for _ in range(m)] for _ in range(n)]
+
+
+@st.composite
+def _product_operands(draw, scalars):
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    return r, k, c, draw(_rows(r, k, scalars)), draw(_rows(k, c, scalars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_operands(_RATIONALS))
+def test_rational_product_matches_the_fraction_reference(operands):
+    r, k, c, a, b = operands
+    got = Matrix(QQ, r, k, a) * Matrix(QQ, k, c, b)
+    assert (got.rows, got.cols) == (r, c)
+    assert got.entries == reference_product(a, b, k, c)
+    for x in got.flatten():
+        # an int exactly when integral, never a float
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 2**31 - 1]).flatmap(
+    lambda p: st.tuples(st.just(p), _product_operands(st.integers(0, p - 1)))
+))
+def test_prime_field_product_matches_the_reference(case):
+    p, (r, k, c, a, b) = case
+    got = Matrix(GF(p), r, k, a) * Matrix(GF(p), k, c, b)
+    assert got.entries == reference_product(a, b, k, c, p)
+    assert all(type(x) is int for x in got.flatten())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Matrix.identity(QQ, 2) + Matrix.identity(QQ, 3),
+        lambda: Matrix.identity(QQ, 2) - Matrix.identity(QQ, 3),
+        lambda: Matrix.identity(QQ, 2) + Matrix.zeros(QQ, 2, 3),
+    ],
+)
+def test_sum_of_mismatched_shapes_is_refused(make):
+    # zip alone would silently truncate to the common top-left block
+    with pytest.raises(ValueError, match="shape mismatch"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Matrix.identity(GF(3), 2) + Matrix.identity(GF(5), 2),
+        lambda: Matrix.identity(GF(3), 2) - Matrix.identity(GF(5), 2),
+        lambda: Matrix.identity(QQ, 2) * Matrix.identity(GF(5), 2),
+        lambda: Matrix.identity(GF(5), 2) * Matrix.identity(QQ, 2),
+        lambda: Matrix.identity(GF(3), 2) * Matrix.identity(GF(5), 2),
+    ],
+)
+def test_arithmetic_across_fields_is_refused(make):
+    with pytest.raises(ValueError, match="field mismatch"):
+        make()

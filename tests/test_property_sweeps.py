@@ -4,16 +4,28 @@ These are the heavyweight structural invariants; they take a few tens of
 seconds together, so they live in their own module.
 """
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import comodule_reference as ref
 from semisimple_reference import spin_algebra
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup, objects_over, yd_group_line
 from hopfcheck.comodules import ComoduleRep, check_comodule_axioms, dual_comodule, tensor_comodules
-from hopfcheck.duality import coevaluation, evaluation, hom_in_category, tensor_in_category
-from hopfcheck.modules import check_module_axioms, dual_module, hom_space, tensor_modules
+from hopfcheck.duality import (
+    build_strong_dual_certificates,
+    coevaluation,
+    dual_in_category,
+    evaluation,
+    hom_in_category,
+    semisimple_in_category,
+    tensor_in_category,
+    verify_serre,
+)
+from hopfcheck.hopf import HopfAlgebraData
+from hopfcheck.matrix import Matrix
+from hopfcheck.modules import ModuleRep, check_module_axioms, dual_module, hom_space, tensor_modules
 from hopfcheck.semisimple import _image_module, acting_algebra, is_semisimple
-from hopfcheck.yd import check_yd_compat, dual_yd, tensor_yd
+from hopfcheck.yd import YDModuleRep, check_yd_compat, dual_yd, tensor_yd
 
 
 def _valid_objects(hopf_id, kind):
@@ -201,3 +213,87 @@ def test_image_basis_equals_the_spin_on_every_object_and_campaign_pair():
                 assert engine == spin, label
                 compared += 1
     assert compared > 500  # not vacuous: 836 objects and pairs today
+
+
+# Q scalars: ints when integral, Fractions otherwise, never floats --------------------
+
+KINDS = ("module", "comodule", "yd")
+
+
+def _stored_matrices(obj) -> list[Matrix]:
+    """The matrices an object keeps: its H-action, its H*-action, or both."""
+    if isinstance(obj, YDModuleRep):
+        return obj.module.action + obj.comodule.star_module.action
+    if isinstance(obj, ComoduleRep):
+        return obj.star_module.action
+    return obj.action
+
+
+def test_no_rational_scalar_is_a_float():
+    # an int / int anywhere in the Q path would leave a float in one of these
+    types = set()
+    for hopf_entry in hopf_entries(("Q",)):
+        h = hopf_entry.payload
+        for kind in KINDS:
+            for entry in _valid_objects(hopf_entry.id, kind):
+                obj = entry.payload
+                mats = _stored_matrices(obj) + _stored_matrices(dual_in_category(obj))
+                mats += _stored_matrices(tensor_in_category(obj, obj))
+                mats += semisimple_in_category(obj).radical_basis
+                if h.is_involutory():
+                    for cert in build_strong_dual_certificates(obj):
+                        mats += [cert.mono, cert.retraction]
+                found = {type(x) for m in mats for x in m.flatten()}
+                assert found <= {int, Fraction}, (entry.id, found)
+                types |= found
+    assert types == {int, Fraction}  # not vacuous: retractions carry 1/dim
+
+
+def _as_fractions(m: Matrix) -> Matrix:
+    return Matrix(m.field, m.rows, m.cols, [[Fraction(x) for x in row] for row in m.entries])
+
+
+def _hopf_as_fractions(h: HopfAlgebraData) -> HopfAlgebraData:
+    def tensor(t):
+        return [[[Fraction(x) for x in cell] for cell in slab] for slab in t]
+
+    return HopfAlgebraData(
+        h.field,
+        h.dim,
+        tensor(h.mult),
+        [Fraction(x) for x in h.unit],
+        tensor(h.comult),
+        [Fraction(x) for x in h.counit],
+        _as_fractions(h.antipode),
+        name=h.name,
+    )
+
+
+def _object_as_fractions(obj, h: HopfAlgebraData):
+    """The same object over ``h`` with every stored scalar a ``Fraction``."""
+    if isinstance(obj, YDModuleRep):
+        return YDModuleRep(_object_as_fractions(obj.module, h), _object_as_fractions(obj.comodule, h), name=obj.name)
+    if isinstance(obj, ComoduleRep):
+        star = ModuleRep(h.dual_algebra(), obj.dim, [_as_fractions(a) for a in obj.star_module.action], name=obj.name)
+        return ComoduleRep.over_dual(h, star, name=obj.name)
+    return ModuleRep(h, obj.dim, [_as_fractions(a) for a in obj.action], name=obj.name)
+
+
+def test_fraction_wrapped_objects_get_the_same_reports_and_verdicts():
+    # int and Fraction(int) must be interchangeable everywhere: the same
+    # report for every Q object and the same verdict for every same-kind pair,
+    # with both factors wrapped and with one of each
+    pairs = 0
+    for hopf_entry in hopf_entries(("Q",)):
+        wrapped_hopf = _hopf_as_fractions(hopf_entry.payload)
+        for kind in KINDS:
+            objects = [(e.payload, _object_as_fractions(e.payload, wrapped_hopf)) for e in _valid_objects(hopf_entry.id, kind)]
+            for obj, wrapped in objects:
+                assert type(_stored_matrices(wrapped)[0].entries[0][0]) is Fraction
+                assert semisimple_in_category(wrapped).to_doc() == semisimple_in_category(obj).to_doc(), obj.name
+            for (m, wm), (n, wn) in combinations_with_replacement(objects, 2):
+                expected = verify_serre(m, n)
+                assert verify_serre(wm, wn) == expected, (m.name, n.name)
+                assert verify_serre(wm, n) == expected, (m.name, n.name)
+                pairs += 1
+    assert pairs > 100
