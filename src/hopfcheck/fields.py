@@ -1,10 +1,9 @@
 """Exact base-field arithmetic: the rationals and prime fields F_p.
 
 Scalars are plain Python values interpreted relative to a field object:
-for the rationals an ``int`` when the value is integral and a ``Fraction``
-otherwise, for F_p an ``int`` in ``[0, p)``.  All arithmetic goes through
-the field (or, for matrices, through ``matrix.Matrix``), so scalars of two
-fields never mix.
+for the rationals an ``int`` or a ``Fraction`` (never a float), for F_p an
+``int`` in ``[0, p)``.  All arithmetic goes through the field (or, for
+matrices, through ``matrix.Matrix``), so scalars of two fields never mix.
 """
 
 from __future__ import annotations
@@ -14,6 +13,11 @@ from fractions import Fraction
 
 # digits and one slash only: Fraction() alone would also take "1e999999999"
 _RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _integral(x: Fraction):
+    """``x`` as an ``int`` when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -99,10 +103,12 @@ class Field:
 class Rationals(Field):
     """The field of rational numbers with arbitrary-precision arithmetic.
 
-    A scalar is an ``int`` when it is integral and a ``Fraction`` otherwise;
-    ``int`` and ``Fraction`` compare and hash alike, so the two may meet in
-    one matrix.  The only true division is ``invert``'s, on a ``Fraction``:
-    ``int / int`` would make a float.
+    A scalar is an ``int`` or a ``Fraction``, never a float.  ``from_int``,
+    document integers, integral inverses and integral entries of a matrix
+    product are ``int``; elimination may leave an integral value as
+    ``Fraction(n, 1)``.  ``int`` and ``Fraction`` compare, hash and print
+    alike, so the two may meet in one matrix.  The only true division is
+    ``invert``'s, on a ``Fraction``: ``int / int`` would make a float.
     """
 
     characteristic = 0
@@ -131,10 +137,7 @@ class Rationals(Field):
     def invert(self, a):
         if not a:
             raise NotInvertibleError("0 has no inverse")
-        if a == 1 or a == -1:  # the usual pivot: no Fraction needed
-            return int(a)
-        x = 1 / Fraction(a)
-        return x if x.denominator != 1 else x.numerator
+        return _integral(1 / Fraction(a))
 
     def is_zero(self, a) -> bool:
         return not a
@@ -155,7 +158,7 @@ class Rationals(Field):
             except (ValueError, ZeroDivisionError):  # over int()'s digit limit, or "a/0"
                 x = None
             if x is not None and str(x) == value:
-                return x if x.denominator != 1 else x.numerator
+                return _integral(x)
         raise ValueError(f"not a rational literal: {value!r}")
 
     def spec_to_doc(self):

@@ -85,19 +85,15 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}: {body})"
 
-    def _check_field(self, other, op):
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field!r} {op} {other.field!r}")
-
-    def _check_addend(self, other, op):
+    def _check_operand(self, other, op, shape_ok):
         # fields are cached singletons, so identity settles the common case
-        if other.field is not self.field:
-            self._check_field(other, op)
-        if self.rows != other.rows or self.cols != other.cols:
+        if other.field is not self.field and other.field != self.field:
+            raise ValueError(f"field mismatch: {self.field!r} {op} {other.field!r}")
+        if not shape_ok:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} {op} {other.rows}x{other.cols}")
 
     def __add__(self, other):
-        self._check_addend(other, "+")
+        self._check_operand(other, "+", self.rows == other.rows and self.cols == other.cols)
         add = self.field.add
         return Matrix(
             self.field,
@@ -107,7 +103,7 @@ class Matrix:
         )
 
     def __sub__(self, other):
-        self._check_addend(other, "-")
+        self._check_operand(other, "-", self.rows == other.rows and self.cols == other.cols)
         sub = self.field.sub
         return Matrix(
             self.field,
@@ -136,10 +132,7 @@ class Matrix:
         """
         if not isinstance(other, Matrix):
             return self.scale(other)
-        if other.field is not self.field:
-            self._check_field(other, "*")
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        self._check_operand(other, "*", self.cols == other.rows)
         p = self.field.characteristic
         aentries, oentries, d = self.entries, other.entries, 1
         # a row sums to a Fraction exactly when one of its entries is one;

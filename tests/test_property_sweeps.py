@@ -230,7 +230,9 @@ def _stored_matrices(obj) -> list[Matrix]:
 
 
 def test_no_rational_scalar_is_a_float():
-    # an int / int anywhere in the Q path would leave a float in one of these
+    # an int / int anywhere in the Q path would leave a float in one of these;
+    # built from integer constants by products alone, objects, duals and
+    # tensor squares must stay all-int
     types = set()
     for hopf_entry in hopf_entries(("Q",)):
         h = hopf_entry.payload
@@ -239,6 +241,7 @@ def test_no_rational_scalar_is_a_float():
                 obj = entry.payload
                 mats = _stored_matrices(obj) + _stored_matrices(dual_in_category(obj))
                 mats += _stored_matrices(tensor_in_category(obj, obj))
+                assert {type(x) for m in mats for x in m.flatten()} == {int}, entry.id
                 mats += semisimple_in_category(obj).radical_basis
                 if h.is_involutory():
                     for cert in build_strong_dual_certificates(obj):
