@@ -9,14 +9,7 @@ split monomorphisms for the canonical pairing maps.
 
 __version__ = "0.1.0"
 
-from .comodules import (
-    ComoduleRep,
-    check_comodule_axioms,
-    dual_comodule,
-    regular_comodule,
-    tensor_comodules,
-    trivial_comodule,
-)
+from .comodules import ComoduleRep, check_comodule_axioms, regular_comodule, trivial_comodule
 from .fields import GF, QQ, Field, PrimeField, Rationals
 from .hopf import AlgebraData, AxiomReport, HopfAlgebraData, check_hopf_axioms, dual_algebra, is_involutory
 from .matrix import EchelonSpan, Matrix, NoSolutionError, kernel_basis, solve_linear
@@ -33,9 +26,7 @@ from .modules import (
 from .semisimple import (
     SemisimplicityReport,
     acting_algebra,
-    brute_force_cosemisimple,
     brute_force_semisimple,
-    brute_force_yd_semisimple,
     is_cosemisimple,
     is_semisimple,
     is_yd_semisimple,
@@ -46,14 +37,18 @@ from .duality import (
     SplitMonoCertificate,
     build_strong_dual_certificates,
     coevaluation,
+    dual_in_category,
     evaluation,
+    hom_in_category,
     hs_rank,
     split_retraction,
+    tensor_in_category,
+    unit_in_category,
     verify_coev_equivariance,
     verify_ev_equivariance,
     verify_serre,
 )
-from .yd import YDModuleRep, check_yd_compat, dual_yd, tensor_yd, trivial_yd, yd_hom_space
+from .yd import YDModuleRep, check_yd_compat, trivial_yd
 from .catalog import CatalogEntry, catalog_entries, lookup
 from .campaign import CampaignReport, run_campaign
 

@@ -22,7 +22,6 @@ from .catalog import hopf_entries, objects_over
 from .duality import (
     SerreVerdict,
     axioms_in_category,
-    brute_force_in_category,
     build_strong_dual_certificates,
     cached_verdict,
     coevaluation,
@@ -33,7 +32,7 @@ from .duality import (
     verify_serre,
 )
 from .errors import BoundExceededError, CertificateError, NotInvolutoryError, RankNotInvertibleError
-from .semisimple import DEFAULT_ORACLE_BOUND
+from .semisimple import DEFAULT_ORACLE_BOUND, brute_force_semisimple
 
 CATEGORIES = ("module", "comodule", "yd")
 
@@ -170,7 +169,7 @@ def run_campaign(
                 # equivariance dichotomy; a comodule is checked as its H*-module,
                 # where equivariance is colinearity
                 if kind != "yd":
-                    face, law = (obj, "equivariance") if kind == "module" else (obj.star_module, "colinearity")
+                    face, law = obj.faces[0], "equivariance" if kind == "module" else "colinearity"
                     if not verify_coev_equivariance(face).ok:
                         coev_fail.append(entry.id)
                         report.counterexamples.append({"type": f"coevaluation_{law}", "id": entry.id})
@@ -209,7 +208,7 @@ def run_campaign(
                 # independent oracle for finite fields, on request
                 if oracle:
                     try:
-                        brute = brute_force_in_category(obj, bound)
+                        brute = brute_force_semisimple(obj, bound)
                         engine = cached_verdict(obj, verdict_cache)
                         oracle_checked += 1
                         if brute != engine:

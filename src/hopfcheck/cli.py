@@ -16,18 +16,11 @@ from . import __version__
 from .campaign import CATEGORIES, run_campaign
 from .catalog import catalog_entries, lookup
 from .documents import canonical_json, load_document, object_from_doc, object_to_doc
-from .duality import (
-    axioms_in_category,
-    brute_force_in_category,
-    category_of,
-    dual_in_category,
-    semisimple_in_category,
-    tensor_in_category,
-)
+from .duality import axioms_in_category, category_of, dual_in_category, tensor_in_category
 from .errors import AxiomError, BoundExceededError, HopfMismatchError, ParseError
 from .fields import field_by_name, field_name
 from .hopf import HopfAlgebraData
-from .semisimple import DEFAULT_ORACLE_BOUND
+from .semisimple import DEFAULT_ORACLE_BOUND, brute_force_semisimple, is_semisimple
 
 
 def _resolve_hopf(ref: str) -> HopfAlgebraData:
@@ -98,11 +91,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_semisimple(args) -> int:
     obj, _ = _load_target(args.target)
-    report = semisimple_in_category(obj)
+    category_of(obj)  # a Hopf algebra is not an object to decide
+    report = is_semisimple(obj)
     line = f"{str(report.verdict).lower()} (radical dim {report.radical_dim}, method {report.method})"
     if args.oracle:
         try:
-            agreement = brute_force_in_category(obj, args.bound) == report.verdict
+            agreement = brute_force_semisimple(obj, args.bound) == report.verdict
             line += ", oracle: agrees" if agreement else ", oracle: DISAGREES"
             if not agreement:
                 print(line)

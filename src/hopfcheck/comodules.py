@@ -6,29 +6,24 @@ thing as a left H*-module: the dual basis functional f_t acts by
 ``B_t[b][a] = coaction[a][b][t]`` (Montgomery, *Hopf Algebras and Their
 Actions on Rings*, 1.6).  Subcomodules, colinear maps, the tensor product and
 the dual are exactly the H*-module ones, so a ``ComoduleRep`` keeps only that
-module (``star_module``) and every comodule construction is the module
-construction over ``H.dual_algebra()``.  ``coaction`` is a read-only view of
-the same data in comodule terms.
+module (``star_module``), which is its one face: every comodule construction
+is the module construction over ``H.dual_algebra()``.  ``coaction`` is a
+read-only view of the same data in comodule terms.
 """
 
 from __future__ import annotations
 
 from .hopf import AxiomReport, HopfAlgebraData
 from .matrix import Matrix
-from .modules import (
-    ModuleRep,
-    check_module_axioms,
-    direct_sum_modules,
-    dual_module,
-    require_same_hopf,
-    tensor_modules,
-)
+from .modules import ModuleRep, check_module_axioms, require_same_hopf
 
 # module axiom over H*  ->  the comodule axiom it is
 _CHECK_NAMES = {"unit_acts_as_identity": "counit_law", "action_multiplicative": "coassociativity"}
 
 
 class ComoduleRep:
+    kind = "comodule"
+
     def __init__(self, hopf: HopfAlgebraData, dim: int, coaction, name: str = ""):
         if len(coaction) != dim or any(
             len(row) != dim or any(len(cell) != hopf.dim for cell in row) for row in coaction
@@ -55,6 +50,18 @@ class ComoduleRep:
     @property
     def dim(self) -> int:
         return self.star_module.dim
+
+    @property
+    def faces(self) -> tuple:
+        return (self.star_module,)
+
+    @property
+    def operators(self) -> list[Matrix]:
+        return self.star_module.action
+
+    def with_faces(self, faces, name: str) -> ComoduleRep:
+        (star_module,) = faces
+        return ComoduleRep.over_dual(self.hopf, star_module, name)
 
     @property
     def field(self):
@@ -88,22 +95,3 @@ def regular_comodule(h: HopfAlgebraData) -> ComoduleRep:
     """The algebra over itself through its comultiplication."""
     coaction = [[list(h.comult[a][b]) for b in range(h.dim)] for a in range(h.dim)]
     return ComoduleRep(h, h.dim, coaction, name="coregular")
-
-
-def tensor_comodules(m: ComoduleRep, n: ComoduleRep, name: str = "") -> ComoduleRep:
-    """Coact on both factors and multiply the two H-legs."""
-    require_same_hopf(m.hopf, n.hopf)
-    label = name or f"({m.name})(x)({n.name})"
-    return ComoduleRep.over_dual(m.hopf, tensor_modules(m.star_module, n.star_module, name=label), label)
-
-
-def dual_comodule(n: ComoduleRep, name: str = "") -> ComoduleRep:
-    """Dual coaction: transpose the e-legs and push the H-leg through the antipode."""
-    label = name or f"({n.name})*"
-    return ComoduleRep.over_dual(n.hopf, dual_module(n.star_module, name=label), label)
-
-
-def direct_sum_comodules(m: ComoduleRep, n: ComoduleRep, name: str = "") -> ComoduleRep:
-    require_same_hopf(m.hopf, n.hopf)
-    label = name or f"({m.name})+({n.name})"
-    return ComoduleRep.over_dual(m.hopf, direct_sum_modules(m.star_module, n.star_module, name=label), label)

@@ -13,19 +13,17 @@ S = S^-1 and is expected to fail on non-involutory inputs.  Both are
 checked as exact identities rather than assumed.  A comodule is checked as
 the module over the dual Hopf algebra H* that it is: there equivariance is
 colinearity, and H* is involutory exactly when H is.
+
+Every object is the tuple of modules in its ``faces``: tensor product,
+dual, unit object and Hom space are the module constructions applied face
+by face, and only the axiom checks differ by kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .comodules import (
-    ComoduleRep,
-    check_comodule_axioms,
-    dual_comodule,
-    tensor_comodules,
-    trivial_comodule,
-)
+from .comodules import check_comodule_axioms
 from .errors import (
     CertificateError,
     NotAMorphismError,
@@ -35,29 +33,20 @@ from .errors import (
     RankNotInvertibleError,
 )
 from .fields import Field
-from .hopf import AxiomReport, HopfAlgebraData
+from .hopf import AxiomReport
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
     ModuleRep,
     check_module_axioms,
     dual_module,
-    hom_space,
+    joint_hom_space,
     require_hopf,
     require_same_hopf,
     tensor_modules,
     trivial_module,
 )
-from .semisimple import (
-    DEFAULT_ORACLE_BOUND,
-    SemisimplicityReport,
-    brute_force_cosemisimple,
-    brute_force_semisimple,
-    brute_force_yd_semisimple,
-    is_cosemisimple,
-    is_semisimple,
-    is_yd_semisimple,
-)
-from .yd import YDModuleRep, check_yd_compat, dual_yd, tensor_yd, trivial_yd, yd_hom_space
+from .semisimple import is_semisimple
+from .yd import check_yd_compat
 
 MODULE = "module"
 COMODULE = "comodule"
@@ -91,87 +80,53 @@ def evaluation(obj) -> Matrix:
     return coevaluation(obj).transpose()
 
 
-# categorical dispatch: the one place that tells the three kinds apart ------
+# categorical dispatch: every kind is its tuple of module faces --------------
 
 
 def category_of(obj) -> str:
-    if isinstance(obj, ModuleRep):
-        return MODULE
-    if isinstance(obj, ComoduleRep):
-        return COMODULE
-    if isinstance(obj, YDModuleRep):
-        return YD
-    raise TypeError(f"not a module, comodule or YD module: {obj!r}")
+    kind = getattr(obj, "kind", None)
+    if kind not in (MODULE, COMODULE, YD):
+        raise TypeError(f"not a module, comodule or YD module: {obj!r}")
+    return kind
 
 
-def hopf_of(obj) -> HopfAlgebraData:
-    if isinstance(obj, ModuleRep):
-        return require_hopf(obj.algebra)
-    return obj.hopf
+def _common_category(a, b, mismatch: str) -> str:
+    kind = category_of(a)
+    if kind != category_of(b):
+        raise TypeError(mismatch)
+    return kind
 
 
 def tensor_in_category(a, b, name: str = ""):
-    kind = category_of(a)
-    if kind != category_of(b):
-        raise TypeError("cannot tensor objects of different kinds")
-    if kind == MODULE:
-        return tensor_modules(a, b, name=name)
-    if kind == COMODULE:
-        return tensor_comodules(a, b, name=name)
-    return tensor_yd(a, b, name=name)
+    _common_category(a, b, "cannot tensor objects of different kinds")
+    require_same_hopf(a.hopf, b.hopf)  # a mismatch names H, not a face's H*
+    label = name or f"({a.name})(x)({b.name})"
+    return a.with_faces(tuple(tensor_modules(x, y, name=label) for x, y in zip(a.faces, b.faces)), label)
 
 
 def dual_in_category(obj, name: str = ""):
-    kind = category_of(obj)
-    if kind == MODULE:
-        return dual_module(obj, name=name)
-    if kind == COMODULE:
-        return dual_comodule(obj, name=name)
-    return dual_yd(obj, name=name)
+    category_of(obj)
+    label = name or f"({obj.name})*"
+    return obj.with_faces(tuple(dual_module(face, name=label) for face in obj.faces), label)
 
 
-def trivial_in_category(hopf: HopfAlgebraData, kind: str):
-    if kind == MODULE:
-        return trivial_module(hopf)
-    if kind == COMODULE:
-        return trivial_comodule(hopf)
-    return trivial_yd(hopf)
+def unit_in_category(obj):
+    """The tensor unit of ``obj``'s category: the trivial module on each face."""
+    category_of(obj)
+    return obj.with_faces(tuple(trivial_module(face.hopf) for face in obj.faces), "trivial")
 
 
 def hom_in_category(a, b) -> list[Matrix]:
-    kind = category_of(a)
-    if kind == MODULE:
-        return hom_space(a, b)
-    if kind == COMODULE:  # colinear maps are the H*-linear maps
-        return hom_space(a.star_module, b.star_module)
-    return yd_hom_space(a, b)
+    """Maps intertwining every face at once, as one stacked system."""
+    _common_category(a, b, "no Hom space between objects of different kinds")
+    return joint_hom_space(list(zip(a.faces, b.faces)))
 
 
 def axioms_in_category(obj) -> AxiomReport:
-    kind = category_of(obj)
-    if kind == MODULE:
-        return check_module_axioms(obj)
-    if kind == COMODULE:
-        return check_comodule_axioms(obj)
-    return check_yd_compat(obj)
-
-
-def semisimple_in_category(obj) -> SemisimplicityReport:
-    kind = category_of(obj)
-    if kind == MODULE:
-        return is_semisimple(obj)
-    if kind == COMODULE:
-        return is_cosemisimple(obj)
-    return is_yd_semisimple(obj)
-
-
-def brute_force_in_category(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    kind = category_of(obj)
-    if kind == MODULE:
-        return brute_force_semisimple(obj, bound)
-    if kind == COMODULE:
-        return brute_force_cosemisimple(obj, bound)
-    return brute_force_yd_semisimple(obj, bound)
+    # the checks really differ: comodule laws are renamed H* checks, and a
+    # YD module adds the compatibility identity
+    check = {MODULE: check_module_axioms, COMODULE: check_comodule_axioms, YD: check_yd_compat}
+    return check[category_of(obj)](obj)
 
 
 # equivariance of the canonical maps ------------------------------------------
@@ -262,8 +217,8 @@ def build_strong_dual_certificates(obj) -> tuple[SplitMonoCertificate, SplitMono
     Preconditions mirror the hypotheses of the underlying statement: the
     Hopf algebra must be involutory and dim(N)*1_k must be invertible.
     """
-    h = hopf_of(obj)
     kind = category_of(obj)
+    h = obj.hopf
     if not h.is_involutory():
         raise NotInvolutoryError(f"{h.name or 'the Hopf algebra'} has S^2 != id")
     rank = hs_rank(obj.dim, h.field)
@@ -273,7 +228,7 @@ def build_strong_dual_certificates(obj) -> tuple[SplitMonoCertificate, SplitMono
         )
     inv_rank = h.field.invert(rank.value)
     dual = dual_in_category(obj)
-    unit_obj = trivial_in_category(h, kind)
+    unit_obj = unit_in_category(obj)
 
     certificates = []
     for left_factor, right_factor, tag in (
@@ -302,10 +257,8 @@ def split_retraction(mono: Matrix, sub, ambient) -> SplitMonoCertificate:
     {g in Hom(ambient, sub), g . mono = id}, so certificates are stable
     across runs.
     """
-    kind = category_of(sub)
-    if kind != category_of(ambient):
-        raise TypeError("sub and ambient live in different categories")
-    require_same_hopf(hopf_of(sub), hopf_of(ambient))
+    kind = _common_category(sub, ambient, "sub and ambient live in different categories")
+    require_same_hopf(sub.hopf, ambient.hopf)
     if mono.rows != ambient.dim or mono.cols != sub.dim:
         raise ValueError("mono has the wrong shape for these objects")
     if not _in_span(hom_in_category(sub, ambient), mono):
@@ -381,11 +334,11 @@ class SerreVerdict:
 def cached_verdict(obj, cache: dict | None = None) -> bool:
     """The semisimplicity verdict of ``obj``, memoized in ``cache`` if given."""
     if cache is None:
-        return semisimple_in_category(obj).verdict
+        return is_semisimple(obj).verdict
     # keyed by the object, not its id: the cache keeps it alive, so a
     # collected object's id cannot be reused for a stale verdict
     if obj not in cache:
-        cache[obj] = semisimple_in_category(obj).verdict
+        cache[obj] = is_semisimple(obj).verdict
     return cache[obj]
 
 
@@ -397,14 +350,12 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     semisimple; over an involutory Hopf algebra that would contradict the
     theorem under test and must abort any campaign loudly.
     """
-    kind = category_of(m)
-    if kind != category_of(n):
-        raise TypeError("cannot compare objects of different kinds")
-    h = hopf_of(m)
-    require_same_hopf(h, hopf_of(n))
+    kind = _common_category(m, n, "cannot compare objects of different kinds")
+    h = m.hopf
+    require_same_hopf(h, n.hopf)
 
     product = tensor_in_category(m, n)
-    hypothesis = semisimple_in_category(product).verdict
+    hypothesis = is_semisimple(product).verdict
     conclusion_m = cached_verdict(m, cache)
     conclusion_n = cached_verdict(n, cache)
     rank_m = hs_rank(m.dim, h.field).invertible

@@ -82,9 +82,6 @@ class Field:
     def invert(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
-
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
@@ -178,6 +175,8 @@ class PrimeField(Field):
     """F_p with residues stored as ints in [0, p)."""
 
     def __init__(self, p: int):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError(f"not an integer characteristic: {p!r}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if not 2 <= p < 2**31:
@@ -251,11 +250,14 @@ def GF(p: int) -> PrimeField:
 
 
 def field_from_doc(doc) -> Field:
-    """Decode a field descriptor: "Q" or {"Fp": p}."""
+    """Decode a field descriptor: "Q" or {"Fp": p} with p a JSON integer."""
     if doc == "Q":
         return QQ
     if isinstance(doc, dict) and set(doc) == {"Fp"}:
-        return GF(doc["Fp"])
+        p = doc["Fp"]
+        # 3.0 == 3 would find the cached F3, and 11.5 would make float arithmetic
+        if isinstance(p, int) and not isinstance(p, bool):
+            return GF(p)
     raise ValueError(f"unrecognized field descriptor: {doc!r}")
 
 

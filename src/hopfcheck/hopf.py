@@ -72,23 +72,6 @@ class AlgebraData:
 
     # structure access -------------------------------------------------------
 
-    def multiply_vectors(self, u, v):
-        """Coordinates of (sum u_i b_i)(sum v_j b_j)."""
-        field = self.field
-        out = [field.zero()] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.mult[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = field.mul(a, b)
-                for t, c in enumerate(row[j]):
-                    if c:
-                        out[t] = field.add(out[t], field.mul(ab, c))
-        return out
-
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of x -> b_i * x in the chosen basis."""
         zero = self.field.zero()
@@ -370,10 +353,6 @@ class HopfAlgebraData(AlgebraData):
 
     def is_involutory(self) -> bool:
         return (self.antipode * self.antipode).is_identity()
-
-    def antipode_of_vector(self, v):
-        """Coordinates of the antipode applied to sum v_i b_i."""
-        return [row_val for row_val in (self.antipode * Matrix.column(self.field, v)).flatten()]
 
     def dual_algebra(self) -> HopfAlgebraData:
         """The dual Hopf algebra H* on the dual basis.

@@ -63,10 +63,6 @@ class Matrix:
     def column(cls, field, values):
         return cls(field, len(values), 1, [[v] for v in values])
 
-    @classmethod
-    def row_vector(cls, field, values):
-        return cls(field, 1, len(values), [list(values)])
-
     # basics -----------------------------------------------------------------
 
     def __eq__(self, other):
@@ -111,10 +107,6 @@ class Matrix:
             self.cols,
             [[sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
         )
-
-    def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [[neg(a) for a in r] for r in self.entries])
 
     def scale(self, scalar):
         mul = self.field.mul

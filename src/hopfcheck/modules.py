@@ -41,7 +41,16 @@ def require_hopf(algebra: AlgebraData) -> HopfAlgebraData:
 
 
 class ModuleRep:
-    """A left module: ``action[i]`` is the matrix of the i-th basis element."""
+    """A left module: ``action[i]`` is the matrix of the i-th basis element.
+
+    Modules, comodules and Yetter-Drinfel'd modules share one protocol:
+    ``kind``, ``hopf``, ``faces`` (the modules the object is), ``operators``
+    (spanning the image of the acting algebra) and ``with_faces``, which
+    rebuilds an object of the same kind from new faces.  A module is its own
+    only face.
+    """
+
+    kind = "module"
 
     def __init__(self, algebra: AlgebraData, dim: int, action: list[Matrix], name: str = ""):
         if len(action) != algebra.dim:
@@ -57,6 +66,22 @@ class ModuleRep:
     @property
     def field(self):
         return self.algebra.field
+
+    @property
+    def hopf(self) -> HopfAlgebraData:
+        return require_hopf(self.algebra)
+
+    @property
+    def faces(self) -> tuple:
+        return (self,)
+
+    @property
+    def operators(self) -> list[Matrix]:
+        return self.action
+
+    def with_faces(self, faces, name: str) -> ModuleRep:
+        (face,) = faces
+        return ModuleRep(face.algebra, face.dim, face.action, name=name)
 
     def __repr__(self):
         return f"<ModuleRep {self.name or '?'} dim={self.dim} over {self.algebra.name or '?'}>"

@@ -26,13 +26,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .comodules import ComoduleRep
 from .errors import BoundExceededError
 from .fields import Field
 from .hopf import AlgebraData
 from .matrix import EchelonSpan, Matrix, kernel_basis
 from .modules import ModuleRep, regular_module
-from .yd import YDModuleRep
 
 DEFAULT_ORACLE_BOUND = 6561  # largest vector count the brute force will walk
 
@@ -216,20 +214,15 @@ def _operator_semisimplicity(field: Field, dim: int, operators: list[Matrix]) ->
     return SemisimplicityReport(not radical, len(radical), radical, method)
 
 
-def is_semisimple(m: ModuleRep) -> SemisimplicityReport:
-    return _operator_semisimplicity(m.field, m.dim, m.action)
+def is_semisimple(obj) -> SemisimplicityReport:
+    """Radical criterion on the image spanned by ``obj.operators``: H for a
+    module, H* for a comodule, D(H) for a Yetter-Drinfel'd module; the
+    stable subspaces are exactly the subobjects in each category."""
+    return _operator_semisimplicity(obj.field, obj.dim, obj.operators)
 
 
-def is_cosemisimple(c: ComoduleRep) -> SemisimplicityReport:
-    """A comodule is cosemisimple exactly when it is semisimple as an H*-module."""
-    return is_semisimple(c.star_module)
-
-
-def is_yd_semisimple(y: YDModuleRep) -> SemisimplicityReport:
-    """Radical criterion on the image of the Drinfel'd double D(H), spanned
-    by ``double_action``; its stable subspaces are exactly the subobjects
-    in the Yetter-Drinfel'd category."""
-    return _operator_semisimplicity(y.field, y.dim, y.double_action)
+# cosemisimple is semisimple as an H*-module, YD-semisimple as a D(H)-module
+is_cosemisimple = is_yd_semisimple = is_semisimple
 
 
 # brute-force oracle ---------------------------------------------------------
@@ -312,13 +305,5 @@ def _brute_force_operators(field: Field, dim: int, operators: list[Matrix], boun
     return True
 
 
-def brute_force_semisimple(m: ModuleRep, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    return _brute_force_operators(m.field, m.dim, m.action, bound)
-
-
-def brute_force_cosemisimple(c: ComoduleRep, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    return _brute_force_operators(c.field, c.dim, c.star_module.action, bound)
-
-
-def brute_force_yd_semisimple(y: YDModuleRep, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    return _brute_force_operators(y.field, y.dim, y.double_action, bound)
+def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
+    return _brute_force_operators(obj.field, obj.dim, obj.operators, bound)

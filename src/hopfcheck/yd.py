@@ -5,31 +5,22 @@ together by the left-right compatibility law
 
 evaluated as an exact tensor identity for every pair (algebra basis element,
 space basis vector).  The convention is hard-coded; there are no switches.
+
+Its faces are the H-module and the H*-module of the comodule: the tensor
+product, dual and Hom space are the module ones taken on both faces.
 """
 
 from __future__ import annotations
 
-from .comodules import (
-    ComoduleRep,
-    check_comodule_axioms,
-    dual_comodule,
-    tensor_comodules,
-    trivial_comodule,
-)
+from .comodules import ComoduleRep, check_comodule_axioms, trivial_comodule
 from .hopf import AxiomReport, HopfAlgebraData
 from .matrix import Matrix
-from .modules import (
-    ModuleRep,
-    check_module_axioms,
-    dual_module,
-    joint_hom_space,
-    require_same_hopf,
-    tensor_modules,
-    trivial_module,
-)
+from .modules import ModuleRep, check_module_axioms, require_same_hopf, trivial_module
 
 
 class YDModuleRep:
+    kind = "yd"
+
     def __init__(self, module: ModuleRep, comodule: ComoduleRep, name: str = ""):
         require_same_hopf(module.algebra, comodule.hopf)
         if module.dim != comodule.dim:
@@ -49,6 +40,18 @@ class YDModuleRep:
     @property
     def field(self):
         return self.module.field
+
+    @property
+    def faces(self) -> tuple:
+        return (self.module, self.comodule.star_module)
+
+    @property
+    def operators(self) -> list[Matrix]:
+        return self.double_action
+
+    def with_faces(self, faces, name: str) -> YDModuleRep:
+        module, star_module = faces
+        return YDModuleRep(module, ComoduleRep.over_dual(self.hopf, star_module, name), name=name)
 
     @property
     def double_action(self) -> list[Matrix]:
@@ -134,29 +137,3 @@ def check_yd_compat(y: YDModuleRep) -> AxiomReport:
 
 def trivial_yd(h: HopfAlgebraData) -> YDModuleRep:
     return YDModuleRep(trivial_module(h), trivial_comodule(h), name="ydtrivial")
-
-
-def tensor_yd(y1: YDModuleRep, y2: YDModuleRep, name: str = "") -> YDModuleRep:
-    label = name or f"({y1.name})(x)({y2.name})"
-    return YDModuleRep(
-        tensor_modules(y1.module, y2.module, name=label),
-        tensor_comodules(y1.comodule, y2.comodule, name=label),
-        name=label,
-    )
-
-
-def dual_yd(y: YDModuleRep, name: str = "") -> YDModuleRep:
-    label = name or f"({y.name})*"
-    return YDModuleRep(
-        dual_module(y.module, name=label),
-        dual_comodule(y.comodule, name=label),
-        name=label,
-    )
-
-
-def yd_hom_space(y1: YDModuleRep, y2: YDModuleRep) -> list[Matrix]:
-    """Maps that intertwine the H-actions and the coactions (the H*-actions)
-    at once, as one stacked system."""
-    return joint_hom_space(
-        [(y1.module, y2.module), (y1.comodule.star_module, y2.comodule.star_module)]
-    )

@@ -12,11 +12,11 @@ import pytest
 
 from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import catalog_entries, lookup
-from hopfcheck.comodules import dual_comodule
 from hopfcheck.documents import canonical_json, hopf_from_doc, hopf_to_doc
 from hopfcheck.duality import (
     build_strong_dual_certificates,
     coevaluation,
+    dual_in_category,
     evaluation,
     verify_coev_equivariance,
     verify_ev_equivariance,
@@ -24,7 +24,6 @@ from hopfcheck.duality import (
 from hopfcheck.errors import RankNotInvertibleError
 from hopfcheck.modules import dual_module
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
-from hopfcheck.yd import dual_yd
 
 
 def _report(number: int, message: str):
@@ -206,9 +205,9 @@ def test_criterion_8_double_dual_is_identity_for_involutory():
         if entry.kind == "module":
             assert dual_module(dual_module(obj)).action == obj.action, entry.id
         elif entry.kind == "comodule":
-            assert dual_comodule(dual_comodule(obj)).coaction == obj.coaction, entry.id
+            assert dual_in_category(dual_in_category(obj)).coaction == obj.coaction, entry.id
         else:
-            dd = dual_yd(dual_yd(obj))
+            dd = dual_in_category(dual_in_category(obj))
             assert dd.module.action == obj.module.action, entry.id
             assert dd.comodule.coaction == obj.comodule.coaction, entry.id
         checked += 1

@@ -103,6 +103,24 @@ def test_tensor_mismatch_exits_two(capsys):
     assert "different algebras" in err
 
 
+def test_tensor_across_kinds_or_with_a_hopf_id_exits_two(capsys):
+    for argv in (["tensor", "kC2/Q/regular", "kC2/Q/coregular"], ["tensor", "kC2/Q", "kC2/Q/regular"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "error" in err, argv
+
+
+def test_non_integer_prime_in_a_document_is_a_parse_error(tmp_path, capsys):
+    doc = hopf_to_doc(lookup("kC2/F3").payload)
+    for p in (11.5, 11.0, 3.0, True, "7"):
+        doc["field"] = {"Fp": p}
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2, p
+        assert out == "" and "parse error" in err, p
+
+
 def test_export_emits_canonical_document(tmp_path, capsys):
     out_path = tmp_path / "kc2.json"
     code, _, _ = run(capsys, "export", "kC2/Q", "--out", str(out_path))

@@ -2,13 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.catalog import lookup
+from hopfcheck.catalog import catalog_entries, hopf_entries, lookup
+from hopfcheck.comodules import trivial_comodule
+from hopfcheck.documents import object_to_doc
 from hopfcheck.duality import (
     build_strong_dual_certificates,
     coevaluation,
     evaluation,
+    hom_in_category,
     hs_rank,
     split_retraction,
+    tensor_in_category,
+    unit_in_category,
     verify_coev_equivariance,
     verify_ev_equivariance,
     verify_serre,
@@ -22,8 +27,9 @@ from hopfcheck.errors import (
 )
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix
-from hopfcheck.modules import direct_sum_modules, dual_module, tensor_modules
+from hopfcheck.modules import direct_sum_modules, dual_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
+from hopfcheck.yd import trivial_yd
 
 
 def test_hs_rank_values():
@@ -251,3 +257,39 @@ def test_campaign_counts_only_certificate_errors_as_certificate_failures(monkeyp
     monkeypatch.setattr(*target, failing_builder(AssertionError))
     with pytest.raises(AssertionError, match="raised inside the certificate builder"):
         run_campaign(categories=("module",), fields=["F2"])
+
+
+def test_operations_on_a_module_and_a_comodule_are_refused():
+    module = lookup("kC2/Q/regular").payload
+    comodule = lookup("kC2/Q/coregular").payload
+    identity = Matrix.identity(QQ, 2)
+    for a, b in ((module, comodule), (comodule, module)):
+        with pytest.raises(TypeError):
+            tensor_in_category(a, b)
+        with pytest.raises(TypeError):
+            hom_in_category(a, b)
+        with pytest.raises(TypeError):
+            verify_serre(a, b)
+        with pytest.raises(TypeError):
+            split_retraction(identity, a, b)
+
+
+def test_unit_object_from_the_faces_is_the_trivial_object():
+    for hopf_entry in hopf_entries():
+        h = hopf_entry.payload
+        module, comodule, yd = (lookup(f"{hopf_entry.id}/{n}").payload for n in ("trivial", "cotrivial", "ydtrivial"))
+        assert unit_in_category(module).action == trivial_module(h).action, hopf_entry.id
+        assert unit_in_category(comodule).coaction == trivial_comodule(h).coaction, hopf_entry.id
+        unit = unit_in_category(yd)
+        assert unit.module.action == trivial_yd(h).module.action, hopf_entry.id
+        assert unit.comodule.coaction == trivial_yd(h).comodule.coaction, hopf_entry.id
+
+
+def test_rebuilding_an_object_from_its_faces_changes_no_document():
+    checked = 0
+    for entry in catalog_entries():
+        if entry.kind != "hopf":
+            obj = entry.payload
+            assert object_to_doc(obj.with_faces(obj.faces, obj.name)) == object_to_doc(obj), entry.id
+            checked += 1
+    assert checked > 250

@@ -97,6 +97,14 @@ def test_field_spec_encoding():
         field_from_doc({"Fq": 4})
 
 
+@pytest.mark.parametrize("p", [11.5, 11.0, 3.0, True, "7"])
+def test_prime_field_descriptor_needs_a_json_integer(p):
+    with pytest.raises(ValueError):
+        field_from_doc({"Fp": p})
+    with pytest.raises(ValueError):
+        PrimeField(p)
+
+
 def test_field_by_name():
     assert field_by_name("Q") is QQ
     assert field_by_name("F7") == GF(7)

@@ -10,14 +10,13 @@ from itertools import combinations_with_replacement
 import comodule_reference as ref
 from semisimple_reference import spin_algebra
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup, objects_over, yd_group_line
-from hopfcheck.comodules import ComoduleRep, check_comodule_axioms, dual_comodule, tensor_comodules
+from hopfcheck.comodules import ComoduleRep, check_comodule_axioms
 from hopfcheck.duality import (
     build_strong_dual_certificates,
     coevaluation,
     dual_in_category,
     evaluation,
     hom_in_category,
-    semisimple_in_category,
     tensor_in_category,
     verify_serre,
 )
@@ -25,7 +24,7 @@ from hopfcheck.hopf import HopfAlgebraData
 from hopfcheck.matrix import Matrix
 from hopfcheck.modules import ModuleRep, check_module_axioms, dual_module, hom_space, tensor_modules
 from hopfcheck.semisimple import _image_module, acting_algebra, is_semisimple
-from hopfcheck.yd import YDModuleRep, check_yd_compat, dual_yd, tensor_yd
+from hopfcheck.yd import YDModuleRep, check_yd_compat
 
 
 def _valid_objects(hopf_id, kind):
@@ -42,14 +41,14 @@ def test_every_module_tensor_pair_passes_axioms():
 def test_every_comodule_tensor_pair_passes_axioms():
     for hopf_entry in hopf_entries():
         for em, en in combinations_with_replacement(_valid_objects(hopf_entry.id, "comodule"), 2):
-            t = tensor_comodules(em.payload, en.payload)
+            t = tensor_in_category(em.payload, en.payload)
             assert check_comodule_axioms(t).ok, (em.id, en.id)
 
 
 def test_every_yd_tensor_pair_passes_compatibility():
     for hopf_entry in hopf_entries():
         for em, en in combinations_with_replacement(_valid_objects(hopf_entry.id, "yd"), 2):
-            t = tensor_yd(em.payload, en.payload)
+            t = tensor_in_category(em.payload, en.payload)
             assert check_yd_compat(t).ok, (em.id, en.id)
 
 
@@ -64,7 +63,7 @@ def test_every_dual_comodule_passes_axioms():
     # involutory or not; this sweep is the executed form of that statement
     for entry in catalog_entries():
         if entry.kind == "comodule":
-            assert check_comodule_axioms(dual_comodule(entry.payload)).ok, entry.id
+            assert check_comodule_axioms(dual_in_category(entry.payload)).ok, entry.id
 
 
 def test_conversion_preserves_hom_dimensions_for_all_pairs():
@@ -102,7 +101,7 @@ def test_h_star_route_matches_the_coaction_reference_on_every_comodule():
     checked = 0
     for _, label, c in _comodule_parts():
         h = c.hopf
-        assert dual_comodule(c).coaction == ref.dual_coaction(h, c.coaction), label
+        assert dual_in_category(c).coaction == ref.dual_coaction(h, c.coaction), label
         assert {x.name: x.passed for x in check_comodule_axioms(c).checks} == _reference_verdicts(c), label
         for t in range(h.dim):
             bad = c.coaction
@@ -123,7 +122,7 @@ def test_h_star_route_matches_the_coaction_reference_on_every_pair():
     for members in by_hopf.values():
         for (la, a), (lb, b) in combinations_with_replacement(members, 2):
             h = a.hopf
-            assert tensor_comodules(a, b).coaction == ref.tensor_coaction(h, a.coaction, b.coaction), (la, lb)
+            assert tensor_in_category(a, b).coaction == ref.tensor_coaction(h, a.coaction, b.coaction), (la, lb)
             assert hom_in_category(a, b) == ref.colinear_hom(h, a.coaction, b.coaction), (la, lb)
             assert hom_in_category(b, a) == ref.colinear_hom(h, b.coaction, a.coaction), (lb, la)
             pairs += 1
@@ -135,10 +134,10 @@ def test_yd_constructions_match_the_coaction_reference():
         yds = _valid_objects(hopf_entry.id, "yd")
         for entry in yds:
             y = entry.payload
-            assert dual_yd(y).comodule.coaction == ref.dual_coaction(y.hopf, y.comodule.coaction), entry.id
+            assert dual_in_category(y).comodule.coaction == ref.dual_coaction(y.hopf, y.comodule.coaction), entry.id
         for em, en in combinations_with_replacement(yds, 2):
             a, b = em.payload.comodule, en.payload.comodule
-            got = tensor_yd(em.payload, en.payload).comodule.coaction
+            got = tensor_in_category(em.payload, en.payload).comodule.coaction
             assert got == ref.tensor_coaction(a.hopf, a.coaction, b.coaction), (em.id, en.id)
 
 
@@ -242,7 +241,7 @@ def test_no_rational_scalar_is_a_float():
                 mats = _stored_matrices(obj) + _stored_matrices(dual_in_category(obj))
                 mats += _stored_matrices(tensor_in_category(obj, obj))
                 assert {type(x) for m in mats for x in m.flatten()} == {int}, entry.id
-                mats += semisimple_in_category(obj).radical_basis
+                mats += is_semisimple(obj).radical_basis
                 if h.is_involutory():
                     for cert in build_strong_dual_certificates(obj):
                         mats += [cert.mono, cert.retraction]
@@ -293,7 +292,7 @@ def test_fraction_wrapped_objects_get_the_same_reports_and_verdicts():
             objects = [(e.payload, _object_as_fractions(e.payload, wrapped_hopf)) for e in _valid_objects(hopf_entry.id, kind)]
             for obj, wrapped in objects:
                 assert type(_stored_matrices(wrapped)[0].entries[0][0]) is Fraction
-                assert semisimple_in_category(wrapped).to_doc() == semisimple_in_category(obj).to_doc(), obj.name
+                assert is_semisimple(wrapped).to_doc() == is_semisimple(obj).to_doc(), obj.name
             for (m, wm), (n, wn) in combinations_with_replacement(objects, 2):
                 expected = verify_serre(m, n)
                 assert verify_serre(wm, wn) == expected, (m.name, n.name)

@@ -4,16 +4,14 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.catalog import catalog_entries, lookup
-from hopfcheck.comodules import direct_sum_comodules
+from hopfcheck.comodules import ComoduleRep
 from hopfcheck.errors import BoundExceededError
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix, NoSolutionError, solve_linear
 from hopfcheck.modules import ModuleRep, direct_sum_modules
 from hopfcheck.semisimple import (
     acting_algebra,
-    brute_force_cosemisimple,
     brute_force_semisimple,
-    brute_force_yd_semisimple,
     charpoly,
     is_cosemisimple,
     is_semisimple,
@@ -263,14 +261,14 @@ def test_cosemisimple_spec_values():
     report = is_cosemisimple(lookup("kdC2/F2/cononsplit2").payload)
     assert not report.verdict
     assert report.radical_dim >= 1
-    assert brute_force_cosemisimple(lookup("kdC2/F2/cononsplit2").payload) is False
+    assert brute_force_semisimple(lookup("kdC2/F2/cononsplit2").payload) is False
 
 
 def test_yd_semisimplicity():
     assert is_yd_semisimple(lookup("kC2/Q/ydtrivial").payload).verdict
     nonsplit = lookup("kC2/F2/ydnonsplit2").payload
     assert not is_yd_semisimple(nonsplit).verdict
-    assert brute_force_yd_semisimple(nonsplit) is False
+    assert brute_force_semisimple(nonsplit) is False
 
 
 def test_yd_direct_sum_of_distinct_lines_is_semisimple():
@@ -278,7 +276,7 @@ def test_yd_direct_sum_of_distinct_lines_is_semisimple():
     b = lookup("kC2/Q/ydline_e_sign").payload
     s = YDModuleRep(
         direct_sum_modules(a.module, b.module),
-        direct_sum_comodules(a.comodule, b.comodule),
+        ComoduleRep.over_dual(a.hopf, direct_sum_modules(a.comodule.star_module, b.comodule.star_module)),
         name="sum",
     )
     assert is_yd_semisimple(s).verdict
@@ -287,7 +285,7 @@ def test_yd_direct_sum_of_distinct_lines_is_semisimple():
 def test_yd_oracle_agreement_sample():
     for yid in ("kC2/F2/ydnonsplit2", "kC2/F2/ydline_g_triv", "kS3/F2/ydconj3", "kS3/F3/ydconj3"):
         y = lookup(yid).payload
-        assert is_yd_semisimple(y).verdict == brute_force_yd_semisimple(y), yid
+        assert is_yd_semisimple(y).verdict == brute_force_semisimple(y), yid
 
 
 def test_radical_basis_elements_are_nilpotent_across_catalog():

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.catalog import lookup, yd_group_line
-from hopfcheck.comodules import tensor_comodules
+from hopfcheck.duality import dual_in_category, hom_in_category, tensor_in_category
 from hopfcheck.errors import HopfMismatchError
 from hopfcheck.modules import tensor_modules
-from hopfcheck.yd import check_yd_compat, dual_yd, tensor_yd, trivial_yd, yd_hom_space
+from hopfcheck.yd import check_yd_compat, trivial_yd
 
 
 def test_trivial_yd_passes_over_every_hopf():
@@ -32,14 +32,14 @@ def test_noncentral_degree_with_trivial_character_fails_on_any_symmetric_group_e
 
 def test_tensor_with_trivial_preserves_everything():
     y = lookup("kC2/Q/ydline_g_sign").payload
-    t = tensor_yd(trivial_yd(y.hopf), y)
+    t = tensor_in_category(trivial_yd(y.hopf), y)
     assert t.module.action == y.module.action
     assert t.comodule.coaction == y.comodule.coaction
 
 
 def test_tensor_of_two_sign_lines_squares_away():
     y = lookup("kC2/Q/ydline_g_sign").payload
-    t = tensor_yd(y, y)
+    t = tensor_in_category(y, y)
     # degrees multiply to e and the scalars multiply to +1
     assert t.comodule.coaction[0][0] == [Fraction(1), Fraction(0)]
     assert [a.entries[0][0] for a in t.module.action] == [1, 1]
@@ -53,32 +53,32 @@ def test_tensor_compat_for_catalog_pairs():
         ("kS3/Q/ydconj3", "kS3/Q/ydconj3"),
     ]
     for a, b in pairs:
-        assert check_yd_compat(tensor_yd(lookup(a).payload, lookup(b).payload)).ok, (a, b)
+        assert check_yd_compat(tensor_in_category(lookup(a).payload, lookup(b).payload)).ok, (a, b)
 
 
 def test_tensor_rejects_mismatched_hopfs():
     with pytest.raises(HopfMismatchError):
-        tensor_yd(lookup("kC2/Q/ydtrivial").payload, lookup("kC3/Q/ydtrivial").payload)
+        tensor_in_category(lookup("kC2/Q/ydtrivial").payload, lookup("kC3/Q/ydtrivial").payload)
 
 
 def test_forgetting_commutes_with_tensoring():
     a = lookup("kS3/Q/ydconj3").payload
     b = lookup("kS3/Q/ydline_e_sign").payload
-    t = tensor_yd(a, b)
+    t = tensor_in_category(a, b)
     assert t.module.action == tensor_modules(a.module, b.module).action
-    assert t.comodule.coaction == tensor_comodules(a.comodule, b.comodule).coaction
+    assert t.comodule.coaction == tensor_in_category(a.comodule, b.comodule).coaction
 
 
 def test_dual_of_trivial_yd_is_trivial():
     y = trivial_yd(lookup("kS3/Q").payload)
-    d = dual_yd(y)
+    d = dual_in_category(y)
     assert d.module.action == y.module.action
     assert d.comodule.coaction == y.comodule.coaction
 
 
 def test_dual_of_sign_line_is_itself():
     y = lookup("kC2/Q/ydline_g_sign").payload
-    d = dual_yd(y)
+    d = dual_in_category(y)
     assert d.module.action == y.module.action
     assert d.comodule.coaction == y.comodule.coaction
 
@@ -90,25 +90,25 @@ def test_dual_compat_on_involutory_catalog():
         "kS3/F2/ydconj3",
         "kC4/F5/ydline_g_chi2",
     ):
-        assert check_yd_compat(dual_yd(lookup(yid).payload)).ok, yid
+        assert check_yd_compat(dual_in_category(lookup(yid).payload)).ok, yid
 
 
 def test_double_dual_yd_for_involutory():
     y = lookup("kS3/Q/ydconj3").payload
-    dd = dual_yd(dual_yd(y))
+    dd = dual_in_category(dual_in_category(y))
     assert dd.module.action == y.module.action
     assert dd.comodule.coaction == y.comodule.coaction
 
 
 def test_yd_hom_line_with_itself():
     y = lookup("kC2/Q/ydline_g_sign").payload
-    assert len(yd_hom_space(y, y)) == 1
+    assert len(hom_in_category(y, y)) == 1
 
 
 def test_yd_hom_between_different_degrees_is_zero():
     a = lookup("kC2/Q/ydline_g_sign").payload
     b = lookup("kC2/Q/ydline_e_sign").payload
-    assert yd_hom_space(a, b) == []
+    assert hom_in_category(a, b) == []
 
 
 def test_yd_hom_is_intersection_of_the_two_hom_spaces():
@@ -122,7 +122,7 @@ def test_yd_hom_is_intersection_of_the_two_hom_spaces():
     ]
     for a, b in pairs:
         ya, yb = lookup(a).payload, lookup(b).payload
-        joint = len(yd_hom_space(ya, yb))
+        joint = len(hom_in_category(ya, yb))
         mod = len(hom_space(ya.module, yb.module))
         comod = len(colinear_hom(ya.hopf, ya.comodule.coaction, yb.comodule.coaction))
         assert joint <= min(mod, comod), (a, b)
