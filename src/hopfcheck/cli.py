@@ -221,7 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("semisimple", help="decide (co)semisimplicity of an object")
     p.add_argument("target")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force oracle")
-    p.add_argument("--bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND, help="oracle vector cap")
+    p.add_argument(
+        "--bound",
+        type=_positive_int,
+        default=DEFAULT_ORACLE_BOUND,
+        help="oracle cap on p^dim (the oracle spins (p^dim-1)/(p-1) lines)",
+    )
     p.set_defaults(func=_cmd_semisimple)
 
     p = sub.add_parser("dual", help="construct the dual object and emit its document")

@@ -355,9 +355,16 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     require_same_hopf(h, n.hopf)
 
     product = tensor_in_category(m, n)
-    hypothesis = is_semisimple(product).verdict
     conclusion_m = cached_verdict(m, cache)
     conclusion_n = cached_verdict(n, cache)
+    # a verdict depends only on (field, dim, operators), and a product with
+    # a one-dimensional trivial factor carries the other factor's operators
+    if product.dim == m.dim and product.operators == m.operators:
+        hypothesis = conclusion_m
+    elif product.dim == n.dim and product.operators == n.operators:
+        hypothesis = conclusion_n
+    else:
+        hypothesis = is_semisimple(product).verdict
     rank_m = hs_rank(m.dim, h.field).invertible
     rank_n = hs_rank(n.dim, h.field).invertible
     verdict = SerreVerdict(

@@ -15,7 +15,7 @@ class AxiomError(ValueError):
 
 
 class BoundExceededError(ValueError):
-    """The brute-force enumeration would exceed the configured vector cap."""
+    """The brute-force enumeration would exceed the configured cap on p^dim."""
 
 
 class NotInvolutoryError(ValueError):

@@ -265,9 +265,6 @@ class Matrix:
     def rank(self):
         return len(self.rref()[1])
 
-    def is_invertible(self):
-        return self.rows == self.cols and self.rank() == self.rows
-
     def inverse(self):
         if self.rows != self.cols:
             raise NoSolutionError("only square matrices invert")
@@ -281,12 +278,6 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
     return Matrix(a.field, a.rows, a.cols + b.cols, [ra + rb for ra, rb in zip(a.entries, b.entries)])
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols:
-        raise ValueError("column count mismatch")
-    return Matrix(a.field, a.rows + b.rows, a.cols, [r[:] for r in a.entries] + [r[:] for r in b.entries])
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix:

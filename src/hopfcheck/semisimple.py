@@ -32,7 +32,9 @@ from .hopf import AlgebraData
 from .matrix import EchelonSpan, Matrix, kernel_basis
 from .modules import ModuleRep, regular_module
 
-DEFAULT_ORACLE_BOUND = 6561  # largest vector count the brute force will walk
+# largest p^dim the brute force accepts; it spins one vector per line,
+# (p^dim - 1)/(p - 1) of them, but the cap is stated on p^dim
+DEFAULT_ORACLE_BOUND = 6561
 
 
 @dataclass
@@ -228,81 +230,80 @@ is_cosemisimple = is_yd_semisimple = is_semisimple
 # brute-force oracle ---------------------------------------------------------
 
 
-def _spin_vector_space(field: Field, dim: int, operators, seeds) -> EchelonSpan:
+def _spin_vector_space(field: Field, dim: int, operator_rows: list[list], seed) -> EchelonSpan:
+    """The smallest invariant subspace containing ``seed``; each operator is
+    given as its plain list of rows over F_p."""
+    p = field.characteristic
     span = EchelonSpan(field, dim)
-    work = []
-    for v in seeds:
-        if span.add(list(v)):
-            work.append(list(v))
+    span.add(seed)
+    work = [seed]
     idx = 0
     while idx < len(work):
         v = work[idx]
         idx += 1
-        for op in operators:
-            image = (op * Matrix.column(field, v)).flatten()
+        for rows in operator_rows:
+            image = [sum(a * b for a, b in zip(row, v) if a) % p for row in rows]
             if span.add(image):
                 work.append(image)
     return span
 
 
+def _sum_span(field: Field, dim: int, rows1: list, rows2: list) -> EchelonSpan:
+    union = EchelonSpan(field, dim)
+    for row in rows1 + rows2:
+        union.add(row)
+    return union
+
+
+def _invariant_subspaces(field: Field, dim: int, operators: list[Matrix]) -> dict[tuple, list]:
+    """Every invariant subspace of F_p^dim, keyed by its reduced echelon basis.
+
+    Each one is a sum of cyclic subspaces, and c*v spins the same subspace as
+    v, so only the vectors whose first nonzero coordinate is 1 are spun --
+    (p^dim - 1)/(p - 1) of them.  The collection is then closed under sums
+    with a worklist: every subspace is summed once with each one found
+    before it.
+    """
+    p = field.characteristic
+    # a YD object's n^2 products repeat and vanish often; the distinct
+    # nonzero operators have the same invariant subspaces
+    operator_rows = [op.entries for op in dict.fromkeys(op for op in operators if not op.is_zero())]
+    spaces: dict[tuple, list] = {(): []}
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            seed = [0] * lead + [1] + list(tail)
+            rows = _spin_vector_space(field, dim, operator_rows, seed).basis_rows()
+            spaces.setdefault(tuple(tuple(r) for r in rows), rows)
+
+    found = list(spaces.values())
+    i = 2  # found[0] is the zero space, whose sums add nothing
+    while i < len(found):
+        for j in range(1, i):
+            rows = _sum_span(field, dim, found[i], found[j]).basis_rows()
+            key = tuple(tuple(r) for r in rows)
+            if key not in spaces:
+                spaces[key] = rows
+                found.append(rows)
+        i += 1
+    return spaces
+
+
 def _brute_force_operators(field: Field, dim: int, operators: list[Matrix], bound: int) -> bool:
-    """Splitting definition, verbatim: enumerate all invariant subspaces and
-    demand a complementary invariant subspace for each."""
+    """Splitting definition: enumerate all invariant subspaces and demand a
+    complementary invariant subspace for each."""
     if field.characteristic == 0:
         raise BoundExceededError("brute force enumeration needs a finite field")
     p = field.characteristic
     if p**dim > bound:
         raise BoundExceededError(f"{p}^{dim} exceeds the oracle bound {bound}")
-    if dim == 0:
-        return True
-    # a YD object's n^2 products repeat and vanish often; the distinct
-    # nonzero operators have the same invariant subspaces
-    operators = list(dict.fromkeys(op for op in operators if not op.is_zero()))
-
-    spaces: dict[tuple, list] = {(): []}
-    for vec in itertools.product(range(p), repeat=dim):
-        if not any(vec):
-            continue
-        span = _spin_vector_space(field, dim, operators, [list(vec)])
-        rows = span.basis_rows()
-        spaces.setdefault(tuple(tuple(r) for r in rows), rows)
-
-    # close the collection under pairwise sums
-    grew = True
-    while grew:
-        grew = False
-        keys = list(spaces)
-        for k1 in keys:
-            for k2 in keys:
-                union = EchelonSpan(field, dim)
-                for row in spaces[k1]:
-                    union.add(list(row))
-                for row in spaces[k2]:
-                    union.add(list(row))
-                rows = union.basis_rows()
-                key = tuple(tuple(r) for r in rows)
-                if key not in spaces:
-                    spaces[key] = rows
-                    grew = True
-
-    dims = {key: len(rows) for key, rows in spaces.items()}
-    for key, rows in spaces.items():
-        want = dim - dims[key]
-        found = False
-        for key2, rows2 in spaces.items():
-            if dims[key2] != want:
-                continue
-            union = EchelonSpan(field, dim)
-            for row in rows:
-                union.add(list(row))
-            for row in rows2:
-                union.add(list(row))
-            if union.dim == dim:
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    by_dim: dict[int, list] = {}
+    for rows in _invariant_subspaces(field, dim, operators).values():
+        by_dim.setdefault(len(rows), []).append(rows)
+    return all(
+        any(_sum_span(field, dim, rows, rows2).dim == dim for rows2 in by_dim.get(dim - d, []))
+        for d, spaces in by_dim.items()
+        for rows in spaces
+    )
 
 
 def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:

@@ -1,11 +1,14 @@
-"""Entrywise reference product, independent of ``Matrix.__mul__``'s kernel.
+"""Matrix helpers that only the tests use.
 
-Each output entry is a sum of ``Fraction`` products, the textbook definition
-with no denominator clearing and no zero skipping; over F_p the sum is
-reduced at the end.
+``reference_product`` is an entrywise product, independent of
+``Matrix.__mul__``'s kernel: each output entry is a sum of ``Fraction``
+products, the textbook definition with no denominator clearing and no zero
+skipping; over F_p the sum is reduced at the end.
 """
 
 from fractions import Fraction
+
+from hopfcheck.matrix import Matrix
 
 
 def reference_product(a_rows, b_rows, inner: int, cols: int, p: int = 0):
@@ -19,3 +22,13 @@ def reference_product(a_rows, b_rows, inner: int, cols: int, p: int = 0):
             row.append(total % p if p else total)
         out.append(row)
     return out
+
+
+def is_invertible(m: Matrix) -> bool:
+    return m.rows == m.cols and m.rank() == m.rows
+
+
+def vstack(a: Matrix, b: Matrix) -> Matrix:
+    if a.cols != b.cols:
+        raise ValueError("column count mismatch")
+    return Matrix(a.field, a.rows + b.rows, a.cols, [r[:] for r in a.entries] + [r[:] for r in b.entries])

@@ -1,10 +1,16 @@
-"""Reference closure of an operator list under products.
+"""Reference closures that the engine's shortcuts are checked against.
 
 The engine reads the acting algebra off the plain span of operators that
 already span an algebra's image.  ``spin_algebra`` is the unconditional
 closure: it multiplies until the span stops growing, so it needs no promise
 about its input and checks the engine's span independently.
+
+The brute-force oracle spins one vector per line and closes its subspaces
+under sums once per pair.  ``invariant_subspaces_reference`` spins every
+nonzero vector and rescans all pairs, and must find the same subspaces.
 """
+
+import itertools
 
 from hopfcheck.fields import Field
 from hopfcheck.matrix import EchelonSpan, Matrix
@@ -28,3 +34,49 @@ def spin_algebra(field: Field, dim: int, generators: list[Matrix]) -> list[Matri
             if span.add(prod.flatten()):
                 work.append(prod)
     return [Matrix.from_flat(field, dim, dim, row) for row in span.basis_rows()]
+
+
+def invariant_subspaces_reference(field: Field, dim: int, operators: list[Matrix]) -> dict:
+    """Every invariant subspace of F_p^dim, keyed by its reduced echelon basis.
+
+    The oracle's enumeration in its plainest form: the spin of every nonzero
+    vector through ``Matrix`` products, then pairwise sums of all known
+    subspaces rescanned until nothing new appears.  The operators are taken
+    as given, zero and repeated ones included.
+    """
+    p = field.characteristic
+    spaces: dict[tuple, list] = {(): []}
+    for vec in itertools.product(range(p), repeat=dim):
+        if not any(vec):
+            continue
+        span = EchelonSpan(field, dim)
+        span.add(list(vec))
+        work = [list(vec)]
+        idx = 0
+        while idx < len(work):
+            v = work[idx]
+            idx += 1
+            for op in operators:
+                image = (op * Matrix.column(field, v)).flatten()
+                if span.add(image):
+                    work.append(image)
+        rows = span.basis_rows()
+        spaces.setdefault(tuple(tuple(r) for r in rows), rows)
+
+    grew = True
+    while grew:
+        grew = False
+        keys = list(spaces)
+        for k1 in keys:
+            for k2 in keys:
+                union = EchelonSpan(field, dim)
+                for row in spaces[k1]:
+                    union.add(list(row))
+                for row in spaces[k2]:
+                    union.add(list(row))
+                rows = union.basis_rows()
+                key = tuple(tuple(r) for r in rows)
+                if key not in spaces:
+                    spaces[key] = rows
+                    grew = True
+    return spaces

@@ -196,6 +196,25 @@ def test_criterion_7_serre_campaign():
     )
 
 
+# the same pin for the oracle campaign over the four prime fields
+EXPECTED_ORACLE_REPORT_SHA256 = os.path.join(os.path.dirname(__file__), "campaign_oracle_report.sha256")
+
+
+def test_oracle_campaign_report_equals_the_recorded_one():
+    start = time.time()
+    report = run_campaign(fields=["F2", "F3", "F5", "F7"], oracle=True)
+    elapsed = time.time() - start
+    doc = report.to_doc()
+    doc.pop("wall_time")
+    with open(EXPECTED_ORACLE_REPORT_SHA256, encoding="utf-8") as fh:
+        expected = fh.read().strip()
+    assert hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest() == expected
+    print(
+        f"oracle campaign: {report.oracle['checked']} oracle agreements, "
+        f"{len(report.oracle['skipped_bound_exceeded'])} skipped, report equal to the recorded one in {elapsed:.1f}s"
+    )
+
+
 def test_criterion_8_double_dual_is_identity_for_involutory():
     checked = 0
     for entry in catalog_entries():

@@ -214,6 +214,25 @@ def test_serre_cache_is_not_fooled_by_transient_objects():
         del m
 
 
+def test_serre_hypothesis_taken_from_a_factor_equals_the_products_verdict():
+    # verify_serre reuses a factor's verdict when the product carries that
+    # factor's operators (N (x) trivial); every pair must still read the
+    # product's own verdict
+    groups: dict = {}
+    for entry in catalog_entries():
+        prefix = entry.id.rsplit("/", 1)[0]
+        if entry.kind != "hopf" and (prefix in ("kC2/F2", "kS3/F3") or (prefix, entry.kind) == ("kS3/F2", "yd")):
+            groups.setdefault((prefix, entry.kind), []).append(entry.payload)
+    reused = 0
+    for objects in groups.values():
+        for m in objects:
+            for n in objects:
+                product = tensor_in_category(m, n)
+                assert verify_serre(m, n).hypothesis_holds == is_semisimple(product).verdict, (m, n)
+                reused += product.operators in (m.operators, n.operators)
+    assert reused > 0
+
+
 def test_serre_verdict_involutory_flag():
     h4mod = lookup("H4/Q/h4mod2").payload
     v = verify_serre(h4mod, h4mod)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrix_reference import reference_product
+from matrix_reference import reference_product, vstack
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import (
     EchelonSpan,
@@ -14,7 +14,6 @@ from hopfcheck.matrix import (
     hstack,
     kernel_basis,
     solve_linear,
-    vstack,
 )
 
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from semisimple_reference import invariant_subspaces_reference
 from hopfcheck.catalog import catalog_entries, lookup
 from hopfcheck.comodules import ComoduleRep
+from hopfcheck.duality import tensor_in_category
 from hopfcheck.errors import BoundExceededError
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix, NoSolutionError, solve_linear
@@ -17,7 +19,7 @@ from hopfcheck.semisimple import (
     is_semisimple,
     is_yd_semisimple,
 )
-from hopfcheck.semisimple import _operator_semisimplicity
+from hopfcheck.semisimple import _invariant_subspaces, _operator_semisimplicity
 from hopfcheck.yd import YDModuleRep
 
 
@@ -286,6 +288,29 @@ def test_yd_oracle_agreement_sample():
     for yid in ("kC2/F2/ydnonsplit2", "kC2/F2/ydline_g_triv", "kS3/F2/ydconj3", "kS3/F3/ydconj3"):
         y = lookup(yid).payload
         assert is_yd_semisimple(y).verdict == brute_force_semisimple(y), yid
+
+
+def test_oracle_finds_the_reference_invariant_subspaces():
+    objects = [
+        e.payload
+        for e in catalog_entries()
+        if e.kind != "hopf" and e.id.split("/")[1] in ("F2", "F3")
+    ]
+    objects = [o for o in objects if o.field.characteristic**o.dim <= 729]
+    for a, b in (
+        ("kC2/F2/regular", "kC2/F2/unipotent2"),
+        ("kS3/F2/std2", "kS3/F2/std2"),
+        ("kC3/F3/rot2", "kC3/F3/unipotent2"),
+        ("kC2/F2/coregular", "kC2/F2/coline_g"),
+        ("kC2/F2/ydnonsplit2", "kC2/F2/ydline_g_sign"),
+    ):
+        objects.append(tensor_in_category(lookup(a).payload, lookup(b).payload))
+    # the subspaces depend only on the field, the dimension and the set of
+    # operators, which many catalog objects share (kS3 coregular = kdS3 regular)
+    inputs = {(o.field, o.dim, frozenset(o.operators)): o for o in objects}
+    for o in inputs.values():
+        want = invariant_subspaces_reference(o.field, o.dim, o.operators)
+        assert set(_invariant_subspaces(o.field, o.dim, o.operators)) == set(want), o
 
 
 def test_radical_basis_elements_are_nilpotent_across_catalog():
