@@ -41,6 +41,7 @@ from .duality import (
     evaluation,
     hom_in_category,
     hs_rank,
+    is_morphism,
     split_retraction,
     tensor_in_category,
     unit_in_category,

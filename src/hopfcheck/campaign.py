@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement
 
 from . import __version__
-from .catalog import hopf_entries, objects_over
+from .catalog import HOPF_IDS, hopf_entries, objects_over
 from .duality import (
     SerreVerdict,
     axioms_in_category,
@@ -93,7 +93,7 @@ def run_campaign(
     bound: int = DEFAULT_ORACLE_BOUND,
 ) -> CampaignReport:
     start = time.time()
-    catalog_fields = {e.id.split("/")[1] for e in hopf_entries()}
+    catalog_fields = {hid.split("/")[1] for hid in HOPF_IDS}
     field_list = list(fields) if fields else sorted(catalog_fields)
     missing = sorted(set(field_list) - catalog_fields)
     if missing:

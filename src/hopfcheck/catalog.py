@@ -2,10 +2,11 @@
 Yetter-Drinfel'd modules, plus the negative fixtures the test campaign needs.
 
 All structure constants are stored as integer literals and specialized to
-each base field at load time, so one table serves every characteristic.
-Every entry runs through its axiom checker once when the catalog is built
-(a Hopf entry inside its constructor); entries tagged with
-``expected_failure`` must fail exactly that check.
+each base field when built, so one table serves every characteristic.
+The catalog is built one group at a time: a Hopf entry together with every
+object over it, on first use.  Every entry runs through its axiom checker
+once, when its group is first built (a Hopf entry inside its constructor);
+entries tagged with ``expected_failure`` must fail exactly that check.
 
 Identifiers follow <hopf>/<field>[/<object>], e.g. "kS3/F3/regular".
 """
@@ -381,97 +382,112 @@ def _check_entry(entry: CatalogEntry):
             )
 
 
-@lru_cache(maxsize=1)
-def _catalog() -> dict[str, CatalogEntry]:
+def _group_algebra_entries(entries, hid: str, group: str, field_name: str):
+    h = group_algebra(_FIELDS[field_name], group, hid)
+    _register(entries, CatalogEntry(hid, "hopf", h, f"group algebra of {group}: basis the group, diagonal coproduct, inverse antipode"))
+    _register(entries, CatalogEntry(f"{hid}/trivial", "module", trivial_module(h), "counit action on one dimension"))
+    _register(entries, CatalogEntry(f"{hid}/regular", "module", regular_module(h), f"left multiplication table of {group}"))
+    _register(entries, CatalogEntry(f"{hid}/cotrivial", "comodule", trivial_comodule(h), "coaction by the unit on one dimension"))
+    _register(entries, CatalogEntry(f"{hid}/coregular", "comodule", regular_comodule(h), "the coproduct read as a coaction"))
+    _register(entries, CatalogEntry(f"{hid}/ydtrivial", "yd", trivial_yd(h), "trivial action and trivial grading"))
+    if group != "S3":
+        _register(entries, CatalogEntry(
+            f"{hid}/coline_g", "comodule", group_line_comodule(h, 1, "coline_g"),
+            "line graded by the generator"))
+    if group == "C2":
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", "yd", yd_group_line(h, 1, [1, 1], "ydline_g_triv"), "degree g, trivial action; abelian so compatible"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_sign", "yd", yd_group_line(h, 1, [1, -1], "ydline_g_sign"), "degree g, sign action"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", "yd", yd_group_line(h, 0, [1, -1], "ydline_e_sign"), "degree e, sign action"))
+    if group == "C3":
+        _register(entries, CatalogEntry(f"{hid}/rot2", "module", cyclic_rotation_module(h), "generator acts by the companion matrix of x^2+x+1"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", "yd", yd_group_line(h, 1, [1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
+    if group == "C4":
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", "yd", yd_group_line(h, 1, [1, 1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_chi2", "yd", yd_group_line(h, 1, [1, -1, 1, -1], "ydline_g_chi2"), "degree g, order-two character"))
+    if group == "S3":
+        _register(entries, CatalogEntry(f"{hid}/perm", "module", s3_permutation_module(h), "permutation matrices on three points"))
+        _register(entries, CatalogEntry(f"{hid}/sign", "module", s3_sign_module(h), "sign character"))
+        _register(entries, CatalogEntry(f"{hid}/std2", "module", s3_standard_module(h), "sum-zero plane of the permutation module, integral basis"))
+        _register(entries, CatalogEntry(
+            f"{hid}/coline_t", "comodule",
+            group_line_comodule(h, _S3_TRANSPOSITIONS[0], "coline_t"),
+            "line graded by a transposition"))
+        _register(entries, CatalogEntry(
+            f"{hid}/coline_c", "comodule",
+            group_line_comodule(h, _S3_THREE_CYCLE, "coline_c"),
+            "line graded by a three-cycle"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", "yd", yd_group_line(h, 0, _S3_SIGNS, "ydline_e_sign"), "degree e, sign action; central degree"))
+        _register(entries, CatalogEntry(f"{hid}/ydconj3", "yd", yd_s3_conjugation(h), "transposition class graded by itself with conjugation action"))
+    if group == "C2" and field_name == "F2":
+        _register(entries, CatalogEntry(f"{hid}/unipotent2", "module", cyclic_unipotent_module(h, 2), "Jordan block for the generator, char 2"))
+        _register(entries, CatalogEntry(f"{hid}/ydnonsplit2", "yd", yd_unipotent_nonsplit(h), "unipotent module, trivial grading; no stable complement"))
+    if group == "C3" and field_name == "F3":
+        _register(entries, CatalogEntry(f"{hid}/unipotent2", "module", cyclic_unipotent_module(h, 3), "Jordan block for the generator, char 3"))
+    if group == "S3" and field_name == "Q":
+        _register(entries, CatalogEntry(
+            f"{hid}/ydbadline", "yd", yd_incompatible_line(h),
+            "line graded by a transposition with trivial action; grading not conjugation-equivariant",
+            expected_failure="yd_compatibility"))
+
+
+def _dual_group_entries(entries, hid: str, group: str, field_name: str):
+    h = dual_group_algebra(_FIELDS[field_name], group, hid)
+    _register(entries, CatalogEntry(hid, "hopf", h, f"functions on {group}: pointwise product, coproduct dual to the group law"))
+    _register(entries, CatalogEntry(f"{hid}/trivial", "module", trivial_module(h), "counit action: evaluation at the identity"))
+    _register(entries, CatalogEntry(f"{hid}/regular", "module", regular_module(h), "pointwise multiplication on itself"))
+    _register(entries, CatalogEntry(f"{hid}/cotrivial", "comodule", trivial_comodule(h), "coaction by the constant function 1"))
+    _register(entries, CatalogEntry(f"{hid}/coregular", "comodule", regular_comodule(h), "the coproduct read as a coaction"))
+    _register(entries, CatalogEntry(f"{hid}/ydtrivial", "yd", trivial_yd(h), "trivial action and trivial coaction"))
+    if group == "C2" and field_name == "F2":
+        mats = [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]
+        _register(entries, CatalogEntry(
+            f"{hid}/cononsplit2", "comodule",
+            comodule_from_group_action(h, mats, "cononsplit2"),
+            "unipotent two-dimensional representation of C2 in char 2, written as a coaction"))
+    if group == "C3":
+        _register(entries, CatalogEntry(
+            f"{hid}/corot2", "comodule",
+            comodule_from_group_action(h, [list(map(list, m)) for m in ROT2_MATRICES], "corot2"),
+            "order-three rotation plane written as a coaction; loses cosemisimplicity in char 3"))
+
+
+def _sweedler_entries(entries, hid: str, field_name: str):
+    h = sweedler_algebra(_FIELDS[field_name], hid)
+    _register(entries, CatalogEntry(hid, "hopf", h, "four-dimensional algebra on 1, g, x, gx with antipode of order four"))
+    _register(entries, CatalogEntry(f"{hid}/trivial", "module", trivial_module(h), "counit action"))
+    _register(entries, CatalogEntry(f"{hid}/regular", "module", regular_module(h), "left multiplication table"))
+    _register(entries, CatalogEntry(f"{hid}/h4mod2", "module", sweedler_two_dim_module(h), "g diagonal, x a lowering operator; contains a line without complement"))
+    _register(entries, CatalogEntry(f"{hid}/cotrivial", "comodule", trivial_comodule(h), "coaction by the unit"))
+    _register(entries, CatalogEntry(f"{hid}/coregular", "comodule", regular_comodule(h), "the coproduct read as a coaction"))
+    _register(entries, CatalogEntry(f"{hid}/ydtrivial", "yd", trivial_yd(h), "trivial action and coaction"))
+
+
+# Hopf id -> the builder of its group and the builder's arguments
+_GROUP_BUILDERS = {
+    **{f"k{g}/{f}": (_group_algebra_entries, g, f) for g in _GROUP_ORDER for f in HOPF_FIELDS},
+    **{f"kd{g}/{f}": (_dual_group_entries, g, f) for g in ("C2", "C3", "S3") for f in HOPF_FIELDS},
+    **{f"H4/{f}": (_sweedler_entries, f) for f in SWEEDLER_FIELDS},
+}
+HOPF_IDS = tuple(sorted(_GROUP_BUILDERS))
+
+
+@lru_cache(maxsize=None)
+def _group(hid: str) -> dict[str, CatalogEntry]:
+    """The Hopf entry ``hid`` and every object over it, each axiom-checked."""
+    build, *args = _GROUP_BUILDERS[hid]
     entries: dict[str, CatalogEntry] = {}
-
-    for group in _GROUP_ORDER:
-        for field_name in HOPF_FIELDS:
-            field = _FIELDS[field_name]
-            hid = f"k{group}/{field_name}"
-            h = group_algebra(field, group, hid)
-            _register(entries, CatalogEntry(hid, "hopf", h, f"group algebra of {group}: basis the group, diagonal coproduct, inverse antipode"))
-            _register(entries, CatalogEntry(f"{hid}/trivial", "module", trivial_module(h), "counit action on one dimension"))
-            _register(entries, CatalogEntry(f"{hid}/regular", "module", regular_module(h), f"left multiplication table of {group}"))
-            _register(entries, CatalogEntry(f"{hid}/cotrivial", "comodule", trivial_comodule(h), "coaction by the unit on one dimension"))
-            _register(entries, CatalogEntry(f"{hid}/coregular", "comodule", regular_comodule(h), "the coproduct read as a coaction"))
-            _register(entries, CatalogEntry(f"{hid}/ydtrivial", "yd", trivial_yd(h), "trivial action and trivial grading"))
-            if group != "S3":
-                _register(entries, CatalogEntry(
-                    f"{hid}/coline_g", "comodule", group_line_comodule(h, 1, "coline_g"),
-                    "line graded by the generator"))
-            if group == "C2":
-                _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", "yd", yd_group_line(h, 1, [1, 1], "ydline_g_triv"), "degree g, trivial action; abelian so compatible"))
-                _register(entries, CatalogEntry(f"{hid}/ydline_g_sign", "yd", yd_group_line(h, 1, [1, -1], "ydline_g_sign"), "degree g, sign action"))
-                _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", "yd", yd_group_line(h, 0, [1, -1], "ydline_e_sign"), "degree e, sign action"))
-            if group == "C3":
-                _register(entries, CatalogEntry(f"{hid}/rot2", "module", cyclic_rotation_module(h), "generator acts by the companion matrix of x^2+x+1"))
-                _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", "yd", yd_group_line(h, 1, [1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
-            if group == "C4":
-                _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", "yd", yd_group_line(h, 1, [1, 1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
-                _register(entries, CatalogEntry(f"{hid}/ydline_g_chi2", "yd", yd_group_line(h, 1, [1, -1, 1, -1], "ydline_g_chi2"), "degree g, order-two character"))
-            if group == "S3":
-                _register(entries, CatalogEntry(f"{hid}/perm", "module", s3_permutation_module(h), "permutation matrices on three points"))
-                _register(entries, CatalogEntry(f"{hid}/sign", "module", s3_sign_module(h), "sign character"))
-                _register(entries, CatalogEntry(f"{hid}/std2", "module", s3_standard_module(h), "sum-zero plane of the permutation module, integral basis"))
-                _register(entries, CatalogEntry(
-                    f"{hid}/coline_t", "comodule",
-                    group_line_comodule(h, _S3_TRANSPOSITIONS[0], "coline_t"),
-                    "line graded by a transposition"))
-                _register(entries, CatalogEntry(
-                    f"{hid}/coline_c", "comodule",
-                    group_line_comodule(h, _S3_THREE_CYCLE, "coline_c"),
-                    "line graded by a three-cycle"))
-                _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", "yd", yd_group_line(h, 0, _S3_SIGNS, "ydline_e_sign"), "degree e, sign action; central degree"))
-                _register(entries, CatalogEntry(f"{hid}/ydconj3", "yd", yd_s3_conjugation(h), "transposition class graded by itself with conjugation action"))
-            if group == "C2" and field_name == "F2":
-                _register(entries, CatalogEntry(f"{hid}/unipotent2", "module", cyclic_unipotent_module(h, 2), "Jordan block for the generator, char 2"))
-                _register(entries, CatalogEntry(f"{hid}/ydnonsplit2", "yd", yd_unipotent_nonsplit(h), "unipotent module, trivial grading; no stable complement"))
-            if group == "C3" and field_name == "F3":
-                _register(entries, CatalogEntry(f"{hid}/unipotent2", "module", cyclic_unipotent_module(h, 3), "Jordan block for the generator, char 3"))
-            if group == "S3" and field_name == "Q":
-                _register(entries, CatalogEntry(
-                    f"{hid}/ydbadline", "yd", yd_incompatible_line(h),
-                    "line graded by a transposition with trivial action; grading not conjugation-equivariant",
-                    expected_failure="yd_compatibility"))
-
-    for group in ("C2", "C3", "S3"):
-        for field_name in HOPF_FIELDS:
-            field = _FIELDS[field_name]
-            hid = f"kd{group}/{field_name}"
-            h = dual_group_algebra(field, group, hid)
-            _register(entries, CatalogEntry(hid, "hopf", h, f"functions on {group}: pointwise product, coproduct dual to the group law"))
-            _register(entries, CatalogEntry(f"{hid}/trivial", "module", trivial_module(h), "counit action: evaluation at the identity"))
-            _register(entries, CatalogEntry(f"{hid}/regular", "module", regular_module(h), "pointwise multiplication on itself"))
-            _register(entries, CatalogEntry(f"{hid}/cotrivial", "comodule", trivial_comodule(h), "coaction by the constant function 1"))
-            _register(entries, CatalogEntry(f"{hid}/coregular", "comodule", regular_comodule(h), "the coproduct read as a coaction"))
-            _register(entries, CatalogEntry(f"{hid}/ydtrivial", "yd", trivial_yd(h), "trivial action and trivial coaction"))
-            if group == "C2" and field_name == "F2":
-                mats = [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]
-                _register(entries, CatalogEntry(
-                    f"{hid}/cononsplit2", "comodule",
-                    comodule_from_group_action(h, mats, "cononsplit2"),
-                    "unipotent two-dimensional representation of C2 in char 2, written as a coaction"))
-            if group == "C3":
-                _register(entries, CatalogEntry(
-                    f"{hid}/corot2", "comodule",
-                    comodule_from_group_action(h, [list(map(list, m)) for m in ROT2_MATRICES], "corot2"),
-                    "order-three rotation plane written as a coaction; loses cosemisimplicity in char 3"))
-
-    for field_name in SWEEDLER_FIELDS:
-        field = _FIELDS[field_name]
-        hid = f"H4/{field_name}"
-        h = sweedler_algebra(field, hid)
-        _register(entries, CatalogEntry(hid, "hopf", h, "four-dimensional algebra on 1, g, x, gx with antipode of order four"))
-        _register(entries, CatalogEntry(f"{hid}/trivial", "module", trivial_module(h), "counit action"))
-        _register(entries, CatalogEntry(f"{hid}/regular", "module", regular_module(h), "left multiplication table"))
-        _register(entries, CatalogEntry(f"{hid}/h4mod2", "module", sweedler_two_dim_module(h), "g diagonal, x a lowering operator; contains a line without complement"))
-        _register(entries, CatalogEntry(f"{hid}/cotrivial", "comodule", trivial_comodule(h), "coaction by the unit"))
-        _register(entries, CatalogEntry(f"{hid}/coregular", "comodule", regular_comodule(h), "the coproduct read as a coaction"))
-        _register(entries, CatalogEntry(f"{hid}/ydtrivial", "yd", trivial_yd(h), "trivial action and coaction"))
-
+    build(entries, hid, *args)
     for entry in entries.values():
         _check_entry(entry)
+    return entries
+
+
+@lru_cache(maxsize=1)
+def _catalog() -> dict[str, CatalogEntry]:
+    """Every group, built and checked."""
+    entries: dict[str, CatalogEntry] = {}
+    for hid in _GROUP_BUILDERS:
+        entries.update(_group(hid))
     return entries
 
 
@@ -482,28 +498,22 @@ def catalog_entries() -> list[CatalogEntry]:
 
 
 def lookup(entry_id: str) -> CatalogEntry:
-    cat = _catalog()
-    if entry_id not in cat:
+    """One entry; builds only the group of its Hopf algebra."""
+    hid = "/".join(entry_id.split("/")[:2])
+    entry = _group(hid).get(entry_id) if hid in _GROUP_BUILDERS else None
+    if entry is None:
         raise KeyError(f"no catalog entry {entry_id!r}")
-    return cat[entry_id]
+    return entry
 
 
 def hopf_entries(fields: tuple[str, ...] | None = None) -> list[CatalogEntry]:
-    selected = []
-    for entry in catalog_entries():
-        if entry.kind != "hopf":
-            continue
-        if fields is not None and entry.id.split("/")[1] not in fields:
-            continue
-        selected.append(entry)
-    return selected
+    """The Hopf entries over the given fields (all when None), ordered by id."""
+    return [lookup(hid) for hid in HOPF_IDS if fields is None or hid.split("/")[1] in fields]
 
 
 def objects_over(hopf_id: str, kind: str) -> list[CatalogEntry]:
-    """Catalog objects of one kind over a given Hopf entry, ordered by id."""
+    """Catalog objects of one kind over a given Hopf entry, ordered by id;
+    none when ``hopf_id`` names no Hopf entry."""
     prefix = hopf_id + "/"
-    return [
-        e
-        for e in catalog_entries()
-        if e.kind == kind and e.id.startswith(prefix)
-    ]
+    group = _group(hopf_id) if hopf_id in _GROUP_BUILDERS else {}
+    return [group[eid] for eid in sorted(group) if eid.startswith(prefix) and group[eid].kind == kind]

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BoundExceededError
-from .fields import Field
+from .fields import Field, _integral
 from .hopf import AlgebraData
 from .matrix import EchelonSpan, Matrix, kernel_basis
 from .modules import ModuleRep, regular_module
@@ -131,7 +131,12 @@ def _image_module(field: Field, dim: int, operators: list[Matrix]) -> ModuleRep:
     span = EchelonSpan(field, dim * dim)
     for flat in [identity] + [m.flatten() for m in operators]:
         span.add(flat)
-    basis = [Matrix.from_flat(field, dim, dim, row) for row in span.basis_rows()]
+    rows = span.basis_rows()
+    if not field.characteristic:
+        # elimination leaves integral values as Fraction(n, 1); as ints the
+        # products below stay on the all-int path
+        rows = [[_integral(x) for x in row] for row in rows]
+    basis = [Matrix.from_flat(field, dim, dim, row) for row in rows]
     mult = []
     for a in basis:
         row = []

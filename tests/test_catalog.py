@@ -1,6 +1,8 @@
 import pytest
 
-from hopfcheck.catalog import catalog_entries, lookup, objects_over
+from hopfcheck import catalog, cli
+from hopfcheck.campaign import run_campaign
+from hopfcheck.catalog import HOPF_IDS, catalog_entries, hopf_entries, lookup, objects_over
 from hopfcheck.comodules import check_comodule_axioms
 from hopfcheck.fields import QQ
 from hopfcheck.modules import check_module_axioms
@@ -85,8 +87,9 @@ def test_lookup_regular_s3_mod_three():
 
 
 def test_unknown_id_raises():
-    with pytest.raises(KeyError):
-        lookup("kC5/Q")
+    for entry_id in ("kC5/Q", "kC9/Q", "kC2/Q/nope", "kC2", "kC2/Q/regular/x", ""):
+        with pytest.raises(KeyError, match="no catalog entry"):
+            lookup(entry_id)
 
 
 def test_provenance_notes_everywhere():
@@ -116,3 +119,72 @@ def test_bad_characteristic_fixtures_present():
     assert lookup("kC3/F3/unipotent2").payload.dim == 2
     assert not is_semisimple(lookup("kC2/F2/unipotent2").payload).verdict
     assert not is_semisimple(lookup("kC3/F3/unipotent2").payload).verdict
+
+
+# the catalog is built one Hopf algebra's group at a time ---------------------
+
+
+@pytest.fixture
+def unbuilt_catalog():
+    catalog._group.cache_clear()
+    catalog._catalog.cache_clear()
+    yield
+    catalog._group.cache_clear()
+    catalog._catalog.cache_clear()
+
+
+def _built_groups() -> int:
+    return catalog._group.cache_info().currsize
+
+
+def test_lookup_builds_only_its_group(unbuilt_catalog):
+    assert lookup("kC2/F2/regular").payload.dim == 2
+    assert _built_groups() == 1
+    assert catalog._catalog.cache_info().currsize == 0
+    lookup("kC2/F2")
+    lookup("kC2/F2/unipotent2")
+    assert _built_groups() == 1
+
+
+def test_cli_request_builds_only_its_group(unbuilt_catalog, capsys):
+    assert cli.main(["semisimple", "kS3/F3/std2"]) == 0
+    assert capsys.readouterr().out.startswith("false")
+    assert _built_groups() == 1
+    assert catalog._catalog.cache_info().currsize == 0
+
+
+def test_unknown_ids_build_at_most_the_group_they_name(unbuilt_catalog):
+    for entry_id in ("kC9/Q", "kC2/Q/nope", "kC2"):
+        with pytest.raises(KeyError):
+            lookup(entry_id)
+    # "kC2/Q/nope" names a real group, which is built to look for it
+    assert _built_groups() == 1
+
+
+def test_campaign_over_some_fields_builds_only_their_groups(unbuilt_catalog):
+    with pytest.raises(ValueError, match="no catalog entries over F11"):
+        run_campaign(fields=["F11"])
+    assert _built_groups() == 0
+    assert run_campaign(categories=("module",), fields=["F2"]).ok
+    assert _built_groups() == sum(hid.endswith("/F2") for hid in HOPF_IDS) == 7
+    assert catalog._catalog.cache_info().currsize == 0
+
+
+def test_catalog_is_the_union_of_its_groups_in_id_order(unbuilt_catalog):
+    union = [e for hid in HOPF_IDS for e in catalog._group(hid).values()]
+    entries = catalog_entries()
+    assert [e.id for e in entries] == sorted(e.id for e in union)
+    assert len(entries) == 319 and len(HOPF_IDS) == 37
+    by_id = {e.id: e for e in union}
+    assert all(by_id[e.id] is e for e in entries)
+
+
+def test_hopf_entries_and_objects_over_filter_the_catalog():
+    everything = catalog_entries()
+    for fields in (None, ("Q",), ("F2", "F7"), ("F5", "Q"), ()):
+        expected = [e for e in everything if e.kind == "hopf" and (fields is None or e.id.split("/")[1] in fields)]
+        assert hopf_entries(fields) == expected, fields
+    for hid in HOPF_IDS + ("kC9/Q", "kC2/Q/regular"):
+        for kind in ("hopf", "module", "comodule", "yd"):
+            expected = [e for e in everything if e.kind == kind and e.id.startswith(hid + "/")]
+            assert objects_over(hid, kind) == expected, (hid, kind)

@@ -2,15 +2,18 @@ from fractions import Fraction
 
 import pytest
 
+from duality_reference import in_hom_span
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup
 from hopfcheck.comodules import trivial_comodule
 from hopfcheck.documents import object_to_doc
 from hopfcheck.duality import (
     build_strong_dual_certificates,
     coevaluation,
+    dual_in_category,
     evaluation,
     hom_in_category,
     hs_rank,
+    is_morphism,
     split_retraction,
     tensor_in_category,
     unit_in_category,
@@ -130,6 +133,39 @@ def test_certificates_for_comodule_and_yd():
     assert right.category == "comodule" and left.category == "comodule"
     right, left = build_strong_dual_certificates(lookup("kS3/F5/ydconj3").payload)
     assert right.category == "yd" and left.category == "yd"
+
+
+def test_is_morphism_agrees_with_hom_span_on_canonical_maps():
+    """The identity vector as a map 1 -> square and square -> 1, for both
+    squares N (x) N* and N* (x) N of every valid catalog object.  It fails
+    only where S^2 != id: ev out of N (x) N* and coev into N* (x) N over H4."""
+    rejected = {}
+    checked = 0
+    for entry in catalog_entries():
+        if entry.kind == "hopf" or entry.expected_failure:
+            continue
+        obj = entry.payload
+        unit, dual = unit_in_category(obj), dual_in_category(obj)
+        coev, ev = coevaluation(obj), evaluation(obj)
+        for order, square in (("right", tensor_in_category(obj, dual)), ("left", tensor_in_category(dual, obj))):
+            for name, g, source, target in (("coev", coev, unit, square), ("ev", ev, square, unit)):
+                direct = is_morphism(g, source, target)
+                assert direct == in_hom_span(g, source, target), (entry.id, order, name)
+                if not direct:
+                    rejected.setdefault((order, name), set()).add(entry.id)
+        checked += 1
+    assert checked == 281
+    # the six objects the campaign counts as non-involutory evaluation failures
+    h4 = {f"H4/{f}/{name}" for f in ("Q", "F5") for name in ("regular", "h4mod2", "coregular")}
+    assert rejected == {("right", "ev"): h4, ("left", "coev"): h4}
+
+
+def test_is_morphism_rejects_a_map_of_the_wrong_shape():
+    reg = lookup("kC2/Q/regular").payload
+    triv = lookup("kC2/Q/trivial").payload
+    assert is_morphism(Matrix.column(QQ, [1, 1]), triv, reg)
+    assert not is_morphism(Matrix.column(QQ, [1, 1, 1]), triv, reg)
+    assert not is_morphism(Matrix.zeros(QQ, 1, 2), triv, reg)
 
 
 def test_split_retraction_for_invariant_line_in_regular_c2():

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from hopfcheck.catalog import lookup
+from hopfcheck.catalog import catalog_entries, lookup
 from hopfcheck.errors import HopfMismatchError
 from hopfcheck.fields import QQ
 from hopfcheck.matrix import Matrix
@@ -124,6 +125,42 @@ def test_double_dual_is_identity_for_involutory():
     for mid in ("kC2/Q/regular", "kS3/F3/perm", "kS3/F5/std2", "kdC3/F2/regular"):
         m = lookup(mid).payload
         assert dual_module(dual_module(m)).action == m.action, mid
+
+
+def _first_multiplicativity_violation_reference(m: ModuleRep):
+    """The first (i, j) with A_i A_j != sum_t m_ij^t A_t, from Matrix sums."""
+    alg = m.algebra
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            comb = Matrix.zeros(alg.field, m.dim, m.dim)
+            for t, c in enumerate(alg.mult[i][j]):
+                comb = comb + m.action[t].scale(c)
+            if m.action[i] * m.action[j] != comb:
+                return (i, j)
+    return None
+
+
+def test_perturbed_modules_report_the_reference_first_violation():
+    rng = random.Random(7)
+    perturbed = 0
+    for entry in catalog_entries():
+        if entry.kind != "module" or entry.payload.dim == 0:
+            continue
+        m = entry.payload
+        field = m.field
+        for _ in range(3):
+            action = [Matrix(field, a.rows, a.cols, [row[:] for row in a.entries]) for a in m.action]
+            k, r, c = rng.randrange(len(action)), rng.randrange(m.dim), rng.randrange(m.dim)
+            bump = field.from_int(rng.randrange(1, field.characteristic or 4))
+            if not field.characteristic and rng.random() < 0.5:
+                bump = Fraction(1, 2)
+            action[k].entries[r][c] = field.add(action[k].entries[r][c], bump)
+            bad = ModuleRep(m.algebra, m.dim, action, name="perturbed")
+            report = check_module_axioms(bad)
+            (mult,) = [check for check in report.checks if check.name == "action_multiplicative"]
+            assert mult.first_violation == _first_multiplicativity_violation_reference(bad), entry.id
+            perturbed += mult.first_violation is not None
+    assert perturbed > 100
 
 
 def test_hom_trivial_to_trivial_is_one_dimensional():

@@ -19,7 +19,7 @@ from hopfcheck.semisimple import (
     is_semisimple,
     is_yd_semisimple,
 )
-from hopfcheck.semisimple import _invariant_subspaces, _operator_semisimplicity
+from hopfcheck.semisimple import _image_module, _invariant_subspaces, _operator_semisimplicity
 from hopfcheck.yd import YDModuleRep
 
 
@@ -87,6 +87,22 @@ def test_acting_algebra_dimensions():
     assert len(acting_algebra(lookup("kC2/Q/trivial").payload)) == 1
     assert len(acting_algebra(lookup("kC2/Q/regular").payload)) == 2
     assert len(acting_algebra(lookup("kS3/Q/regular").payload)) == 6
+
+
+def test_acting_algebra_entries_are_ints_when_integral_over_q():
+    """The image basis leaves elimination as plain ints wherever it can, so
+    the products that read off its structure constants stay on the int path."""
+    checked = 0
+    for entry in catalog_entries():
+        if entry.kind == "hopf" or entry.payload.field != QQ:
+            continue
+        obj = entry.payload
+        basis = acting_algebra(obj) if entry.kind == "module" else _image_module(obj.field, obj.dim, obj.operators).action
+        for a in basis:
+            for x in (x for row in a.entries for x in row):
+                assert type(x) is int or x.denominator != 1, (entry.id, x)
+        checked += 1
+    assert checked == 60
 
 
 def test_acting_algebra_closes_under_products():
