@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .comodules import ComoduleRep, check_comodule_axioms, regular_comodule, trivial_comodule
 from .fields import GF, QQ, Field, PrimeField, Rationals
-from .hopf import AlgebraData, AxiomReport, HopfAlgebraData, check_hopf_axioms, dual_algebra, is_involutory
+from .hopf import AlgebraData, AxiomReport, HopfAlgebraData
 from .matrix import EchelonSpan, Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
     ModuleRep,
@@ -45,8 +45,6 @@ from .duality import (
     split_retraction,
     tensor_in_category,
     unit_in_category,
-    verify_coev_equivariance,
-    verify_ev_equivariance,
     verify_serre,
 )
 from .yd import YDModuleRep, check_yd_compat, trivial_yd

@@ -25,10 +25,12 @@ from .duality import (
     build_strong_dual_certificates,
     cached_verdict,
     coevaluation,
+    dual_in_category,
     evaluation,
     hs_rank,
-    verify_coev_equivariance,
-    verify_ev_equivariance,
+    is_morphism,
+    tensor_in_category,
+    unit_in_category,
     verify_serre,
 )
 from .errors import BoundExceededError, CertificateError, NotInvolutoryError, RankNotInvertibleError
@@ -99,6 +101,9 @@ def run_campaign(
     if missing:
         # a campaign over a field without entries would check nothing and pass
         raise ValueError(f"no catalog entries over {', '.join(missing)}")
+    if not categories or set(categories) - set(CATEGORIES):
+        # nor would one over no category it knows
+        raise ValueError(f"categories must be drawn from {', '.join(CATEGORIES)}, got {list(categories)}")
     report = CampaignReport(
         tool_version=__version__,
         field_list=sorted(field_list),
@@ -166,14 +171,16 @@ def run_campaign(
                     eq_failures.append(entry.id)
                     report.counterexamples.append({"type": "pairing_identity", "id": entry.id})
 
-                # equivariance dichotomy; a comodule is checked as its H*-module,
-                # where equivariance is colinearity
+                # equivariance dichotomy: are coev: 1 -> N (x) N* and ev back
+                # morphisms?  For a comodule a morphism is a colinear map
                 if kind != "yd":
-                    face, law = obj.faces[0], "equivariance" if kind == "module" else "colinearity"
-                    if not verify_coev_equivariance(face).ok:
+                    law = "equivariance" if kind == "module" else "colinearity"
+                    unit = unit_in_category(obj)
+                    square = tensor_in_category(obj, dual_in_category(obj))
+                    if not is_morphism(coevaluation(obj), unit, square):
                         coev_fail.append(entry.id)
                         report.counterexamples.append({"type": f"coevaluation_{law}", "id": entry.id})
-                    if verify_ev_equivariance(face).ok:
+                    if is_morphism(evaluation(obj), square, unit):
                         ev_pass += 1
                     elif involutory:
                         ev_fail_involutory.append(entry.id)

@@ -10,9 +10,10 @@ coevaluation splits with retraction (dim(N)*1_k)^-1 * evaluation.
 Equivariance of the coevaluation only needs the antipode axiom and must
 hold over every Hopf algebra here; equivariance of the evaluation uses
 S = S^-1 and is expected to fail on non-involutory inputs.  Both are
-checked as exact identities rather than assumed.  A comodule is checked as
-the module over the dual Hopf algebra H* that it is: there equivariance is
-colinearity, and H* is involutory exactly when H is.
+checked with ``is_morphism`` as exact identities rather than assumed.  A
+comodule is checked as the module over the dual Hopf algebra H* that it
+is: there equivariance is colinearity, and H* is involutory exactly when H
+is.
 
 Every object is the tuple of modules in its ``faces``: tensor product,
 dual, unit object and Hom space are the module constructions applied face
@@ -36,11 +37,9 @@ from .fields import Field
 from .hopf import AxiomReport
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
-    ModuleRep,
     check_module_axioms,
     dual_module,
     joint_hom_space,
-    require_hopf,
     require_same_hopf,
     tensor_modules,
     trivial_module,
@@ -141,39 +140,6 @@ def axioms_in_category(obj) -> AxiomReport:
     # YD module adds the compatibility identity
     check = {MODULE: check_module_axioms, COMODULE: check_comodule_axioms, YD: check_yd_compat}
     return check[category_of(obj)](obj)
-
-
-# equivariance of the canonical maps ------------------------------------------
-
-
-def verify_coev_equivariance(n: ModuleRep) -> AxiomReport:
-    """The coevaluation intertwines the action; needs only the antipode axiom."""
-    h = require_hopf(n.algebra)
-    square = tensor_modules(n, dual_module(n))
-    coev = coevaluation(n)
-    report = AxiomReport(f"coevaluation equivariance on {n.name or 'module'}")
-    violation = None
-    for i in range(h.dim):
-        if square.action[i] * coev != coev.scale(h.counit[i]):
-            violation = (i,)
-            break
-    report.record("coevaluation_equivariant", violation)
-    return report
-
-
-def verify_ev_equivariance(n: ModuleRep) -> AxiomReport:
-    """The evaluation intertwines the action; holds when S is an involution."""
-    h = require_hopf(n.algebra)
-    square = tensor_modules(n, dual_module(n))
-    ev = evaluation(n)
-    report = AxiomReport(f"evaluation equivariance on {n.name or 'module'}")
-    violation = None
-    for i in range(h.dim):
-        if ev * square.action[i] != ev.scale(h.counit[i]):
-            violation = (i,)
-            break
-    report.record("evaluation_equivariant", violation)
-    return report
 
 
 # certificates ----------------------------------------------------------------

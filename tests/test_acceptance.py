@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopf_reference import associativity_violation, coassociativity_violation, counit_violation
 from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import catalog_entries, lookup
 from hopfcheck.documents import canonical_json, hopf_from_doc, hopf_to_doc
@@ -18,8 +19,9 @@ from hopfcheck.duality import (
     coevaluation,
     dual_in_category,
     evaluation,
-    verify_coev_equivariance,
-    verify_ev_equivariance,
+    is_morphism,
+    tensor_in_category,
+    unit_in_category,
 )
 from hopfcheck.errors import RankNotInvertibleError
 from hopfcheck.modules import dual_module
@@ -85,11 +87,13 @@ def test_criterion_3_equivariance_dichotomy():
         involutory = not entry.id.startswith("H4/")
         if entry.kind not in ("module", "comodule"):
             continue
-        # a comodule is checked as its H*-module, where equivariance is colinearity
-        face = entry.payload if entry.kind == "module" else entry.payload.star_module
-        assert verify_coev_equivariance(face).ok, entry.id
+        # for a comodule, a morphism is a colinear map
+        obj = entry.payload
+        unit = unit_in_category(obj)
+        square = tensor_in_category(obj, dual_in_category(obj))
+        assert is_morphism(coevaluation(obj), unit, square), entry.id
         coev_checked += 1
-        if verify_ev_equivariance(face).ok:
+        if is_morphism(evaluation(obj), square, unit):
             continue
         assert not involutory, f"evaluation equivariance failed on involutory {entry.id}"
         ev_failures.add(entry.id)
@@ -265,13 +269,27 @@ def _bump(value):
     return value + 1
 
 
+# the direct loops on the structure constants that the H*-side checks replace
+REFERENCE_CHECKS = {
+    "associativity": associativity_violation,
+    "coassociativity": coassociativity_violation,
+    "counit": counit_violation,
+}
+
+
 def test_criterion_9_fault_injection(serre_fault):
     corruptions = 0
-    for hid in ("kC2/Q", "kC2/F2", "H4/Q"):
+    for hid in ("kC2/Q", "kC2/F2", "H4/Q", "kdC3/F2"):
         doc = hopf_to_doc(lookup(hid).payload)
         for position, bad_doc in _corrupted_copies(doc):
             damaged = hopf_from_doc(bad_doc, unchecked=True)
-            assert not damaged.check_hopf_axioms().ok, f"{hid} corruption at {position} not caught"
+            report = damaged.check_hopf_axioms()
+            assert not report.ok, f"{hid} corruption at {position} not caught"
+            checks = {c.name: c for c in report.checks}
+            for name, reference in REFERENCE_CHECKS.items():
+                want = reference(damaged) is None
+                assert checks[name].passed == want, f"{hid} corruption at {position}: {name}"
+            assert checks["associativity"].first_violation == associativity_violation(damaged), position
             corruptions += 1
 
     # a corrupted semisimplicity verdict must surface as a campaign failure

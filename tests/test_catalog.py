@@ -170,6 +170,14 @@ def test_campaign_over_some_fields_builds_only_their_groups(unbuilt_catalog):
     assert catalog._catalog.cache_info().currsize == 0
 
 
+def test_campaign_over_no_known_category_is_refused(unbuilt_catalog):
+    # a misspelt kind would select nothing and report a green, empty run
+    for categories in (("modules",), (), ("module", "yd-module")):
+        with pytest.raises(ValueError, match="categories must be drawn from"):
+            run_campaign(categories=categories, fields=["F2"])
+    assert _built_groups() == 0
+
+
 def test_catalog_is_the_union_of_its_groups_in_id_order(unbuilt_catalog):
     union = [e for hid in HOPF_IDS for e in catalog._group(hid).values()]
     entries = catalog_entries()
