@@ -99,7 +99,7 @@ def _specialize_matrix(field: Field, rows):
     return Matrix(field, len(rows), len(rows[0]) if rows else 0, [[field.from_int(x) for x in r] for r in rows])
 
 
-def group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
+def group_algebra(field: Field, group: str, name: str, unchecked: bool = False) -> HopfAlgebraData:
     table, inverses = _GROUPS[group]
     n = len(table)
     mult = [[[1 if table[i][j] == t else 0 for t in range(n)] for j in range(n)] for i in range(n)]
@@ -116,28 +116,16 @@ def group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
         [field.from_int(x) for x in counit],
         _specialize_matrix(field, antipode),
         name=name,
+        unchecked=unchecked,
     )
 
 
 def dual_group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
-    """Functions on the group: pointwise product, coproduct dual to multiplication."""
-    table, inverses = _GROUPS[group]
-    n = len(table)
-    mult = [[[1 if (i == j and t == i) else 0 for t in range(n)] for j in range(n)] for i in range(n)]
-    unit = [1] * n
-    comult = [[[1 if table[j][t] == i else 0 for t in range(n)] for j in range(n)] for i in range(n)]
-    counit = [1 if i == 0 else 0 for i in range(n)]
-    antipode = [[1 if inverses[c] == r else 0 for c in range(n)] for r in range(n)]
-    return HopfAlgebraData(
-        field,
-        n,
-        _specialize_tensor(field, mult),
-        [field.from_int(x) for x in unit],
-        _specialize_tensor(field, comult),
-        [field.from_int(x) for x in counit],
-        _specialize_matrix(field, antipode),
-        name=name,
-    )
+    """Functions on the group, k^G = (kG)*: pointwise product, coproduct dual
+    to the group law, built on the tables of the group algebra's dual.  Only
+    k^G is checked: kG's laws are its laws read backwards."""
+    d = group_algebra(field, group, name, unchecked=True).dual_algebra()
+    return HopfAlgebraData(field, d.dim, d.mult, d.unit, d.comult, d.counit, d.antipode, name=name)
 
 
 def sweedler_algebra(field: Field, name: str) -> HopfAlgebraData:
@@ -292,14 +280,8 @@ def group_line_comodule(h: HopfAlgebraData, degree: int, name: str) -> ComoduleR
 
 def comodule_from_group_action(h: HopfAlgebraData, mats, name: str) -> ComoduleRep:
     """Comodule over a dual group algebra from matrices indexed by the group:
-    the H-leg over the t-th basis function carries the action of g_t."""
-    dim = len(mats[0])
-    field = h.field
-    coaction = [
-        [[field.from_int(mats[t][b][a]) for t in range(h.dim)] for b in range(dim)]
-        for a in range(dim)
-    ]
-    return ComoduleRep(h, dim, coaction, name=name)
+    H* of k^G is kG again, and g_t acts by ``mats[t]``."""
+    return ComoduleRep.over_dual(h, _module_from_int_matrices(h.dual_algebra(), mats, name), name)
 
 
 # YD builders ---------------------------------------------------------------------

@@ -25,6 +25,9 @@ from .matrix import Matrix
 from .modules import ModuleRep
 from .yd import YDModuleRep
 
+# the largest Hopf document accepted: its check builds R (x) R, n^4 entries per b_i
+MAX_HOPF_DIM = 16
+
 
 def _expect(doc: dict, key: str, kind, context: str):
     if key not in doc:
@@ -124,6 +127,8 @@ def hopf_from_doc(doc: dict, unchecked: bool = False) -> HopfAlgebraData:
     dim = _expect(doc, "dim", int, context)
     if dim < 1:
         raise ParseError(f"{context}: dim must be at least 1")
+    if dim > MAX_HOPF_DIM:
+        raise ParseError(f"{context}: dim {dim} exceeds the limit of {MAX_HOPF_DIM}")
     mult = _tensor_in(field, _expect(doc, "mult", list, context), (dim, dim, dim), f"{context}: mult")
     comult = _tensor_in(field, _expect(doc, "comult", list, context), (dim, dim, dim), f"{context}: comult")
     unit = _vector_in(field, _expect(doc, "unit", list, context), dim, f"{context}: unit")

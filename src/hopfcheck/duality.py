@@ -121,18 +121,29 @@ def hom_in_category(a, b) -> list[Matrix]:
     return joint_hom_space(list(zip(a.faces, b.faces)))
 
 
-def is_morphism(g: Matrix, source, target) -> bool:
-    """``g`` intertwines every face: g.A_i = B_i.g for each face pair, where
-    the A_i act on ``source`` and the B_i on ``target``.  The Hom space is
-    exactly these maps, so this is membership in it without solving for it."""
+def morphism_violation(g: Matrix, source, target):
+    """First generator that ``g`` fails to intertwine, or None: (i,) for the
+    first i with g.A_i != B_i.g, where the A_i act on ``source`` and the B_i
+    on ``target``, numbered face by face (a YD module's H*-face follows its
+    H-face); () when ``g`` is not even shaped as a map source -> target."""
     _common_category(source, target, "no morphism between objects of different kinds")
     if g.rows != target.dim or g.cols != source.dim:
-        return False
-    return all(
-        g * a == b * g
+        return ()
+    pairs = (
+        (a, b)
         for src_face, tgt_face in zip(source.faces, target.faces)
         for a, b in zip(src_face.action, tgt_face.action)
     )
+    for i, (a, b) in enumerate(pairs):
+        if g * a != b * g:
+            return (i,)
+    return None
+
+
+def is_morphism(g: Matrix, source, target) -> bool:
+    """``g`` intertwines every face.  The Hom space is exactly these maps, so
+    this is membership in it without solving for it."""
+    return morphism_violation(g, source, target) is None
 
 
 def axioms_in_category(obj) -> AxiomReport:

@@ -1,13 +1,14 @@
 """Reference axiom checkers that ``HopfAlgebraData.check_hopf_axioms`` is
 checked against.
 
-The package reads H's coalgebra laws off the dual algebra H* and checks
-associativity with the same kernel as module multiplicativity.  These are
-the direct loops on the structure constants: coassociativity and the counit
-law compare coefficients of comult written out on both sides, and
-associativity compares L_i L_j with sum_t m_ij^t L_t through field
-operations.  Each takes a Hopf algebra ``h`` and returns its first
-violation, indexed in H's own terms, or None.
+The package reads H's coalgebra laws off the dual algebra H*, checks
+associativity with the same kernel as module multiplicativity, and checks
+the bialgebra and antipode laws as statements about the trivial modules of
+H and H*, the square R (x) R and coev/ev of the regular module R.  These
+are the direct loops on the structure constants: each law compares
+coefficients of both sides written out through field operations.  Each
+takes a Hopf algebra ``h`` and returns its first violation, indexed in H's
+own terms, or None.
 """
 
 
@@ -88,4 +89,128 @@ def counit_violation(h):
                 return ("left", i, t)
             if right != want:
                 return ("right", i, t)
+    return None
+
+
+def comult_multiplicative_violation(h):
+    field = h.field
+    n = h.dim
+    d = h.comult
+    m = h.mult
+    for i in range(n):
+        for j in range(n):
+            lhs = {}
+            for s in range(n):
+                x = m[i][j][s]
+                if not x:
+                    continue
+                for a in range(n):
+                    for b in range(n):
+                        y = d[s][a][b]
+                        if y:
+                            key = (a, b)
+                            lhs[key] = field.add(lhs.get(key, field.zero()), field.mul(x, y))
+            rhs = {}
+            for a1 in range(n):
+                for b1 in range(n):
+                    x = d[i][a1][b1]
+                    if not x:
+                        continue
+                    for a2 in range(n):
+                        for b2 in range(n):
+                            y = d[j][a2][b2]
+                            if not y:
+                                continue
+                            xy = field.mul(x, y)
+                            for a, c1 in enumerate(m[a1][a2]):
+                                if not c1:
+                                    continue
+                                for b, c2 in enumerate(m[b1][b2]):
+                                    if c2:
+                                        key = (a, b)
+                                        rhs[key] = field.add(
+                                            rhs.get(key, field.zero()),
+                                            field.mul(xy, field.mul(c1, c2)),
+                                        )
+            for key in set(lhs) | set(rhs):
+                if lhs.get(key, field.zero()) != rhs.get(key, field.zero()):
+                    return (i, j) + key
+    return None
+
+
+def comult_unit_violation(h):
+    field = h.field
+    n = h.dim
+    for a in range(n):
+        for b in range(n):
+            got = field.zero()
+            for i, u in enumerate(h.unit):
+                if u:
+                    got = field.add(got, field.mul(u, h.comult[i][a][b]))
+            want = field.mul(h.unit[a], h.unit[b])
+            if got != want:
+                return (a, b)
+    return None
+
+
+def counit_multiplicative_violation(h):
+    field = h.field
+    n = h.dim
+    for i in range(n):
+        for j in range(n):
+            got = field.zero()
+            for t, c in enumerate(h.mult[i][j]):
+                if c:
+                    got = field.add(got, field.mul(c, h.counit[t]))
+            if got != field.mul(h.counit[i], h.counit[j]):
+                return (i, j)
+    return None
+
+
+def counit_unit_violation(h):
+    field = h.field
+    got = field.zero()
+    for i, u in enumerate(h.unit):
+        if u:
+            got = field.add(got, field.mul(u, h.counit[i]))
+    return None if got == field.one() else (0,)
+
+
+def antipode_violation(h, left: bool):
+    # multiply-convolve the antipode against identity and compare with
+    # unit*counit, coordinate by coordinate
+    field = h.field
+    n = h.dim
+    s_cols = h.antipode.entries  # s_cols[a][j] = coefficient of b_a in S(b_j)
+    for i in range(n):
+        got = [field.zero()] * n
+        for j in range(n):
+            for t in range(n):
+                x = h.comult[i][j][t]
+                if not x:
+                    continue
+                if left:
+                    # S(b_j) * b_t
+                    for a in range(n):
+                        y = s_cols[a][j]
+                        if not y:
+                            continue
+                        xy = field.mul(x, y)
+                        for u, c in enumerate(h.mult[a][t]):
+                            if c:
+                                got[u] = field.add(got[u], field.mul(xy, c))
+                else:
+                    # b_j * S(b_t)
+                    for a in range(n):
+                        y = s_cols[a][t]
+                        if not y:
+                            continue
+                        xy = field.mul(x, y)
+                        for u, c in enumerate(h.mult[j][a]):
+                            if c:
+                                got[u] = field.add(got[u], field.mul(xy, c))
+        for u in range(n):
+            want = field.mul(h.counit[i], h.unit[u])
+            if got[u] != want:
+                return (i, u)
     return None

@@ -10,7 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from hopf_reference import associativity_violation, coassociativity_violation, counit_violation
+from hopf_reference import (
+    antipode_violation,
+    associativity_violation,
+    coassociativity_violation,
+    comult_multiplicative_violation,
+    comult_unit_violation,
+    counit_multiplicative_violation,
+    counit_unit_violation,
+    counit_violation,
+)
 from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import catalog_entries, lookup
 from hopfcheck.documents import canonical_json, hopf_from_doc, hopf_to_doc
@@ -269,27 +278,42 @@ def _bump(value):
     return value + 1
 
 
-# the direct loops on the structure constants that the H*-side checks replace
+# the direct loops on the structure constants that the H*-side and module
+# checks replace; H's unit law is checked by such a loop in the package itself
 REFERENCE_CHECKS = {
     "associativity": associativity_violation,
     "coassociativity": coassociativity_violation,
     "counit": counit_violation,
+    "comult_multiplicative": comult_multiplicative_violation,
+    "comult_unit": comult_unit_violation,
+    "counit_multiplicative": counit_multiplicative_violation,
+    "counit_unit": counit_unit_violation,
+    "antipode_left": lambda h: antipode_violation(h, left=True),
+    "antipode_right": lambda h: antipode_violation(h, left=False),
 }
+# read off R, which is faithful once H is associative and unital
+FAITHFUL_LAWS = ("comult_multiplicative", "antipode_left", "antipode_right")
+# exact restatements that keep the reference's index
+SAME_INDEX = ("associativity", "comult_unit", "counit_multiplicative", "counit_unit")
 
 
 def test_criterion_9_fault_injection(serre_fault):
     corruptions = 0
-    for hid in ("kC2/Q", "kC2/F2", "H4/Q", "kdC3/F2"):
+    for hid in ("kC2/Q", "kC2/F2", "H4/Q", "kdC3/F2", "H4/F5", "kC4/F3"):
         doc = hopf_to_doc(lookup(hid).payload)
         for position, bad_doc in _corrupted_copies(doc):
             damaged = hopf_from_doc(bad_doc, unchecked=True)
             report = damaged.check_hopf_axioms()
             assert not report.ok, f"{hid} corruption at {position} not caught"
             checks = {c.name: c for c in report.checks}
-            for name, reference in REFERENCE_CHECKS.items():
-                want = reference(damaged) is None
-                assert checks[name].passed == want, f"{hid} corruption at {position}: {name}"
-            assert checks["associativity"].first_violation == associativity_violation(damaged), position
+            want = {name: reference(damaged) for name, reference in REFERENCE_CHECKS.items()}
+            assert report.ok == (checks["unit"].passed and all(v is None for v in want.values())), position
+            faithful = checks["unit"].passed and want["associativity"] is None
+            for name, violation in want.items():
+                if faithful or name not in FAITHFUL_LAWS:
+                    assert checks[name].passed == (violation is None), f"{hid} corruption at {position}: {name}"
+            for name in SAME_INDEX:
+                assert checks[name].first_violation == want[name], f"{hid} corruption at {position}: {name}"
             corruptions += 1
 
     # a corrupted semisimplicity verdict must surface as a campaign failure

@@ -48,6 +48,16 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_oversized_hopf_document_exits_two(tmp_path, capsys):
+    # refused on its dim alone, before any tensor is read
+    doc = {"name": "big", "field": "Q", "dim": 17, "mult": [], "comult": [], "unit": [], "counit": [], "antipode": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "limit of 16" in err
+
+
 def test_unknown_id_exits_two(capsys):
     code, _, err = run(capsys, "check", "kC9/Q")
     assert code == 2

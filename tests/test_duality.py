@@ -14,6 +14,7 @@ from hopfcheck.duality import (
     hom_in_category,
     hs_rank,
     is_morphism,
+    morphism_violation,
     split_retraction,
     tensor_in_category,
     unit_in_category,
@@ -174,6 +175,8 @@ def test_is_morphism_rejects_a_map_of_the_wrong_shape():
     assert is_morphism(Matrix.column(QQ, [1, 1]), triv, reg)
     assert not is_morphism(Matrix.column(QQ, [1, 1, 1]), triv, reg)
     assert not is_morphism(Matrix.zeros(QQ, 1, 2), triv, reg)
+    assert morphism_violation(Matrix.zeros(QQ, 1, 2), triv, reg) == ()
+    assert morphism_violation(Matrix.column(QQ, [1, 0]), triv, reg) == (1,)
 
 
 def test_split_retraction_for_invariant_line_in_regular_c2():

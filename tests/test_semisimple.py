@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from semisimple_reference import invariant_subspaces_reference
-from hopfcheck.catalog import catalog_entries, lookup
-from hopfcheck.comodules import ComoduleRep
+from hopfcheck.catalog import catalog_entries, hopf_entries, lookup
+from hopfcheck.comodules import ComoduleRep, regular_comodule
 from hopfcheck.duality import tensor_in_category
 from hopfcheck.errors import BoundExceededError
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix, NoSolutionError, solve_linear
-from hopfcheck.modules import ModuleRep, direct_sum_modules
+from hopfcheck.modules import ModuleRep, direct_sum_modules, regular_module
 from hopfcheck.semisimple import (
     acting_algebra,
     brute_force_semisimple,
@@ -280,6 +280,21 @@ def test_cosemisimple_spec_values():
     assert not report.verdict
     assert report.radical_dim >= 1
     assert brute_force_semisimple(lookup("kdC2/F2/cononsplit2").payload) is False
+
+
+def test_larson_radford_in_characteristic_zero():
+    # H semisimple <=> H cosemisimple <=> S^2 = id (Larson & Radford, 1988)
+    verdicts = {}
+    for entry in hopf_entries(("Q",)):
+        h = entry.payload
+        verdicts[entry.id] = (
+            is_semisimple(regular_module(h)).verdict,
+            is_cosemisimple(regular_comodule(h)).verdict,
+            h.is_involutory(),
+        )
+    assert verdicts.pop("H4/Q") == (False, False, False)
+    assert len(verdicts) == 7
+    assert all(v == (True, True, True) for v in verdicts.values()), verdicts
 
 
 def test_yd_semisimplicity():
