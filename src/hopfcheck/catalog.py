@@ -99,7 +99,7 @@ def _specialize_matrix(field: Field, rows):
     return Matrix(field, len(rows), len(rows[0]) if rows else 0, [[field.from_int(x) for x in r] for r in rows])
 
 
-def group_algebra(field: Field, group: str, name: str, unchecked: bool = False) -> HopfAlgebraData:
+def group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
     table, inverses = _GROUPS[group]
     n = len(table)
     mult = [[[1 if table[i][j] == t else 0 for t in range(n)] for j in range(n)] for i in range(n)]
@@ -116,16 +116,15 @@ def group_algebra(field: Field, group: str, name: str, unchecked: bool = False) 
         [field.from_int(x) for x in counit],
         _specialize_matrix(field, antipode),
         name=name,
-        unchecked=unchecked,
     )
 
 
 def dual_group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
     """Functions on the group, k^G = (kG)*: pointwise product, coproduct dual
-    to the group law, built on the tables of the group algebra's dual.  Only
-    k^G is checked: kG's laws are its laws read backwards."""
-    d = group_algebra(field, group, name, unchecked=True).dual_algebra()
-    return HopfAlgebraData(field, d.dim, d.mult, d.unit, d.comult, d.counit, d.antipode, name=name)
+    to the group law, built on the tables of the group algebra's dual.  It is
+    checked once, as kG: each law of k^G is a law of kG read backwards."""
+    d = group_algebra(field, group, name).dual_algebra()
+    return HopfAlgebraData(field, d.dim, d.mult, d.unit, d.comult, d.counit, d.antipode, name=name, unchecked=True)
 
 
 def sweedler_algebra(field: Field, name: str) -> HopfAlgebraData:

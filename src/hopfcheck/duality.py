@@ -10,10 +10,13 @@ coevaluation splits with retraction (dim(N)*1_k)^-1 * evaluation.
 Equivariance of the coevaluation only needs the antipode axiom and must
 hold over every Hopf algebra here; equivariance of the evaluation uses
 S = S^-1 and is expected to fail on non-involutory inputs.  Both are
-checked with ``is_morphism`` as exact identities rather than assumed.  A
-comodule is checked as the module over the dual Hopf algebra H* that it
-is: there equivariance is colinearity, and H* is involutory exactly when H
-is.
+checked with ``is_morphism`` as exact identities rather than assumed.
+``coevaluation_violation`` and ``evaluation_violation`` decide coev into
+N (x) N* and ev out of N* (x) N on the one vector each carries; both hold
+over every Hopf algebra, and on the regular module they are its antipode
+laws.  A comodule is checked as the module over the dual Hopf algebra H*
+that it is: there equivariance is colinearity, and H* is involutory exactly
+when H is.
 
 Every object is the tuple of modules in its ``faces``: tensor product,
 dual, unit object and Hom space are the module constructions applied face
@@ -34,9 +37,10 @@ from .errors import (
     RankNotInvertibleError,
 )
 from .fields import Field
-from .hopf import AxiomReport
+from .hopf import AxiomReport, combination_differs, sparse_rows
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
+    ModuleRep,
     check_module_axioms,
     dual_module,
     joint_hom_space,
@@ -136,6 +140,34 @@ def morphism_violation(g: Matrix, source, target):
     )
     for i, (a, b) in enumerate(pairs):
         if g * a != b * g:
+            return (i,)
+    return None
+
+
+def coevaluation_violation(n: ModuleRep):
+    """``morphism_violation(coevaluation(n), k, n (x) n*)`` on the one vector
+    coev(1), without building n (x) n*: (X (x) Y).vec(I) = vec(X Y^T), and
+    A*_t^T = A_S(b_t), so coev is a module map exactly when every
+    sum_jt Delta_i^jt A_j A_S(b_t) is eps(b_i) I."""
+    return _pairing_violation(n, twisted_first=False)
+
+
+def evaluation_violation(n: ModuleRep):
+    """``morphism_violation(evaluation(n), n* (x) n, k)`` likewise:
+    vec(I)^T.(X (x) Y) = vec(X^T Y)^T, so each sum_jt Delta_i^jt A_S(b_j) A_t
+    must be eps(b_i) I."""
+    return _pairing_violation(n, twisted_first=True)
+
+
+def _pairing_violation(n: ModuleRep, twisted_first: bool):
+    h = n.hopf
+    plain = sparse_rows(n.action)
+    twisted = sparse_rows([a.transpose() for a in dual_module(n).action])
+    first, second = (twisted, plain) if twisted_first else (plain, twisted)
+    identity = [[(r, h.field.one())] for r in range(n.dim)]
+    for i in range(h.dim):
+        products = [(c, first[j], second[t]) for j, row in enumerate(h.comult[i]) for t, c in enumerate(row) if c]
+        if combination_differs(h.field, n.dim, [(h.counit[i], identity)], products):
             return (i,)
     return None
 

@@ -40,6 +40,27 @@ def test_check_broken_document_exits_one(tmp_path, capsys):
     assert "antipode" in out  # names the violated identity
 
 
+def test_check_flags_laws_read_on_a_non_faithful_regular_module(tmp_path, capsys):
+    doc = hopf_to_doc(lookup("kC2/Q").payload)
+    doc["mult"][0][1] = ["0", "0"]  # 1 * g = 0 breaks the unit law
+    path = tmp_path / "broken.json"
+    path.write_text(canonical_json(doc))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert "unit: FAIL" in out
+    assert "not meaningful until associativity and unit pass" in out
+
+
+def test_check_does_not_flag_laws_when_the_algebra_is_sound(tmp_path, capsys):
+    doc = hopf_to_doc(lookup("kC2/Q").payload)
+    doc["antipode"] = [["0", "0"], ["0", "0"]]
+    path = tmp_path / "broken.json"
+    path.write_text(canonical_json(doc))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert "not meaningful" not in out
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

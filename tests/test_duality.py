@@ -9,8 +9,10 @@ from hopfcheck.documents import object_to_doc
 from hopfcheck.duality import (
     build_strong_dual_certificates,
     coevaluation,
+    coevaluation_violation,
     dual_in_category,
     evaluation,
+    evaluation_violation,
     hom_in_category,
     hs_rank,
     is_morphism,
@@ -29,7 +31,8 @@ from hopfcheck.errors import (
 )
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix
-from hopfcheck.modules import direct_sum_modules, dual_module, tensor_modules, trivial_module
+from hopfcheck.hopf import HopfAlgebraData
+from hopfcheck.modules import direct_sum_modules, dual_module, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
 from hopfcheck.yd import trivial_yd
 
@@ -177,6 +180,36 @@ def test_is_morphism_rejects_a_map_of_the_wrong_shape():
     assert not is_morphism(Matrix.zeros(QQ, 1, 2), triv, reg)
     assert morphism_violation(Matrix.zeros(QQ, 1, 2), triv, reg) == ()
     assert morphism_violation(Matrix.column(QQ, [1, 0]), triv, reg) == (1,)
+
+
+def _square_violations(face):
+    unit, dual = trivial_module(face.hopf), dual_module(face)
+    return (
+        morphism_violation(coevaluation(face), unit, tensor_modules(face, dual)),
+        morphism_violation(evaluation(face), tensor_modules(dual, face), unit),
+    )
+
+
+def test_pairing_violations_equal_the_squares_on_every_face():
+    # coev and ev are checked on the canonical vector alone; the squares
+    # N (x) N* and N* (x) N must report the same first generator
+    for entry in catalog_entries():
+        if entry.kind in ("module", "comodule", "yd"):
+            for face in entry.payload.faces:
+                got = (coevaluation_violation(face), evaluation_violation(face))
+                assert got == _square_violations(face) == (None, None), entry.id
+    # with S = id the laws fail at the first b_i whose square is not 1
+    seen = set()
+    for entry in hopf_entries():
+        h = entry.payload
+        bad = HopfAlgebraData(
+            h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.identity(h.field, h.dim), unchecked=True
+        )
+        for face in (regular_module(bad), trivial_module(bad)):
+            got = (coevaluation_violation(face), evaluation_violation(face))
+            assert got == _square_violations(face), entry.id
+            seen.add(got)
+    assert {(None, None), ((1,), (1,)), ((2,), (2,))} <= seen
 
 
 def test_split_retraction_for_invariant_line_in_regular_c2():

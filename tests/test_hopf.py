@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopf_reference import antipode_violation
 from matrix_reference import is_invertible
 from hopfcheck.catalog import catalog_entries, group_algebra, lookup
 from hopfcheck.errors import AxiomError
@@ -39,6 +40,37 @@ def test_zero_antipode_fails_only_antipode_axioms():
     failed = {c.name: c.first_violation for c in report.failures()}
     # ev and coev of the regular module already fail to intertwine b_0 = e
     assert failed == {"antipode_left": (0,), "antipode_right": (0,)}
+
+
+def _with_comult_term(h, i, x, y):
+    """h with x (x) y added to comult(b_i); x and y map basis index -> coefficient."""
+    comult = [[list(row) for row in slab] for slab in h.comult]
+    for j, a in x.items():
+        for t, b in y.items():
+            comult[i][j][t] += a * b
+    return HopfAlgebraData(h.field, h.dim, h.mult, h.unit, comult, h.counit, h.antipode, unchecked=True)
+
+
+def test_each_antipode_law_fails_on_its_own():
+    # in kS3 take transpositions s != t; with x = 1 - s and y = t + st,
+    # S(x) y = 0 while x S(y) = t + ts - st - sts != 0, so adding x (x) y to
+    # comult(b_1) keeps the left law S(b_(1)) b_(2) = eps(b) 1 and breaks the
+    # right one; adding y' (x) x with y' = t + ts does the opposite
+    h = lookup("kS3/Q").payload
+    prod = [[row.index(1) for row in h.mult[a]] for a in range(h.dim)]
+    s, t = [a for a in range(1, h.dim) if prod[a][a] == 0][:2]
+    one_minus_s = {0: 1, s: -1}
+    for broken, (left, right) in (
+        (_with_comult_term(h, 1, one_minus_s, {t: 1, prod[s][t]: 1}), (None, (1,))),
+        (_with_comult_term(h, 1, {t: 1, prod[t][s]: 1}, one_minus_s), ((1,), None)),
+    ):
+        checks = {c.name: c.first_violation for c in broken.check_hopf_axioms().checks}
+        assert checks["associativity"] is None and checks["unit"] is None
+        assert (checks["antipode_left"], checks["antipode_right"]) == (left, right)
+        assert (antipode_violation(broken, True) is None, antipode_violation(broken, False) is None) == (
+            left is None,
+            right is None,
+        )
 
 
 def test_checked_construction_rejects_bad_data():
