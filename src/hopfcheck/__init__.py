@@ -44,7 +44,6 @@ from .duality import (
     is_morphism,
     split_retraction,
     tensor_in_category,
-    unit_in_category,
     verify_serre,
 )
 from .yd import YDModuleRep, check_yd_compat, trivial_yd

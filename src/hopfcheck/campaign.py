@@ -25,12 +25,9 @@ from .duality import (
     build_strong_dual_certificates,
     cached_verdict,
     coevaluation,
-    dual_in_category,
     evaluation,
     hs_rank,
-    is_morphism,
-    tensor_in_category,
-    unit_in_category,
+    pairing_violation,
     verify_serre,
 )
 from .errors import BoundExceededError, CertificateError, NotInvolutoryError, RankNotInvertibleError
@@ -175,12 +172,10 @@ def run_campaign(
                 # morphisms?  For a comodule a morphism is a colinear map
                 if kind != "yd":
                     law = "equivariance" if kind == "module" else "colinearity"
-                    unit = unit_in_category(obj)
-                    square = tensor_in_category(obj, dual_in_category(obj))
-                    if not is_morphism(coevaluation(obj), unit, square):
+                    if pairing_violation(obj, coev=True, dual_first=False) is not None:
                         coev_fail.append(entry.id)
                         report.counterexamples.append({"type": f"coevaluation_{law}", "id": entry.id})
-                    if is_morphism(evaluation(obj), square, unit):
+                    if pairing_violation(obj, coev=False, dual_first=False) is None:
                         ev_pass += 1
                     elif involutory:
                         ev_fail_involutory.append(entry.id)

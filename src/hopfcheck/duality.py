@@ -10,17 +10,18 @@ coevaluation splits with retraction (dim(N)*1_k)^-1 * evaluation.
 Equivariance of the coevaluation only needs the antipode axiom and must
 hold over every Hopf algebra here; equivariance of the evaluation uses
 S = S^-1 and is expected to fail on non-involutory inputs.  Both are
-checked with ``is_morphism`` as exact identities rather than assumed.
-``coevaluation_violation`` and ``evaluation_violation`` decide coev into
-N (x) N* and ev out of N* (x) N on the one vector each carries; both hold
-over every Hopf algebra, and on the regular module they are its antipode
-laws.  A comodule is checked as the module over the dual Hopf algebra H*
-that it is: there equivariance is colinearity, and H* is involutory exactly
-when H is.
+checked as exact identities rather than assumed, by one function:
+``pairing_violation`` decides coev into N (x) N* or N* (x) N, or ev out of
+either square, on the one vector the map carries, without building N*, the
+unit object or the square.  The campaign's equivariance dichotomy, both
+orders of the strong-dual certificates and H's antipode laws (coev and ev
+of the regular module) all call it.  A comodule is checked as the module
+over the dual Hopf algebra H* that it is: there equivariance is
+colinearity, and H* is involutory exactly when H is.
 
 Every object is the tuple of modules in its ``faces``: tensor product,
-dual, unit object and Hom space are the module constructions applied face
-by face, and only the axiom checks differ by kind.
+dual and Hom space are the module constructions applied face by face, and
+only the axiom checks differ by kind.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ from .fields import Field
 from .hopf import AxiomReport, combination_differs, sparse_rows
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
-    ModuleRep,
+    antipode_twisted_action,
     check_module_axioms,
     dual_module,
     joint_hom_space,
     require_same_hopf,
     tensor_modules,
-    trivial_module,
 )
 from .semisimple import is_semisimple
 from .yd import check_yd_compat
@@ -113,12 +113,6 @@ def dual_in_category(obj, name: str = ""):
     return obj.with_faces(tuple(dual_module(face, name=label) for face in obj.faces), label)
 
 
-def unit_in_category(obj):
-    """The tensor unit of ``obj``'s category: the trivial module on each face."""
-    category_of(obj)
-    return obj.with_faces(tuple(trivial_module(face.hopf) for face in obj.faces), "trivial")
-
-
 def hom_in_category(a, b) -> list[Matrix]:
     """Maps intertwining every face at once, as one stacked system."""
     _common_category(a, b, "no Hom space between objects of different kinds")
@@ -144,31 +138,35 @@ def morphism_violation(g: Matrix, source, target):
     return None
 
 
-def coevaluation_violation(n: ModuleRep):
-    """``morphism_violation(coevaluation(n), k, n (x) n*)`` on the one vector
-    coev(1), without building n (x) n*: (X (x) Y).vec(I) = vec(X Y^T), and
-    A*_t^T = A_S(b_t), so coev is a module map exactly when every
-    sum_jt Delta_i^jt A_j A_S(b_t) is eps(b_i) I."""
-    return _pairing_violation(n, twisted_first=False)
+def pairing_violation(obj, coev: bool, dual_first: bool):
+    """``morphism_violation`` of coev: k -> square (``coev``) or of
+    ev: square -> k, where the square is N (x) N*, or N* (x) N with
+    ``dual_first``, decided on the one vector the map carries and face by
+    face, without building N*, k or the square.
 
-
-def evaluation_violation(n: ModuleRep):
-    """``morphism_violation(evaluation(n), n* (x) n, k)`` likewise:
-    vec(I)^T.(X (x) Y) = vec(X^T Y)^T, so each sum_jt Delta_i^jt A_S(b_j) A_t
-    must be eps(b_i) I."""
-    return _pairing_violation(n, twisted_first=True)
-
-
-def _pairing_violation(n: ModuleRep, twisted_first: bool):
-    h = n.hopf
-    plain = sparse_rows(n.action)
-    twisted = sparse_rows([a.transpose() for a in dual_module(n).action])
-    first, second = (twisted, plain) if twisted_first else (plain, twisted)
-    identity = [[(r, h.field.one())] for r in range(n.dim)]
-    for i in range(h.dim):
-        products = [(c, first[j], second[t]) for j, row in enumerate(h.comult[i]) for t, c in enumerate(row) if c]
-        if combination_differs(h.field, n.dim, [(h.counit[i], identity)], products):
-            return (i,)
+    (X (x) Y).vec(I) = vec(X Y^T), vec(I)^T.(X (x) Y) = vec(X^T Y)^T and
+    A*_d^T = A_S(b_d).  With (n, d) the legs of N and N* in Delta_i^jt, that
+    is (j, t) for N (x) N* and (t, j) for N* (x) N, coev is a morphism exactly
+    when every sum_jt Delta_i^jt A_n A_S(b_d), and ev when every
+    sum_jt Delta_i^jt A_S(b_d) A_n, is eps(b_i) I.  Generators are numbered
+    across faces as ``morphism_violation`` numbers them.
+    """
+    offset = 0
+    for face in obj.faces:
+        h = face.hopf
+        plain = sparse_rows(face.action)
+        twisted = sparse_rows(antipode_twisted_action(face))
+        identity = [[(r, h.field.one())] for r in range(face.dim)]
+        for i in range(h.dim):
+            products = []
+            for j, row in enumerate(h.comult[i]):
+                for t, c in enumerate(row):
+                    if c:
+                        n, d = (t, j) if dual_first else (j, t)
+                        products.append((c, plain[n], twisted[d]) if coev else (c, twisted[d], plain[n]))
+            if combination_differs(h.field, face.dim, [(h.counit[i], identity)], products):
+                return (offset + i,)
+        offset += h.dim
     return None
 
 
@@ -232,26 +230,18 @@ def build_strong_dual_certificates(obj) -> tuple[SplitMonoCertificate, SplitMono
             f"dim {obj.dim} is not invertible over {h.field!r}"
         )
     inv_rank = h.field.invert(rank.value)
-    dual = dual_in_category(obj)
-    unit_obj = unit_in_category(obj)
+    mono = coevaluation(obj)
+    retraction = evaluation(obj).scale(inv_rank)
+    splits = (retraction * mono).is_identity()
 
     certificates = []
-    for left_factor, right_factor, tag in (
-        (obj, dual, "right-dual"),
-        (dual, obj, "left-dual"),
-    ):
-        square = tensor_in_category(left_factor, right_factor)
-        mono = coevaluation(obj)
-        retraction = evaluation(obj).scale(inv_rank)
-        cert = SplitMonoCertificate(
-            category=kind,
-            mono=mono,
-            retraction=retraction,
-            context=f"{tag} of {getattr(obj, 'name', '?')}",
-        )
-        if not cert.verify(unit_obj, square):
-            raise CertificateError(f"certificate failed re-verification: {cert.context}")
-        certificates.append(cert)
+    for dual_first, tag in ((False, "right-dual"), (True, "left-dual")):
+        context = f"{tag} of {getattr(obj, 'name', '?')}"
+        # coev and ev are checked on the one vector each carries, not on a
+        # built N (x) N* or N* (x) N as ``SplitMonoCertificate.verify`` would
+        if not splits or any(pairing_violation(obj, coev, dual_first) is not None for coev in (True, False)):
+            raise CertificateError(f"certificate failed re-verification: {context}")
+        certificates.append(SplitMonoCertificate(kind, mono, retraction, context))
     return certificates[0], certificates[1]
 
 
@@ -293,7 +283,7 @@ def split_retraction(mono: Matrix, sub, ambient) -> SplitMonoCertificate:
         retraction=retraction,
         context=f"retraction of {getattr(sub, 'name', '?')} -> {getattr(ambient, 'name', '?')}",
     )
-    if not (retraction * mono).is_identity():
+    if not cert.verify(sub, ambient):
         raise CertificateError("solved retraction failed re-verification")
     return cert
 

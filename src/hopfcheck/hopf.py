@@ -18,7 +18,8 @@ the coalgebra laws are H*'s algebra laws, comult_unit says k is an
 H*-module, counit_multiplicative and counit_unit that k is an H-module,
 comult_multiplicative that R (x) R is one, and the antipode laws that
 ev: R* (x) R -> k and coev: k -> R (x) R* are module maps, read off the one
-vector each map carries without building the square.  The last three
+vector each map carries by ``duality.pairing_violation``, the check the
+campaign and the strong-dual certificates also use.  The last three
 equal the coefficient laws when H is associative and unital (R is then
 faithful); the others equal them outright.
 """
@@ -214,7 +215,7 @@ class HopfAlgebraData(AlgebraData):
           resp. coev, fails to intertwine.
         """
         # modules and duality import this module, so they load only here
-        from .duality import coevaluation_violation, evaluation_violation
+        from .duality import pairing_violation
         from .modules import check_module_axioms, regular_module, tensor_modules, trivial_module
 
         dual = self.dual_algebra()
@@ -230,8 +231,8 @@ class HopfAlgebraData(AlgebraData):
         report.record("comult_unit", dual.multiplicativity_violation(trivial_module(dual).action))
         report.record("counit_multiplicative", counit_multiplicative.first_violation)
         report.record("counit_unit", counit_unit.first_violation)
-        report.record("antipode_left", evaluation_violation(r))
-        report.record("antipode_right", coevaluation_violation(r))
+        report.record("antipode_left", pairing_violation(r, coev=False, dual_first=True))
+        report.record("antipode_right", pairing_violation(r, coev=True, dual_first=False))
         return report
 
     # derived structure -------------------------------------------------------

@@ -155,19 +155,16 @@ def _nonzero_entries(a: Matrix) -> list[tuple]:
     return [(r, c, x) for r, row in enumerate(a.entries) for c, x in enumerate(row) if x]
 
 
+def antipode_twisted_action(n: ModuleRep) -> list[Matrix]:
+    """A_S(b_i) for every basis element b_i: the action of its antipode."""
+    h = require_hopf(n.algebra)
+    return [n.action_of_vector(column) for column in h.antipode.transpose().entries]
+
+
 def dual_module(n: ModuleRep, name: str = "") -> ModuleRep:
     """Dual space action: transpose of the antipode-twisted action."""
-    h = require_hopf(n.algebra)
-    field = h.field
-    action = []
-    for i in range(h.dim):
-        twisted = Matrix.zeros(field, n.dim, n.dim)
-        for t in range(h.dim):
-            c = h.antipode.entries[t][i]
-            if c:
-                twisted = twisted + n.action[t].scale(c)
-        action.append(twisted.transpose())
-    return ModuleRep(h, n.dim, action, name=name or f"({n.name})*")
+    action = [a.transpose() for a in antipode_twisted_action(n)]
+    return ModuleRep(n.hopf, n.dim, action, name=name or f"({n.name})*")
 
 
 def hom_space(m: ModuleRep, n: ModuleRep) -> list[Matrix]:

@@ -1,13 +1,25 @@
-"""Reference morphism test that ``duality.is_morphism`` is checked against.
+"""Reference checks that the engine's morphism tests are held against.
 
 The engine tests "g is a morphism" directly, as g.A_i = B_i.g on every
 face.  ``in_hom_span`` solves for the canonical Hom-space basis and asks
 whether g is a linear combination of it: the Hom space is exactly the
 intertwiners, so the two must agree.
+
+The engine decides coev and ev on the one vector each carries
+(``duality.pairing_violation``).  ``unit_in_category`` builds the tensor
+unit k, so that tests can check the same maps on built squares k -> N (x) N*
+and back.
 """
 
-from hopfcheck.duality import hom_in_category
+from hopfcheck.duality import category_of, hom_in_category
 from hopfcheck.matrix import Matrix, NoSolutionError, solve_linear
+from hopfcheck.modules import trivial_module
+
+
+def unit_in_category(obj):
+    """The tensor unit of ``obj``'s category: the trivial module on each face."""
+    category_of(obj)
+    return obj.with_faces(tuple(trivial_module(face.hopf) for face in obj.faces), "trivial")
 
 
 def in_hom_span(g: Matrix, source, target) -> bool:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from duality_reference import unit_in_category
 from hopf_reference import (
     antipode_violation,
     associativity_violation,
@@ -30,7 +31,6 @@ from hopfcheck.duality import (
     evaluation,
     is_morphism,
     tensor_in_category,
-    unit_in_category,
 )
 from hopfcheck.errors import RankNotInvertibleError
 from hopfcheck.modules import dual_module
@@ -132,12 +132,14 @@ def test_criterion_4_strong_dual_certificates():
             refused += 1
         else:
             right, left = build_strong_dual_certificates(obj)
-            # construction re-verifies; re-check the composition here anyway
-            assert (right.retraction * right.mono).is_identity(), entry.id
-            assert (left.retraction * left.mono).is_identity(), entry.id
+            # construction checks coev and ev on one vector; re-check both
+            # certificates from scratch on the built squares
+            unit, dual = unit_in_category(obj), dual_in_category(obj)
+            assert right.verify(unit, tensor_in_category(obj, dual)), entry.id
+            assert left.verify(unit, tensor_in_category(dual, obj)), entry.id
             built += 1
     assert built > 0 and refused > 0
-    _report(4, f"{built} certificates built and re-verified; {refused} refusals with non-invertible rank")
+    _report(4, f"{built} certificate pairs built and re-verified on the squares; {refused} refusals with non-invertible rank")
 
 
 def test_criterion_5_engine_matches_oracle():

@@ -2,27 +2,26 @@ from fractions import Fraction
 
 import pytest
 
-from duality_reference import in_hom_span
+from duality_reference import in_hom_span, unit_in_category
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup
 from hopfcheck.comodules import trivial_comodule
 from hopfcheck.documents import object_to_doc
 from hopfcheck.duality import (
     build_strong_dual_certificates,
     coevaluation,
-    coevaluation_violation,
     dual_in_category,
     evaluation,
-    evaluation_violation,
     hom_in_category,
     hs_rank,
     is_morphism,
     morphism_violation,
+    pairing_violation,
     split_retraction,
     tensor_in_category,
-    unit_in_category,
     verify_serre,
 )
 from hopfcheck.errors import (
+    CertificateError,
     NotAMorphismError,
     NotInjectiveError,
     NotInvolutoryError,
@@ -140,6 +139,15 @@ def test_certificates_refused_for_non_involutory():
         build_strong_dual_certificates(lookup("H4/Q/regular").payload)
 
 
+def test_certificates_recheck_both_maps(monkeypatch):
+    # with the involutory gate forced open, ev out of N (x) N* and coev into
+    # N* (x) N fail over H4 and the builder must refuse
+    monkeypatch.setattr(HopfAlgebraData, "is_involutory", lambda self: True)
+    for oid in ("H4/Q/regular", "H4/Q/coregular", "H4/F5/h4mod2"):
+        with pytest.raises(CertificateError):
+            build_strong_dual_certificates(lookup(oid).payload)
+
+
 def test_certificates_for_comodule_and_yd():
     right, left = build_strong_dual_certificates(lookup("kS3/Q/coregular").payload)
     assert right.category == "comodule" and left.category == "comodule"
@@ -182,22 +190,34 @@ def test_is_morphism_rejects_a_map_of_the_wrong_shape():
     assert morphism_violation(Matrix.column(QQ, [1, 0]), triv, reg) == (1,)
 
 
-def _square_violations(face):
-    unit, dual = trivial_module(face.hopf), dual_module(face)
-    return (
-        morphism_violation(coevaluation(face), unit, tensor_modules(face, dual)),
-        morphism_violation(evaluation(face), tensor_modules(dual, face), unit),
-    )
+def _pairing_and_square_violations(obj):
+    """Each of coev into and ev out of N (x) N* and N* (x) N, as
+    ``pairing_violation`` reads it off one vector and as
+    ``morphism_violation`` reads it off the built square."""
+    unit, dual = unit_in_category(obj), dual_in_category(obj)
+    coev, ev = coevaluation(obj), evaluation(obj)
+    out = []
+    for dual_first, square in ((False, tensor_in_category(obj, dual)), (True, tensor_in_category(dual, obj))):
+        out.append((pairing_violation(obj, True, dual_first), morphism_violation(coev, unit, square)))
+        out.append((pairing_violation(obj, False, dual_first), morphism_violation(ev, square, unit)))
+    return out
 
 
 def test_pairing_violations_equal_the_squares_on_every_face():
-    # coev and ev are checked on the canonical vector alone; the squares
-    # N (x) N* and N* (x) N must report the same first generator
+    # all four canonical maps of every valid catalog object; they fail only
+    # where S^2 != id: ev out of N (x) N* and coev into N* (x) N over H4
+    checked = 0
+    failing = set()
     for entry in catalog_entries():
-        if entry.kind in ("module", "comodule", "yd"):
-            for face in entry.payload.faces:
-                got = (coevaluation_violation(face), evaluation_violation(face))
-                assert got == _square_violations(face) == (None, None), entry.id
+        if entry.kind == "hopf" or entry.expected_failure:
+            continue
+        for got, want in _pairing_and_square_violations(entry.payload):
+            assert got == want, entry.id
+            if got is not None:
+                failing.add(entry.id)
+        checked += 1
+    assert checked == 281
+    assert failing == {f"H4/{f}/{name}" for f in ("Q", "F5") for name in ("regular", "h4mod2", "coregular")}
     # with S = id the laws fail at the first b_i whose square is not 1
     seen = set()
     for entry in hopf_entries():
@@ -205,11 +225,11 @@ def test_pairing_violations_equal_the_squares_on_every_face():
         bad = HopfAlgebraData(
             h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.identity(h.field, h.dim), unchecked=True
         )
-        for face in (regular_module(bad), trivial_module(bad)):
-            got = (coevaluation_violation(face), evaluation_violation(face))
-            assert got == _square_violations(face), entry.id
-            seen.add(got)
-    assert {(None, None), ((1,), (1,)), ((2,), (2,))} <= seen
+        for module in (regular_module(bad), trivial_module(bad)):
+            for got, want in _pairing_and_square_violations(module):
+                assert got == want, entry.id
+                seen.add(got)
+    assert {None, (1,), (2,)} <= seen
 
 
 def test_split_retraction_for_invariant_line_in_regular_c2():
@@ -241,6 +261,19 @@ def test_split_retraction_rejects_non_morphism():
     not_a_morphism = Matrix.column(QQ, [Fraction(1), Fraction(0)])
     with pytest.raises(NotAMorphismError):
         split_retraction(not_a_morphism, triv, reg)
+
+
+def test_split_retraction_refuses_a_retraction_that_is_no_morphism(monkeypatch):
+    # [1, 0] retracts the invariant line but does not commute with the swap;
+    # a solved retraction must be re-checked as a morphism, not only as a
+    # left inverse
+    import hopfcheck.duality
+
+    reg = lookup("kC2/Q/regular").payload
+    triv = lookup("kC2/Q/trivial").payload
+    monkeypatch.setattr(hopfcheck.duality, "hom_in_category", lambda a, b: [Matrix(QQ, 1, 2, [[1, 0]])])
+    with pytest.raises(CertificateError):
+        split_retraction(Matrix.column(QQ, [1, 1]), triv, reg)
 
 
 def test_split_retraction_rejects_non_injective():
@@ -336,7 +369,6 @@ def test_certificate_serialization_shape():
 def test_campaign_counts_only_certificate_errors_as_certificate_failures(monkeypatch):
     import hopfcheck.campaign
     from hopfcheck.campaign import run_campaign
-    from hopfcheck.errors import CertificateError
 
     def failing_builder(exc):
         def build(obj):
