@@ -84,7 +84,7 @@ def _cmd_check(args) -> int:
         for check in report.failures():
             print(f"  {check.describe()}")
         if isinstance(obj, HopfAlgebraData) and failed & {"associativity", "unit"}:
-            print("  (comult_multiplicative and the antipode laws are read on the regular module: not meaningful until associativity and unit pass)")
+            print("  (the antipode laws are read on the regular module: not meaningful until associativity and unit pass)")
         if entry is not None and entry.expected_failure in failed:
             print(f"  (tagged negative fixture: expected to fail {entry.expected_failure})")
             return 0

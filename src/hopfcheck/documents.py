@@ -25,9 +25,10 @@ from .matrix import Matrix
 from .modules import ModuleRep
 from .yd import YDModuleRep
 
-# the largest Hopf document accepted: its check builds R (x) R, dense with
-# n^4 entries per b_i; kC16 checks in about 0.1-0.15 s and 25 MiB, kC27 in
-# 1.3 s and 131 MiB (Python 3.11, process time)
+# the largest Hopf document accepted; its check builds no R (x) R any more:
+# kC16 checks in about 0.04 s and 18 MiB, kC27 in about 0.2 s and 21 MiB
+# (Python 3.11, process time and peak RSS), and the cap stays until a
+# measured budget sets a new one
 MAX_HOPF_DIM = 16
 
 

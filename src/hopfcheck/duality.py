@@ -353,10 +353,13 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     conclusion_m = cached_verdict(m, cache)
     conclusion_n = cached_verdict(n, cache)
     # a verdict depends only on (field, dim, operators), and a product with
-    # a one-dimensional trivial factor carries the other factor's operators
-    if product.dim == m.dim and product.operators == m.operators:
+    # a one-dimensional trivial factor carries the other factor's faces,
+    # hence its operators; faces compare without building a YD object's
+    # n^2 operator products
+    actions = [face.action for face in product.faces]
+    if product.dim == m.dim and actions == [face.action for face in m.faces]:
         hypothesis = conclusion_m
-    elif product.dim == n.dim and product.operators == n.operators:
+    elif product.dim == n.dim and actions == [face.action for face in n.faces]:
         hypothesis = conclusion_n
     else:
         hypothesis = is_semisimple(product).verdict

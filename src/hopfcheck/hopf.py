@@ -12,16 +12,18 @@ All axiom checks evaluate exact polynomial identities in the structure
 constants; a failure is data (reported with the first violating index), not
 an exception, unless the object was constructed with checking enabled.
 
-Only H's algebra laws are read off the structure constants; each other law
-is the module statement it is (R the regular module, k the trivial one):
-the coalgebra laws are H*'s algebra laws, comult_unit says k is an
-H*-module, counit_multiplicative and counit_unit that k is an H-module,
-comult_multiplicative that R (x) R is one, and the antipode laws that
-ev: R* (x) R -> k and coev: k -> R (x) R* are module maps, read off the one
-vector each map carries by ``duality.pairing_violation``, the check the
-campaign and the strong-dual certificates also use.  The last three
-equal the coefficient laws when H is associative and unital (R is then
-faithful); the others equal them outright.
+Only H's algebra laws and comult_multiplicative are read off the structure
+constants, the latter as a sparse matrix identity on the n x n matrices of
+Delta(b_j) that never builds R (x) R.  Each other law is the module
+statement it is (R the regular module, k the trivial one): the coalgebra
+laws are H*'s algebra laws, comult_unit says k is an H*-module,
+counit_multiplicative and counit_unit that k is an H-module, and the
+antipode laws that ev: R* (x) R -> k and coev: k -> R (x) R* are module
+maps, read off the one vector each map carries by
+``duality.pairing_violation``, the check the campaign and the strong-dual
+certificates also use.  The two antipode laws equal the coefficient laws
+when H is associative and unital (R is then faithful); the others equal
+them outright.
 """
 
 from __future__ import annotations
@@ -129,19 +131,24 @@ class AlgebraData:
         report.record("unit", self._unit_violation())
         return report
 
-    def multiplicativity_violation(self, action: list[Matrix]):
+    def multiplicativity_violation(self, action: list[Matrix], indices=None, scale=1):
         """First (i, j) with A_i A_j != sum_t m_ij^t A_t, or None.
 
         The one kernel behind every multiplicativity-type law: on a module's
         action it is the module law, on ``regular_action_matrices()`` it is
-        associativity, and over a dual Hopf algebra H* it is comodule and Hopf
-        coassociativity.  Each action's rows are built once.
+        associativity, over a dual Hopf algebra H* it is comodule and Hopf
+        coassociativity, and on the operators of a decision it guards the
+        image's table.  Only i, j in ``indices`` (default all) are checked.
+        ``action`` may hold d A_t for ``scale`` d, as integer matrices for a
+        rational action; the law then reads d sum_t m_ij^t (d A_t) =
+        (d A_i)(d A_j).  Each action's rows are built once.
         """
         rows = sparse_rows(action)
         size = len(rows[0]) if rows else 0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                linear = [(c, rows[t]) for t, c in enumerate(self.mult[i][j]) if c]
+        indices = range(self.dim) if indices is None else indices
+        for i in indices:
+            for j in indices:
+                linear = [(scale * c, rows[t]) for t, c in enumerate(self.mult[i][j]) if c]
                 if combination_differs(self.field, size, linear, [(1, rows[i], rows[j])]):
                     return (i, j)
         return None
@@ -206,8 +213,8 @@ class HopfAlgebraData(AlgebraData):
         * coassociativity -- (i, j), a pair of dual basis functionals;
         * counit -- (side, j, t), the coefficient of b_j in (eps (x) id) or
           (id (x) eps) applied to comult(b_t);
-        * comult_multiplicative -- (i, j) with A_i A_j != sum_t m_ij^t A_t
-          on R (x) R;
+        * comult_multiplicative -- (i, j) with
+          Delta(b_i b_j) != Delta(b_i) Delta(b_j);
         * comult_unit -- (i, j), the coefficient of b_i (x) b_j in comult(1);
         * counit_multiplicative -- (i, j) with eps(b_i b_j) != eps(b_i) eps(b_j);
         * counit_unit -- (0,);
@@ -216,7 +223,7 @@ class HopfAlgebraData(AlgebraData):
         """
         # modules and duality import this module, so they load only here
         from .duality import pairing_violation
-        from .modules import check_module_axioms, regular_module, tensor_modules, trivial_module
+        from .modules import check_module_axioms, regular_module, trivial_module
 
         dual = self.dual_algebra()
         r = regular_module(self)
@@ -227,13 +234,37 @@ class HopfAlgebraData(AlgebraData):
         report.record("unit", self._unit_violation())
         report.record("coassociativity", dual._associativity_violation())
         report.record("counit", dual._unit_violation())
-        report.record("comult_multiplicative", self.multiplicativity_violation(tensor_modules(r, r).action))
+        report.record("comult_multiplicative", self._comult_multiplicative_violation())
         report.record("comult_unit", dual.multiplicativity_violation(trivial_module(dual).action))
         report.record("counit_multiplicative", counit_multiplicative.first_violation)
         report.record("counit_unit", counit_unit.first_violation)
         report.record("antipode_left", pairing_violation(r, coev=False, dual_first=True))
         report.record("antipode_right", pairing_violation(r, coev=True, dual_first=False))
         return report
+
+    def _comult_multiplicative_violation(self):
+        """First (i, j) with Delta(b_i b_j) != Delta(b_i) Delta(b_j), or None.
+
+        With M_j[c][d] = Delta_j^cd the matrix of Delta(b_j) and L_a the
+        left multiplications, the coefficient of b_e (x) b_f in
+        Delta(b_i) Delta(b_j) is (sum_ab Delta_i^ab L_a M_j L_b^T)[e][f], so
+        the law is sum_t m_ij^t M_t = sum_ab Delta_i^ab L_a M_j L_b^T: one
+        sparse combination per (i, j), with every L_a M_j built once.
+        """
+        field, n = self.field, self.dim
+        lmats = self.regular_action_matrices()
+        comult = [Matrix(field, n, n, slab) for slab in self.comult]
+        m_rows = sparse_rows(comult)
+        lm_rows = [sparse_rows([left * m for m in comult]) for left in lmats]
+        lt_rows = sparse_rows([left.transpose() for left in lmats])
+        for i in range(n):
+            terms = [(c, a, b) for a, row in enumerate(self.comult[i]) for b, c in enumerate(row) if c]
+            for j in range(n):
+                linear = [(c, m_rows[t]) for t, c in enumerate(self.mult[i][j]) if c]
+                products = [(c, lm_rows[a][j], lt_rows[b]) for c, a, b in terms]
+                if combination_differs(field, n, linear, products):
+                    return (i, j)
+        return None
 
     # derived structure -------------------------------------------------------
 

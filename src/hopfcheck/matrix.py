@@ -344,6 +344,10 @@ class EchelonSpan:
     def dim(self) -> int:
         return len(self._rows)
 
+    def pivots(self) -> list[int]:
+        """The pivot columns of ``basis_rows``, in order."""
+        return sorted(self._rows)
+
     def _reduce(self, vec):
         p = self.field.characteristic
         v = list(vec)
@@ -367,7 +371,7 @@ class EchelonSpan:
         the pivot columns."""
         if not self.contains(vec):
             return None
-        return [vec[pc] for pc in sorted(self._rows)]
+        return [vec[pc] for pc in self.pivots()]
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
@@ -399,4 +403,4 @@ class EchelonSpan:
         return True
 
     def basis_rows(self):
-        return [self._rows[pc] for pc in sorted(self._rows)]
+        return [self._rows[pc] for pc in self.pivots()]

@@ -87,13 +87,17 @@ class ModuleRep:
         return f"<ModuleRep {self.name or '?'} dim={self.dim} over {self.algebra.name or '?'}>"
 
     def action_of_vector(self, v) -> Matrix:
-        """Matrix of the algebra element with coordinates ``v``."""
+        """Matrix of the algebra element with coordinates ``v``, summed on
+        plain rows and reduced mod p once."""
         field = self.field
-        out = Matrix.zeros(field, self.dim, self.dim)
-        for i, coeff in enumerate(v):
+        acc = [[field.zero()] * self.dim for _ in range(self.dim)]
+        for coeff, a in zip(v, self.action):
             if coeff:
-                out = out + self.action[i].scale(coeff)
-        return out
+                acc = [[x + coeff * y if y else x for x, y in zip(out, row)] for out, row in zip(acc, a.entries)]
+        p = field.characteristic
+        if p:
+            acc = [[x % p for x in row] for row in acc]
+        return Matrix(field, self.dim, self.dim, acc)
 
 
 def check_module_axioms(m: ModuleRep) -> AxiomReport:

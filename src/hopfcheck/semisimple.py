@@ -3,11 +3,21 @@
 An object is semisimple exactly when the image of its acting algebra in
 End(V) is: H for a module, the dual H* for a comodule, and the Drinfel'd
 double D(H) = H* H for a Yetter-Drinfel'd module.  The engine takes
-operators that span that image.  An image is already closed under products,
-so the reduced echelon basis of their span is the algebra's basis, its
-structure constants are read off at the pivot columns, and a product that
-leaves the span is refused as not coming from a module.  The radical is
-computed through the image's (faithful) regular representation:
+operators that span that image, and reads its structure by one of two
+routes:
+
+* a module or a comodule (an H*-module) has one face, whose algebra A acts
+  by the operators.  The image is A/Ann(V), so its table follows from A's:
+  the independent operators are its basis, each operator's coordinates in
+  them come from one small inverse, and no product of matrices is reduced.
+  A guard refuses operators that are no module's action;
+* a YD module's image is that of D(H), whose table is not built.  The
+  reduced echelon basis of the operators' span is the image's basis, its
+  structure constants are read off at the pivot columns, and a product
+  that leaves the span is refused as not coming from a module.
+
+The radical is computed through the image's (faithful) regular
+representation:
 
 * characteristic 0: the radical is the kernel of the trace form
   tr(xy) (Dickson's criterion);
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 from .errors import BoundExceededError
 from .fields import Field, _integral
 from .hopf import AlgebraData
-from .matrix import EchelonSpan, Matrix, kernel_basis
+from .matrix import EchelonSpan, Matrix, _cleared, kernel_basis
 from .modules import ModuleRep, regular_module
 
 # largest p^dim the brute force accepts; it spins one vector per line,
@@ -119,7 +129,9 @@ def charpoly(m: Matrix) -> list:
 
 
 def _image_module(field: Field, dim: int, operators: list[Matrix]) -> ModuleRep:
-    """The image A of the acting algebra in End(F^dim), acting on F^dim.
+    """The image A of the acting algebra in End(F^dim), acting on F^dim,
+    read off the matrices alone: the route for a YD object, whose image is
+    that of D(H), whose table is not built.
 
     The operators must span the image of an algebra (the action of a
     module).  The reduced echelon basis of span(I, operators) is A's
@@ -149,6 +161,43 @@ def _image_module(field: Field, dim: int, operators: list[Matrix]) -> ModuleRep:
     # associative by construction and closed as just checked
     image = AlgebraData(field, len(basis), mult, span.coordinates(identity), name="image", unchecked=True)
     return ModuleRep(image, dim, basis, name="image")
+
+
+def _table_image(field: Field, dim: int, operators: list[Matrix], algebra: AlgebraData) -> ModuleRep:
+    """The image A of ``algebra`` in End(F^dim), acting on F^dim, with its
+    table read off the algebra's: the route for a module or a comodule.
+
+    The A_t that enlarge one echelon span form A's basis S.  Each A_t lies in
+    the span, so its echelon coordinates are its entries at the pivots, and
+    one r x r inverse turns them into its coordinates x_t in S.  If the unit
+    acts as I and A_i A_j = sum_t m_ij^t A_t for i, j in S, the span is closed
+    and A's structure constants are sum_t m_ij^t x_t, its unit sum_t u_t x_t;
+    otherwise the operators are not a module's action, and are refused.
+    """
+    if not ModuleRep(algebra, dim, operators).action_of_vector(algebra.unit).is_identity():
+        raise ValueError("the operators are not a module's action: the unit does not act as I")
+    span = EchelonSpan(field, dim * dim)
+    flats = [a.flatten() for a in operators]
+    basis = [t for t, flat in enumerate(flats) if span.add(flat)]
+    pivots = span.pivots()
+    echelon = [[flat[c] for c in pivots] for flat in flats]
+    coords = Matrix.from_rows(field, echelon) * Matrix.from_rows(field, [echelon[s] for s in basis]).inverse()
+    if field.characteristic:
+        scaled, d = operators, 1
+    else:
+        # d A_t on integer rows: Fraction products would cost more than the check
+        cleared, d = _cleared([row for a in operators for row in a.entries])
+        scaled = [Matrix(field, dim, dim, cleared[t * dim : (t + 1) * dim]) for t in range(len(operators))]
+    violation = algebra.multiplicativity_violation(scaled, basis, d)
+    if violation is not None:
+        raise ValueError(f"the operators are not a module's action: A_i A_j != sum_t m_ij^t A_t at {violation}")
+    r = len(basis)
+    table = [algebra.mult[i][j] for i in basis for j in basis] + [algebra.unit]
+    rows = (Matrix.from_rows(field, table) * coords).entries
+    mult = [rows[k * r : (k + 1) * r] for k in range(r)]
+    # associative because it is A's table, checked above
+    image = AlgebraData(field, r, mult, rows[-1], name="image", unchecked=True)
+    return ModuleRep(image, dim, [operators[s] for s in basis], name="image")
 
 
 def acting_algebra(m: ModuleRep) -> list[Matrix]:
@@ -207,14 +256,26 @@ def _radical_coordinates(algebra: AlgebraData) -> list[list]:
     return current
 
 
-def _operator_semisimplicity(field: Field, dim: int, operators: list[Matrix]) -> SemisimplicityReport:
-    """Verdict on the image of an algebra, given operators spanning it."""
+def _operator_semisimplicity(
+    field: Field, dim: int, operators: list[Matrix], algebra: AlgebraData | None = None
+) -> SemisimplicityReport:
+    """Verdict on the image of an algebra, given operators spanning it: the
+    action of ``algebra`` when it is given, else any operators spanning an
+    image (a YD object's products)."""
     method = "TraceForm" if field.characteristic == 0 else "IteratedTraceForm"
     if dim == 0:
         return SemisimplicityReport(True, 0, [], method)
-    image = _image_module(field, dim, operators)
-    # the radical coordinates are reduced, so their images form a reduced basis
-    radical = [image.action_of_vector(c) for c in _radical_coordinates(image.algebra)]
+    if algebra is None:
+        image = _image_module(field, dim, operators)
+    else:
+        image = _table_image(field, dim, operators, algebra)
+    # the radical's reduced echelon basis in End(F^dim) is the same in
+    # whichever basis of the image it was computed
+    flats = [image.action_of_vector(c).flatten() for c in _radical_coordinates(image.algebra)]
+    rows = _canonical_vectors(field, flats)
+    if not field.characteristic:
+        rows = [[_integral(x) for x in row] for row in rows]
+    radical = [Matrix.from_flat(field, dim, dim, row) for row in rows]
     for z in radical:
         if not z.power(dim).is_zero():
             raise AssertionError("radical certificate failed nilpotency check")
@@ -224,8 +285,12 @@ def _operator_semisimplicity(field: Field, dim: int, operators: list[Matrix]) ->
 def is_semisimple(obj) -> SemisimplicityReport:
     """Radical criterion on the image spanned by ``obj.operators``: H for a
     module, H* for a comodule, D(H) for a Yetter-Drinfel'd module; the
-    stable subspaces are exactly the subobjects in each category."""
-    return _operator_semisimplicity(obj.field, obj.dim, obj.operators)
+    stable subspaces are exactly the subobjects in each category.  An
+    object with one face is a module over that face's algebra, whose table
+    gives the image's; a YD object's image is read off its matrices."""
+    faces = obj.faces
+    algebra = faces[0].algebra if len(faces) == 1 else None
+    return _operator_semisimplicity(obj.field, obj.dim, obj.operators, algebra)
 
 
 # cosemisimple is semisimple as an H*-module, YD-semisimple as a D(H)-module

@@ -2,14 +2,18 @@
 checked against.
 
 The package reads H's coalgebra laws off the dual algebra H*, checks
-associativity with the same kernel as module multiplicativity, and checks
-the bialgebra and antipode laws as statements about the trivial modules of
-H and H*, the square R (x) R and coev/ev of the regular module R.  These
-are the direct loops on the structure constants: each law compares
-coefficients of both sides written out through field operations.  Each
-takes a Hopf algebra ``h`` and returns its first violation, indexed in H's
-own terms, or None.
+associativity with the same kernel as module multiplicativity, reads
+comult_multiplicative off the matrices of Delta(b_j), and checks the other
+bialgebra and antipode laws as statements about the trivial modules of H
+and H* and coev/ev of the regular module R.  These are the direct loops on
+the structure constants: each law compares coefficients of both sides
+written out through field operations.  Each takes a Hopf algebra ``h`` and
+returns its first violation, indexed in H's own terms, or None.
+``comult_multiplicative_on_square`` is the module statement the package
+checked before, that R (x) R is a module, with its (i, j) index.
 """
+
+from hopfcheck.modules import regular_module, tensor_modules
 
 
 def associativity_violation(h):
@@ -136,6 +140,14 @@ def comult_multiplicative_violation(h):
                 if lhs.get(key, field.zero()) != rhs.get(key, field.zero()):
                     return (i, j) + key
     return None
+
+
+def comult_multiplicative_on_square(h):
+    # the regular module R, squared through the coproduct, dense with n^4
+    # entries per b_i; equal to the coefficient law when H is associative
+    # and unital, because R and hence R (x) R are then faithful
+    r = regular_module(h)
+    return h.multiplicativity_violation(tensor_modules(r, r).action)
 
 
 def comult_unit_violation(h):

@@ -294,9 +294,11 @@ REFERENCE_CHECKS = {
     "antipode_right": lambda h: antipode_violation(h, left=False),
 }
 # read off R, which is faithful once H is associative and unital
-FAITHFUL_LAWS = ("comult_multiplicative", "antipode_left", "antipode_right")
+FAITHFUL_LAWS = ("antipode_left", "antipode_right")
 # exact restatements that keep the reference's index
 SAME_INDEX = ("associativity", "comult_unit", "counit_multiplicative", "counit_unit")
+# exact restatements whose index is the (i, j) leading the reference's
+PAIR_INDEX = ("comult_multiplicative",)
 
 
 def test_criterion_9_fault_injection(serre_fault):
@@ -316,6 +318,9 @@ def test_criterion_9_fault_injection(serre_fault):
                     assert checks[name].passed == (violation is None), f"{hid} corruption at {position}: {name}"
             for name in SAME_INDEX:
                 assert checks[name].first_violation == want[name], f"{hid} corruption at {position}: {name}"
+            for name in PAIR_INDEX:
+                pair = want[name] and want[name][:2]
+                assert checks[name].first_violation == pair, f"{hid} corruption at {position}: {name}"
             corruptions += 1
 
     # a corrupted semisimplicity verdict must surface as a campaign failure

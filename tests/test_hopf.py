@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopf_reference import antipode_violation
+from hopf_reference import antipode_violation, comult_multiplicative_on_square
 from matrix_reference import is_invertible
 from hopfcheck.catalog import catalog_entries, group_algebra, lookup
 from hopfcheck.errors import AxiomError
@@ -71,6 +71,38 @@ def test_each_antipode_law_fails_on_its_own():
             left is None,
             right is None,
         )
+
+
+def _comult_multiplicative(h):
+    (check,) = [c for c in h.check_hopf_axioms().checks if c.name == "comult_multiplicative"]
+    return check.first_violation
+
+
+def test_comult_multiplicative_equals_the_square_route():
+    # every catalog Hopf algebra, then every single-constant corruption of
+    # the comultiplication of a few: H stays associative and unital, so the
+    # square R (x) R is faithful and both routes give the same first (i, j)
+    entries = [e for e in catalog_entries() if e.kind == "hopf"]
+    assert len(entries) == 37
+    for entry in entries:
+        assert _comult_multiplicative(entry.payload) is None, entry.id
+        assert comult_multiplicative_on_square(entry.payload) is None, entry.id
+    failures = corruptions = 0
+    for hid in ("kC2/Q", "kC2/F2", "kC3/F3", "kC4/F2", "H4/Q", "H4/F5", "kdC2/F3", "kdC3/F2", "kS3/F2"):
+        h = lookup(hid).payload
+        field = h.field
+        for i, slab in enumerate(h.comult):
+            for j, row in enumerate(slab):
+                for t in range(len(row)):
+                    comult = [[list(r) for r in s] for s in h.comult]
+                    comult[i][j][t] = field.add(comult[i][j][t], field.one())
+                    broken = HopfAlgebraData(field, h.dim, h.mult, h.unit, comult, h.counit, h.antipode, unchecked=True)
+                    violation = _comult_multiplicative(broken)
+                    assert violation == comult_multiplicative_on_square(broken), (hid, i, j, t)
+                    failures += violation is not None
+                    corruptions += 1
+    assert corruptions == 2 * 8 + 27 + 3 * 64 + 8 + 27 + 216
+    assert failures == 477
 
 
 def test_checked_construction_rejects_bad_data():

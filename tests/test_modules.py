@@ -163,6 +163,33 @@ def test_perturbed_modules_report_the_reference_first_violation():
     assert perturbed > 100
 
 
+def test_action_of_vector_equals_the_matrix_sum():
+    # every face of every catalog module and comodule, on the unit, each
+    # antipode column and random vectors (with fractions over Q)
+    rng = random.Random(11)
+    checked = 0
+    for entry in catalog_entries():
+        if entry.kind not in ("module", "comodule"):
+            continue
+        (face,) = entry.payload.faces
+        field, n = face.field, face.algebra.dim
+        p = field.characteristic
+        vectors = [face.algebra.unit] + face.hopf.antipode.transpose().entries
+        for _ in range(2):
+            vec = [field.from_int(rng.randrange(-3, 4)) for _ in range(n)]
+            vectors.append([Fraction(x, 3) for x in vec] if not p else vec)
+        for vec in vectors:
+            want = Matrix.zeros(field, face.dim, face.dim)
+            for coeff, a in zip(vec, face.action):
+                want = want + a.scale(coeff)
+            got = face.action_of_vector(vec)
+            assert got == want, entry.id
+            if p:
+                assert all(0 <= x < p for row in got.entries for x in row), entry.id
+            checked += 1
+    assert checked == 1401
+
+
 def test_hom_trivial_to_trivial_is_one_dimensional():
     triv = lookup("kC2/Q/trivial").payload
     assert len(hom_space(triv, triv)) == 1

@@ -130,6 +130,44 @@ def test_operators_spanning_no_algebra_are_refused():
         _operator_semisimplicity(QQ, 2, [e12, e21])
 
 
+def test_table_route_equals_the_matrix_route():
+    """A module's or comodule's image read off its algebra's table gives the
+    same report, radical basis included, as the image read off the matrices:
+    every valid catalog module and comodule, and every same-kind tensor pair
+    over one Hopf algebra with dim <= 36."""
+    groups = {}
+    for entry in catalog_entries():
+        if entry.kind in ("module", "comodule") and entry.expected_failure is None:
+            groups.setdefault((entry.id.rsplit("/", 1)[0], entry.kind), []).append(entry.payload)
+    objects = [o for group in groups.values() for o in group]
+    objects += [
+        tensor_in_category(a, b)
+        for group in groups.values()
+        for a in group
+        for b in group
+        if a.dim * b.dim <= 36
+    ]
+    for o in objects:
+        (face,) = o.faces
+        by_table = _operator_semisimplicity(o.field, o.dim, o.operators, face.algebra)
+        by_matrices = _operator_semisimplicity(o.field, o.dim, o.operators)
+        assert by_table.to_doc() == by_matrices.to_doc(), o
+    assert len(objects) == 816
+
+
+def test_a_closed_span_that_breaks_the_table_is_refused():
+    # A_e = I and A_g = diag(1, 2) span a closed algebra, the diagonal
+    # matrices, but A_g^2 != A_e, so they are no kC2-module's action
+    h = lookup("kC2/Q").payload
+    e = Matrix.identity(QQ, 2)
+    g = Matrix.from_rows(QQ, [[1, 0], [0, 2]])
+    with pytest.raises(ValueError, match="not a module's action.*\\(1, 1\\)"):
+        is_semisimple(ModuleRep(h, 2, [e, g], name="diag"))
+    # the unit must act as I: here b_0 = e acts as 2 I
+    with pytest.raises(ValueError, match="not a module's action: the unit"):
+        is_semisimple(ModuleRep(h, 2, [e.scale(2), g], name="doubled"))
+
+
 def test_regular_c2_rationals_semisimple_with_idempotent_eigenlines():
     reg = lookup("kC2/Q/regular").payload
     report = is_semisimple(reg)
