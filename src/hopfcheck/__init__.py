@@ -16,7 +16,6 @@ from .matrix import EchelonSpan, Matrix, NoSolutionError, kernel_basis, solve_li
 from .modules import (
     ModuleRep,
     check_module_axioms,
-    direct_sum_modules,
     dual_module,
     hom_space,
     regular_module,
@@ -25,7 +24,6 @@ from .modules import (
 )
 from .semisimple import (
     SemisimplicityReport,
-    acting_algebra,
     brute_force_semisimple,
     is_cosemisimple,
     is_semisimple,

@@ -41,7 +41,6 @@ from .fields import Field
 from .hopf import AxiomReport, combination_differs, sparse_rows
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
-    antipode_twisted_action,
     check_module_axioms,
     dual_module,
     joint_hom_space,
@@ -155,7 +154,7 @@ def pairing_violation(obj, coev: bool, dual_first: bool):
     for face in obj.faces:
         h = face.hopf
         plain = sparse_rows(face.action)
-        twisted = sparse_rows(antipode_twisted_action(face))
+        twisted = sparse_rows(face.twisted_action)
         identity = [[(r, h.field.one())] for r in range(face.dim)]
         for i in range(h.dim):
             products = []

@@ -1,9 +1,10 @@
 """Dense exact matrices over a base field, with deterministic elimination.
 
 Everything downstream (axiom checks, Hom spaces, radicals, certificates)
-reduces to the operations here.  Bases returned by ``kernel_basis`` and
-``EchelonSpan`` are in reduced row echelon form, so repeated runs produce
-bit-identical results.
+reduces to the operations here.  There is one elimination, ``EchelonSpan``;
+``rref``, and through it ``rank``, ``solve_linear``, ``kernel_basis`` and
+``inverse``, read its reduced basis.  Bases are in reduced row echelon form,
+so repeated runs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -223,44 +224,17 @@ class Matrix:
     # elimination ------------------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form with leading ones.
+        """Reduced row echelon form with leading ones, and its pivot columns.
 
-        Pivot choice is the first nonzero entry in column order, so the
-        result is deterministic.  Returns (matrix, pivot column list).
-        """
-        field = self.field
-        p = field.characteristic
-        m = [row[:] for row in self.entries]
-        pivots = []
-        pr = 0
-        for pc in range(self.cols):
-            pivot_row = None
-            for r in range(pr, self.rows):
-                if m[r][pc]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = field.invert(m[pr][pc])
-            if inv != field.one():
-                if p:
-                    m[pr] = [(inv * x) % p for x in m[pr]]
-                else:
-                    m[pr] = [inv * x if x else x for x in m[pr]]
-            prow = m[pr]
-            for r in range(self.rows):
-                if r != pr and m[r][pc]:
-                    f = m[r][pc]
-                    if p:
-                        m[r] = [(x - f * y) % p if y else x for x, y in zip(m[r], prow)]
-                    else:
-                        m[r] = [x - f * y if y else x for x, y in zip(m[r], prow)]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.rows:
-                break
-        return Matrix(field, self.rows, self.cols, m), pivots
+        RREF is unique, so it is the canonical basis that ``EchelonSpan``
+        builds from the rows, padded with zero rows: the one elimination
+        kernel serves both."""
+        span = EchelonSpan(self.field, self.cols)
+        for row in self.entries:
+            span.add(row)
+        zero = self.field.zero()
+        rows = span.basis_rows() + [[zero] * self.cols for _ in range(self.rows - span.dim)]
+        return Matrix(self.field, self.rows, self.cols, rows), span.pivots()
 
     def rank(self):
         return len(self.rref()[1])

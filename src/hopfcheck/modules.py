@@ -10,6 +10,8 @@ comodules and both faces of a Yetter-Drinfel'd module as well.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import HopfMismatchError
 from .hopf import AlgebraData, AxiomReport, HopfAlgebraData
 from .matrix import Matrix, kernel_basis
@@ -99,6 +101,12 @@ class ModuleRep:
             acc = [[x % p for x in row] for row in acc]
         return Matrix(field, self.dim, self.dim, acc)
 
+    @cached_property
+    def twisted_action(self) -> list[Matrix]:
+        """A_S(b_i) for every basis element b_i: the action of its antipode,
+        computed once per module for its dual and its pairing checks."""
+        return [self.action_of_vector(column) for column in self.hopf.antipode.transpose().entries]
+
 
 def check_module_axioms(m: ModuleRep) -> AxiomReport:
     """Unit and multiplicativity: A_i A_j = sum_t m_ij^t A_t, checked by the
@@ -159,15 +167,9 @@ def _nonzero_entries(a: Matrix) -> list[tuple]:
     return [(r, c, x) for r, row in enumerate(a.entries) for c, x in enumerate(row) if x]
 
 
-def antipode_twisted_action(n: ModuleRep) -> list[Matrix]:
-    """A_S(b_i) for every basis element b_i: the action of its antipode."""
-    h = require_hopf(n.algebra)
-    return [n.action_of_vector(column) for column in h.antipode.transpose().entries]
-
-
 def dual_module(n: ModuleRep, name: str = "") -> ModuleRep:
     """Dual space action: transpose of the antipode-twisted action."""
-    action = [a.transpose() for a in antipode_twisted_action(n)]
+    action = [a.transpose() for a in n.twisted_action]
     return ModuleRep(n.hopf, n.dim, action, name=name or f"({n.name})*")
 
 
@@ -202,21 +204,3 @@ def joint_hom_space(pairs) -> list[Matrix]:
         return []
     system = Matrix(field, len(rows), nd * md, rows)
     return [Matrix.from_flat(field, nd, md, v.flatten()) for v in kernel_basis(system)]
-
-
-def direct_sum_modules(m: ModuleRep, n: ModuleRep, name: str = "") -> ModuleRep:
-    """Block-diagonal sum, used mainly by tests and fixtures."""
-    require_same_hopf(m.algebra, n.algebra)
-    field = m.field
-    dim = m.dim + n.dim
-    action = []
-    for i in range(m.algebra.dim):
-        block = Matrix.zeros(field, dim, dim).entries
-        for r in range(m.dim):
-            for c in range(m.dim):
-                block[r][c] = m.action[i].entries[r][c]
-        for r in range(n.dim):
-            for c in range(n.dim):
-                block[m.dim + r][m.dim + c] = n.action[i].entries[r][c]
-        action.append(Matrix(field, dim, dim, block))
-    return ModuleRep(m.algebra, dim, action, name=name or f"({m.name})+({n.name})")

@@ -200,11 +200,6 @@ def _table_image(field: Field, dim: int, operators: list[Matrix], algebra: Algeb
     return ModuleRep(image, dim, [operators[s] for s in basis], name="image")
 
 
-def acting_algebra(m: ModuleRep) -> list[Matrix]:
-    """Canonical basis of the image of the algebra in End(M)."""
-    return _image_module(m.field, m.dim, m.action).action
-
-
 def _fast_trace_of_product(a: Matrix, b: Matrix):
     p = a.field.characteristic
     total = 0

@@ -5,6 +5,10 @@ already span an algebra's image.  ``spin_algebra`` is the unconditional
 closure: it multiplies until the span stops growing, so it needs no promise
 about its input and checks the engine's span independently.
 
+``acting_algebra`` is the engine's own image of a module's action, and
+``direct_sum_modules`` the block-diagonal sum the tests build semisimple and
+non-semisimple fixtures from; the engine itself needs neither.
+
 The brute-force oracle spins one vector per line and closes its subspaces
 under sums once per pair.  ``invariant_subspaces_reference`` spins every
 nonzero vector and rescans all pairs, and must find the same subspaces.
@@ -14,6 +18,31 @@ import itertools
 
 from hopfcheck.fields import Field
 from hopfcheck.matrix import EchelonSpan, Matrix
+from hopfcheck.modules import ModuleRep, require_same_hopf
+from hopfcheck.semisimple import _image_module
+
+
+def acting_algebra(m: ModuleRep) -> list[Matrix]:
+    """Canonical basis of the image of the algebra in End(M)."""
+    return _image_module(m.field, m.dim, m.action).action
+
+
+def direct_sum_modules(m: ModuleRep, n: ModuleRep, name: str = "") -> ModuleRep:
+    """Block-diagonal sum."""
+    require_same_hopf(m.algebra, n.algebra)
+    field = m.field
+    dim = m.dim + n.dim
+    action = []
+    for i in range(m.algebra.dim):
+        block = Matrix.zeros(field, dim, dim).entries
+        for r in range(m.dim):
+            for c in range(m.dim):
+                block[r][c] = m.action[i].entries[r][c]
+        for r in range(n.dim):
+            for c in range(n.dim):
+                block[m.dim + r][m.dim + c] = n.action[i].entries[r][c]
+        action.append(Matrix(field, dim, dim, block))
+    return ModuleRep(m.algebra, dim, action, name=name or f"({m.name})+({n.name})")
 
 
 def spin_algebra(field: Field, dim: int, generators: list[Matrix]) -> list[Matrix]:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from duality_reference import in_hom_span, unit_in_category
+from semisimple_reference import direct_sum_modules
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup
 from hopfcheck.comodules import trivial_comodule
 from hopfcheck.documents import object_to_doc
@@ -31,7 +32,7 @@ from hopfcheck.errors import (
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix
 from hopfcheck.hopf import HopfAlgebraData
-from hopfcheck.modules import direct_sum_modules, dual_module, regular_module, tensor_modules, trivial_module
+from hopfcheck.modules import dual_module, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
 from hopfcheck.yd import trivial_yd
 

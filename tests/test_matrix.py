@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrix_reference import reference_product, vstack
+from matrix_reference import reference_product, reference_rref, vstack
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import (
     EchelonSpan,
@@ -204,6 +204,38 @@ def test_prime_field_product_matches_the_reference(case):
     got = Matrix(GF(p), r, k, a) * Matrix(GF(p), k, c, b)
     assert got.entries == reference_product(a, b, k, c, p)
     assert all(type(x) is int for x in got.flatten())
+
+
+@st.composite
+def _rref_case(draw):
+    # zero, full-rank, rank-deficient, tall and wide matrices over Q and F2..F7
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    scalars = _RATIONALS if not p else st.integers(0, p - 1)
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return p, r, c, draw(_rows(r, c, scalars))
+    # every row a combination of fewer base rows: rank below min(r, c) when r > 1
+    base = draw(_rows(draw(st.integers(0, max(r - 1, 0))), c, scalars))
+    rows = []
+    for _ in range(r):
+        coeffs = [draw(scalars) for _ in base]
+        row = [sum((k * b[col] for k, b in zip(coeffs, base)), 0) for col in range(c)]
+        rows.append([x % p for x in row] if p else row)
+    return p, r, c, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_case())
+def test_rref_matches_the_gauss_jordan_reference(case):
+    p, r, c, rows = case
+    m = Matrix(GF(p) if p else QQ, r, c, rows)
+    before = [row[:] for row in rows]
+    got, pivots = m.rref()
+    want, want_pivots = reference_rref(m)
+    assert (got.rows, got.cols) == (r, c)
+    assert got.entries == want.entries
+    assert pivots == want_pivots
+    assert m.entries == before  # the input is left as it was
 
 
 @pytest.mark.parametrize(

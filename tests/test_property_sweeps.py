@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import comodule_reference as ref
-from semisimple_reference import spin_algebra
+from semisimple_reference import acting_algebra, spin_algebra
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup, objects_over, yd_group_line
 from hopfcheck.comodules import ComoduleRep, check_comodule_axioms
 from hopfcheck.duality import (
@@ -23,7 +23,7 @@ from hopfcheck.duality import (
 from hopfcheck.hopf import HopfAlgebraData
 from hopfcheck.matrix import Matrix
 from hopfcheck.modules import ModuleRep, check_module_axioms, dual_module, hom_space, tensor_modules
-from hopfcheck.semisimple import _image_module, acting_algebra, is_semisimple
+from hopfcheck.semisimple import _image_module, is_semisimple
 from hopfcheck.yd import YDModuleRep, check_yd_compat
 
 

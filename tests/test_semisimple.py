@@ -3,16 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from semisimple_reference import invariant_subspaces_reference
+from semisimple_reference import acting_algebra, direct_sum_modules, invariant_subspaces_reference
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup
 from hopfcheck.comodules import ComoduleRep, regular_comodule
 from hopfcheck.duality import tensor_in_category
 from hopfcheck.errors import BoundExceededError
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix, NoSolutionError, solve_linear
-from hopfcheck.modules import ModuleRep, direct_sum_modules, regular_module
+from hopfcheck.modules import ModuleRep, regular_module
 from hopfcheck.semisimple import (
-    acting_algebra,
     brute_force_semisimple,
     charpoly,
     is_cosemisimple,

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.catalog import lookup, yd_group_line
+from yd_reference import compat_violation_reference
+from hopfcheck.catalog import catalog_entries, lookup, yd_group_line
+from hopfcheck.comodules import ComoduleRep
 from hopfcheck.duality import dual_in_category, hom_in_category, tensor_in_category
 from hopfcheck.errors import HopfMismatchError
-from hopfcheck.modules import tensor_modules
-from hopfcheck.yd import check_yd_compat, trivial_yd
+from hopfcheck.matrix import Matrix
+from hopfcheck.modules import ModuleRep, tensor_modules
+from hopfcheck.yd import YDModuleRep, check_yd_compat, trivial_yd
 
 
 def test_trivial_yd_passes_over_every_hopf():
@@ -22,6 +25,62 @@ def test_incompatible_line_fails_compatibility_only():
     report = check_yd_compat(lookup("kS3/Q/ydbadline").payload)
     failed = {c.name for c in report.failures()}
     assert failed == {"yd_compatibility"}
+    # (b_2, f_4): the first algebra basis element and dual functional at
+    # which the straightening identity fails
+    assert report.failures()[0].first_violation == (2, 4)
+
+
+def _first_i(y):
+    """The b_i of the first violation of the compatibility law, or None."""
+    (check,) = [c for c in check_yd_compat(y).checks if c.name == "yd_compatibility"]
+    return check.first_violation and check.first_violation[0]
+
+
+def _reference_first_i(y):
+    # the law fails at b_i for some (i, a) exactly when it fails for some
+    # (i, t), so both checks stop at the same i
+    violation = compat_violation_reference(y)
+    return violation and violation[0]
+
+
+def _yd_objects():
+    return [entry for entry in catalog_entries() if entry.kind == "yd"]
+
+
+def test_straightening_check_agrees_with_the_coefficient_loop_on_the_catalog():
+    entries = _yd_objects()
+    assert len(entries) == 79
+    for entry in entries:
+        assert _first_i(entry.payload) == _reference_first_i(entry.payload), entry.id
+
+
+def _single_entry_corruptions(y):
+    """y with one action or coaction entry raised by 1, every such entry."""
+    h, field, dim = y.hopf, y.field, y.dim
+    for k in range(h.dim):
+        for r in range(dim):
+            for c in range(dim):
+                action = [Matrix(field, dim, dim, [row[:] for row in a.entries]) for a in y.module.action]
+                action[k].entries[r][c] = field.add(action[k].entries[r][c], field.one())
+                yield YDModuleRep(ModuleRep(h, dim, action), y.comodule)
+    coaction = y.comodule.coaction
+    for a in range(dim):
+        for b in range(dim):
+            for t in range(h.dim):
+                cells = [[cell[:] for cell in row] for row in coaction]
+                cells[a][b][t] = field.add(cells[a][b][t], field.one())
+                yield YDModuleRep(y.module, ComoduleRep(h, dim, cells))
+
+
+def test_straightening_check_agrees_with_the_coefficient_loop_on_corruptions():
+    checked = failing = 0
+    for entry in _yd_objects():
+        for bad in _single_entry_corruptions(entry.payload):
+            want = _reference_first_i(bad)
+            assert _first_i(bad) == want, entry.id
+            checked += 1
+            failing += want is not None
+    assert (checked, failing) == (1074, 557)
 
 
 def test_noncentral_degree_with_trivial_character_fails_on_any_symmetric_group_entry():
