@@ -14,7 +14,7 @@ produce identical machine-readable reports (wall time aside).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dataclass_fields
 from itertools import combinations_with_replacement
 
 from . import __version__
@@ -59,30 +59,11 @@ class CampaignReport:
         return not self.counterexamples and not self.axiom_failures
 
     def to_doc(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "field_list": self.field_list,
-            "categories": self.categories,
-            "entries_checked": self.entries_checked,
-            "pairs_checked": self.pairs_checked,
-            "axiom_failures": self.axiom_failures,
-            "negative_fixtures": self.negative_fixtures,
-            "eq_pairing": self.eq_pairing,
-            "equivariance_dichotomy": self.equivariance_dichotomy,
-            "certificates": self.certificates,
-            "serre_verdicts": [v.to_doc() for v in self.serre_verdicts],
-            "chevalley_observation": self.chevalley_observation,
-            "oracle": self.oracle,
-            "counterexamples": self.counterexamples,
-            "ok": self.ok,
-            "wall_time": self.wall_time,
-        }
-
-
-def _pairing_identity_holds(obj) -> bool:
-    field = obj.field
-    got = (evaluation(obj) * coevaluation(obj)).entries[0][0]
-    return got == field.from_int(obj.dim)
+        doc = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+        doc["serre_verdicts"] = [v.to_doc() for v in self.serre_verdicts]
+        doc["ok"] = self.ok
+        doc["wall_time"] = doc.pop("wall_time")  # last, after ok
+        return doc
 
 
 def run_campaign(
@@ -93,7 +74,7 @@ def run_campaign(
 ) -> CampaignReport:
     start = time.time()
     catalog_fields = {hid.split("/")[1] for hid in HOPF_IDS}
-    field_list = list(fields) if fields else sorted(catalog_fields)
+    field_list = sorted(set(fields) if fields else catalog_fields)
     missing = sorted(set(field_list) - catalog_fields)
     if missing:
         # a campaign over a field without entries would check nothing and pass
@@ -103,23 +84,26 @@ def run_campaign(
         raise ValueError(f"categories must be drawn from {', '.join(CATEGORIES)}, got {list(categories)}")
     report = CampaignReport(
         tool_version=__version__,
-        field_list=sorted(field_list),
+        field_list=field_list,
         categories=[c for c in CATEGORIES if c in categories],
+        eq_pairing={"instances": 0, "failures": []},
+        equivariance_dichotomy={
+            "coevaluation_failures": [],
+            "evaluation_passes": 0,
+            "evaluation_failures_involutory": [],
+            "evaluation_failures_noninvolutory": [],
+        },
+        certificates={"built_and_verified": 0, "rank_not_invertible": [], "not_involutory": [], "failures": []},
+        oracle={"enabled": oracle, "checked": 0, "skipped_bound_exceeded": []},
     )
-    eq_failures: list[str] = []
-    eq_instances = 0
-    coev_fail: list[str] = []
-    ev_fail_involutory: list[str] = []
-    ev_fail_noninvolutory: list[str] = []
-    ev_pass = 0
-    certs_built = 0
-    rank_not_invertible: list[str] = []
-    not_involutory: list[str] = []
-    cert_failures: list[str] = []
-    oracle_checked = 0
-    oracle_skipped: list[str] = []
+    dichotomy, certificates = report.equivariance_dichotomy, report.certificates
 
-    for hopf_entry in hopf_entries(tuple(report.field_list)):
+    def counterexample(type_: str, entry_id: str, *failure_lists: list):
+        for ids in failure_lists:
+            ids.append(entry_id)
+        report.counterexamples.append({"type": type_, "id": entry_id})
+
+    for hopf_entry in hopf_entries(tuple(field_list)):
         hopf = hopf_entry.payload
         involutory = hopf.is_involutory()
         hopf_report = hopf.check_hopf_axioms()
@@ -137,18 +121,12 @@ def run_campaign(
                 obj_report = axioms_in_category(entry.payload)
                 report.entries_checked += 1
                 if entry.expected_failure is not None:
-                    failed = {c.name for c in obj_report.failures()}
+                    confirmed = entry.expected_failure in {c.name for c in obj_report.failures()}
                     report.negative_fixtures.append(
-                        {
-                            "id": entry.id,
-                            "expected_failure": entry.expected_failure,
-                            "confirmed": entry.expected_failure in failed,
-                        }
+                        {"id": entry.id, "expected_failure": entry.expected_failure, "confirmed": confirmed}
                     )
-                    if entry.expected_failure not in failed:
-                        report.counterexamples.append(
-                            {"type": "negative_fixture_passed", "id": entry.id}
-                        )
+                    if not confirmed:
+                        counterexample("negative_fixture_passed", entry.id)
                     continue
                 if not obj_report.ok:
                     report.axiom_failures.append(
@@ -163,62 +141,51 @@ def run_campaign(
                 obj = entry.payload
 
                 # exact pairing identity: evaluation after coevaluation is dim * 1
-                eq_instances += 1
-                if not _pairing_identity_holds(obj):
-                    eq_failures.append(entry.id)
-                    report.counterexamples.append({"type": "pairing_identity", "id": entry.id})
+                report.eq_pairing["instances"] += 1
+                if (evaluation(obj) * coevaluation(obj)).entries[0][0] != obj.field.from_int(obj.dim):
+                    counterexample("pairing_identity", entry.id, report.eq_pairing["failures"])
 
                 # equivariance dichotomy: are coev: 1 -> N (x) N* and ev back
                 # morphisms?  For a comodule a morphism is a colinear map
                 if kind != "yd":
                     law = "equivariance" if kind == "module" else "colinearity"
                     if pairing_violation(obj, coev=True, dual_first=False) is not None:
-                        coev_fail.append(entry.id)
-                        report.counterexamples.append({"type": f"coevaluation_{law}", "id": entry.id})
+                        counterexample(f"coevaluation_{law}", entry.id, dichotomy["coevaluation_failures"])
                     if pairing_violation(obj, coev=False, dual_first=False) is None:
-                        ev_pass += 1
+                        dichotomy["evaluation_passes"] += 1
                     elif involutory:
-                        ev_fail_involutory.append(entry.id)
-                        report.counterexamples.append({"type": f"evaluation_{law}", "id": entry.id})
+                        counterexample(f"evaluation_{law}", entry.id, dichotomy["evaluation_failures_involutory"])
                     else:
-                        ev_fail_noninvolutory.append(entry.id)
+                        dichotomy["evaluation_failures_noninvolutory"].append(entry.id)
 
                 # strong-dual certificates wherever the hypotheses hold
                 rank = hs_rank(obj.dim, obj.field)
                 try:
                     build_strong_dual_certificates(obj)
-                    certs_built += 1
+                    certificates["built_and_verified"] += 1
                     if not involutory or not rank.invertible:
-                        cert_failures.append(entry.id)
-                        report.counterexamples.append(
-                            {"type": "certificate_without_hypotheses", "id": entry.id}
-                        )
+                        counterexample("certificate_without_hypotheses", entry.id, certificates["failures"])
                 except NotInvolutoryError:
-                    not_involutory.append(entry.id)
+                    certificates["not_involutory"].append(entry.id)
                     if involutory:
-                        cert_failures.append(entry.id)
-                        report.counterexamples.append({"type": "certificate_refused", "id": entry.id})
+                        counterexample("certificate_refused", entry.id, certificates["failures"])
                 except RankNotInvertibleError:
-                    rank_not_invertible.append(entry.id)
+                    certificates["rank_not_invertible"].append(entry.id)
                     if rank.invertible:
-                        cert_failures.append(entry.id)
-                        report.counterexamples.append({"type": "certificate_refused", "id": entry.id})
+                        counterexample("certificate_refused", entry.id, certificates["failures"])
                 except CertificateError:
-                    cert_failures.append(entry.id)
-                    report.counterexamples.append({"type": "certificate_reverification", "id": entry.id})
+                    counterexample("certificate_reverification", entry.id, certificates["failures"])
 
                 # independent oracle for finite fields, on request
                 if oracle:
                     try:
                         brute = brute_force_semisimple(obj, bound)
                         engine = cached_verdict(obj, verdict_cache)
-                        oracle_checked += 1
+                        report.oracle["checked"] += 1
                         if brute != engine:
-                            report.counterexamples.append(
-                                {"type": "oracle_disagreement", "id": entry.id}
-                            )
+                            counterexample("oracle_disagreement", entry.id)
                     except BoundExceededError:
-                        oracle_skipped.append(entry.id)
+                        report.oracle["skipped_bound_exceeded"].append(entry.id)
 
             # the semisimplicity implication over all same-kind pairs
             for em, en in combinations_with_replacement(valid, 2):
@@ -236,24 +203,10 @@ def run_campaign(
                         }
                     )
 
-    report.eq_pairing = {"instances": eq_instances, "failures": sorted(eq_failures)}
-    report.equivariance_dichotomy = {
-        "coevaluation_failures": sorted(coev_fail),
-        "evaluation_passes": ev_pass,
-        "evaluation_failures_involutory": sorted(ev_fail_involutory),
-        "evaluation_failures_noninvolutory": sorted(ev_fail_noninvolutory),
-    }
-    report.certificates = {
-        "built_and_verified": certs_built,
-        "rank_not_invertible": sorted(rank_not_invertible),
-        "not_involutory": sorted(not_involutory),
-        "failures": sorted(cert_failures),
-    }
-    report.oracle = {
-        "enabled": oracle,
-        "checked": oracle_checked,
-        "skipped_bound_exceeded": sorted(oracle_skipped),
-    }
+    for section in (report.eq_pairing, dichotomy, certificates, report.oracle):
+        for value in section.values():
+            if isinstance(value, list):
+                value.sort()
     # the converse direction is not a theorem here; report what the catalog shows
     both_ss = [
         v for v in report.serre_verdicts if v.involutory and v.conclusion_m and v.conclusion_n

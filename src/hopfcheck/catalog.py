@@ -40,10 +40,14 @@ _FIELDS: dict[str, Field] = {
 @dataclass
 class CatalogEntry:
     id: str
-    kind: str  # "hopf" | "module" | "comodule" | "yd"
     payload: object
     provenance_note: str
     expected_failure: str | None = None
+
+    @property
+    def kind(self) -> str:
+        """The payload's own kind: "hopf", "module", "comodule" or "yd"."""
+        return self.payload.kind
 
 
 # group data -------------------------------------------------------------------
@@ -365,82 +369,82 @@ def _check_entry(entry: CatalogEntry):
 
 def _group_algebra_entries(entries, hid: str, group: str, field_name: str):
     h = group_algebra(_FIELDS[field_name], group, hid)
-    _register(entries, CatalogEntry(hid, "hopf", h, f"group algebra of {group}: basis the group, diagonal coproduct, inverse antipode"))
-    _register(entries, CatalogEntry(f"{hid}/trivial", "module", trivial_module(h), "counit action on one dimension"))
-    _register(entries, CatalogEntry(f"{hid}/regular", "module", regular_module(h), f"left multiplication table of {group}"))
-    _register(entries, CatalogEntry(f"{hid}/cotrivial", "comodule", trivial_comodule(h), "coaction by the unit on one dimension"))
-    _register(entries, CatalogEntry(f"{hid}/coregular", "comodule", regular_comodule(h), "the coproduct read as a coaction"))
-    _register(entries, CatalogEntry(f"{hid}/ydtrivial", "yd", trivial_yd(h), "trivial action and trivial grading"))
+    _register(entries, CatalogEntry(hid, h, f"group algebra of {group}: basis the group, diagonal coproduct, inverse antipode"))
+    _register(entries, CatalogEntry(f"{hid}/trivial", trivial_module(h), "counit action on one dimension"))
+    _register(entries, CatalogEntry(f"{hid}/regular", regular_module(h), f"left multiplication table of {group}"))
+    _register(entries, CatalogEntry(f"{hid}/cotrivial", trivial_comodule(h), "coaction by the unit on one dimension"))
+    _register(entries, CatalogEntry(f"{hid}/coregular", regular_comodule(h), "the coproduct read as a coaction"))
+    _register(entries, CatalogEntry(f"{hid}/ydtrivial", trivial_yd(h), "trivial action and trivial grading"))
     if group != "S3":
         _register(entries, CatalogEntry(
-            f"{hid}/coline_g", "comodule", group_line_comodule(h, 1, "coline_g"),
+            f"{hid}/coline_g", group_line_comodule(h, 1, "coline_g"),
             "line graded by the generator"))
     if group == "C2":
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", "yd", yd_group_line(h, 1, [1, 1], "ydline_g_triv"), "degree g, trivial action; abelian so compatible"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_sign", "yd", yd_group_line(h, 1, [1, -1], "ydline_g_sign"), "degree g, sign action"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", "yd", yd_group_line(h, 0, [1, -1], "ydline_e_sign"), "degree e, sign action"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", yd_group_line(h, 1, [1, 1], "ydline_g_triv"), "degree g, trivial action; abelian so compatible"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_sign", yd_group_line(h, 1, [1, -1], "ydline_g_sign"), "degree g, sign action"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", yd_group_line(h, 0, [1, -1], "ydline_e_sign"), "degree e, sign action"))
     if group == "C3":
-        _register(entries, CatalogEntry(f"{hid}/rot2", "module", cyclic_rotation_module(h), "generator acts by the companion matrix of x^2+x+1"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", "yd", yd_group_line(h, 1, [1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
+        _register(entries, CatalogEntry(f"{hid}/rot2", cyclic_rotation_module(h), "generator acts by the companion matrix of x^2+x+1"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", yd_group_line(h, 1, [1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
     if group == "C4":
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", "yd", yd_group_line(h, 1, [1, 1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_chi2", "yd", yd_group_line(h, 1, [1, -1, 1, -1], "ydline_g_chi2"), "degree g, order-two character"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", yd_group_line(h, 1, [1, 1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_g_chi2", yd_group_line(h, 1, [1, -1, 1, -1], "ydline_g_chi2"), "degree g, order-two character"))
     if group == "S3":
-        _register(entries, CatalogEntry(f"{hid}/perm", "module", s3_permutation_module(h), "permutation matrices on three points"))
-        _register(entries, CatalogEntry(f"{hid}/sign", "module", s3_sign_module(h), "sign character"))
-        _register(entries, CatalogEntry(f"{hid}/std2", "module", s3_standard_module(h), "sum-zero plane of the permutation module, integral basis"))
+        _register(entries, CatalogEntry(f"{hid}/perm", s3_permutation_module(h), "permutation matrices on three points"))
+        _register(entries, CatalogEntry(f"{hid}/sign", s3_sign_module(h), "sign character"))
+        _register(entries, CatalogEntry(f"{hid}/std2", s3_standard_module(h), "sum-zero plane of the permutation module, integral basis"))
         _register(entries, CatalogEntry(
-            f"{hid}/coline_t", "comodule",
+            f"{hid}/coline_t",
             group_line_comodule(h, _S3_TRANSPOSITIONS[0], "coline_t"),
             "line graded by a transposition"))
         _register(entries, CatalogEntry(
-            f"{hid}/coline_c", "comodule",
+            f"{hid}/coline_c",
             group_line_comodule(h, _S3_THREE_CYCLE, "coline_c"),
             "line graded by a three-cycle"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", "yd", yd_group_line(h, 0, _S3_SIGNS, "ydline_e_sign"), "degree e, sign action; central degree"))
-        _register(entries, CatalogEntry(f"{hid}/ydconj3", "yd", yd_s3_conjugation(h), "transposition class graded by itself with conjugation action"))
+        _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", yd_group_line(h, 0, _S3_SIGNS, "ydline_e_sign"), "degree e, sign action; central degree"))
+        _register(entries, CatalogEntry(f"{hid}/ydconj3", yd_s3_conjugation(h), "transposition class graded by itself with conjugation action"))
     if group == "C2" and field_name == "F2":
-        _register(entries, CatalogEntry(f"{hid}/unipotent2", "module", cyclic_unipotent_module(h, 2), "Jordan block for the generator, char 2"))
-        _register(entries, CatalogEntry(f"{hid}/ydnonsplit2", "yd", yd_unipotent_nonsplit(h), "unipotent module, trivial grading; no stable complement"))
+        _register(entries, CatalogEntry(f"{hid}/unipotent2", cyclic_unipotent_module(h, 2), "Jordan block for the generator, char 2"))
+        _register(entries, CatalogEntry(f"{hid}/ydnonsplit2", yd_unipotent_nonsplit(h), "unipotent module, trivial grading; no stable complement"))
     if group == "C3" and field_name == "F3":
-        _register(entries, CatalogEntry(f"{hid}/unipotent2", "module", cyclic_unipotent_module(h, 3), "Jordan block for the generator, char 3"))
+        _register(entries, CatalogEntry(f"{hid}/unipotent2", cyclic_unipotent_module(h, 3), "Jordan block for the generator, char 3"))
     if group == "S3" and field_name == "Q":
         _register(entries, CatalogEntry(
-            f"{hid}/ydbadline", "yd", yd_incompatible_line(h),
+            f"{hid}/ydbadline", yd_incompatible_line(h),
             "line graded by a transposition with trivial action; grading not conjugation-equivariant",
             expected_failure="yd_compatibility"))
 
 
 def _dual_group_entries(entries, hid: str, group: str, field_name: str):
     h = dual_group_algebra(_FIELDS[field_name], group, hid)
-    _register(entries, CatalogEntry(hid, "hopf", h, f"functions on {group}: pointwise product, coproduct dual to the group law"))
-    _register(entries, CatalogEntry(f"{hid}/trivial", "module", trivial_module(h), "counit action: evaluation at the identity"))
-    _register(entries, CatalogEntry(f"{hid}/regular", "module", regular_module(h), "pointwise multiplication on itself"))
-    _register(entries, CatalogEntry(f"{hid}/cotrivial", "comodule", trivial_comodule(h), "coaction by the constant function 1"))
-    _register(entries, CatalogEntry(f"{hid}/coregular", "comodule", regular_comodule(h), "the coproduct read as a coaction"))
-    _register(entries, CatalogEntry(f"{hid}/ydtrivial", "yd", trivial_yd(h), "trivial action and trivial coaction"))
+    _register(entries, CatalogEntry(hid, h, f"functions on {group}: pointwise product, coproduct dual to the group law"))
+    _register(entries, CatalogEntry(f"{hid}/trivial", trivial_module(h), "counit action: evaluation at the identity"))
+    _register(entries, CatalogEntry(f"{hid}/regular", regular_module(h), "pointwise multiplication on itself"))
+    _register(entries, CatalogEntry(f"{hid}/cotrivial", trivial_comodule(h), "coaction by the constant function 1"))
+    _register(entries, CatalogEntry(f"{hid}/coregular", regular_comodule(h), "the coproduct read as a coaction"))
+    _register(entries, CatalogEntry(f"{hid}/ydtrivial", trivial_yd(h), "trivial action and trivial coaction"))
     if group == "C2" and field_name == "F2":
         mats = [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]
         _register(entries, CatalogEntry(
-            f"{hid}/cononsplit2", "comodule",
+            f"{hid}/cononsplit2",
             comodule_from_group_action(h, mats, "cononsplit2"),
             "unipotent two-dimensional representation of C2 in char 2, written as a coaction"))
     if group == "C3":
         _register(entries, CatalogEntry(
-            f"{hid}/corot2", "comodule",
+            f"{hid}/corot2",
             comodule_from_group_action(h, [list(map(list, m)) for m in ROT2_MATRICES], "corot2"),
             "order-three rotation plane written as a coaction; loses cosemisimplicity in char 3"))
 
 
 def _sweedler_entries(entries, hid: str, field_name: str):
     h = sweedler_algebra(_FIELDS[field_name], hid)
-    _register(entries, CatalogEntry(hid, "hopf", h, "four-dimensional algebra on 1, g, x, gx with antipode of order four"))
-    _register(entries, CatalogEntry(f"{hid}/trivial", "module", trivial_module(h), "counit action"))
-    _register(entries, CatalogEntry(f"{hid}/regular", "module", regular_module(h), "left multiplication table"))
-    _register(entries, CatalogEntry(f"{hid}/h4mod2", "module", sweedler_two_dim_module(h), "g diagonal, x a lowering operator; contains a line without complement"))
-    _register(entries, CatalogEntry(f"{hid}/cotrivial", "comodule", trivial_comodule(h), "coaction by the unit"))
-    _register(entries, CatalogEntry(f"{hid}/coregular", "comodule", regular_comodule(h), "the coproduct read as a coaction"))
-    _register(entries, CatalogEntry(f"{hid}/ydtrivial", "yd", trivial_yd(h), "trivial action and coaction"))
+    _register(entries, CatalogEntry(hid, h, "four-dimensional algebra on 1, g, x, gx with antipode of order four"))
+    _register(entries, CatalogEntry(f"{hid}/trivial", trivial_module(h), "counit action"))
+    _register(entries, CatalogEntry(f"{hid}/regular", regular_module(h), "left multiplication table"))
+    _register(entries, CatalogEntry(f"{hid}/h4mod2", sweedler_two_dim_module(h), "g diagonal, x a lowering operator; contains a line without complement"))
+    _register(entries, CatalogEntry(f"{hid}/cotrivial", trivial_comodule(h), "coaction by the unit"))
+    _register(entries, CatalogEntry(f"{hid}/coregular", regular_comodule(h), "the coproduct read as a coaction"))
+    _register(entries, CatalogEntry(f"{hid}/ydtrivial", trivial_yd(h), "trivial action and coaction"))
 
 
 # Hopf id -> the builder of its group and the builder's arguments

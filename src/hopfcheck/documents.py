@@ -215,15 +215,11 @@ def yd_from_doc(doc: dict, hopf: HopfAlgebraData) -> YDModuleRep:
 
 
 def object_to_doc(obj) -> dict:
-    if isinstance(obj, HopfAlgebraData):
-        return hopf_to_doc(obj)
-    if isinstance(obj, ModuleRep):
-        return module_to_doc(obj)
-    if isinstance(obj, ComoduleRep):
-        return comodule_to_doc(obj)
-    if isinstance(obj, YDModuleRep):
-        return yd_to_doc(obj)
-    raise TypeError(f"cannot serialize {obj!r}")
+    encode = {"hopf": hopf_to_doc, "module": module_to_doc, "comodule": comodule_to_doc, "yd": yd_to_doc}
+    kind = getattr(obj, "kind", None)
+    if kind not in encode:
+        raise TypeError(f"cannot serialize {obj!r}")
+    return encode[kind](obj)
 
 
 def detect_kind(doc: dict) -> str:

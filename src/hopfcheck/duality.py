@@ -38,7 +38,7 @@ from .errors import (
     RankNotInvertibleError,
 )
 from .fields import Field
-from .hopf import AxiomReport, combination_differs, sparse_rows
+from .hopf import AxiomReport, combination_differs
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
     check_module_axioms,
@@ -153,8 +153,7 @@ def pairing_violation(obj, coev: bool, dual_first: bool):
     offset = 0
     for face in obj.faces:
         h = face.hopf
-        plain = sparse_rows(face.action)
-        twisted = sparse_rows(face.twisted_action)
+        plain, twisted = face.sparse_action, face.sparse_twisted_action
         identity = [[(r, h.field.one())] for r in range(face.dim)]
         for i in range(h.dim):
             products = []

@@ -179,6 +179,8 @@ class AlgebraData:
 class HopfAlgebraData(AlgebraData):
     """Hopf algebra: algebra + comultiplication, counit and antipode."""
 
+    kind = "hopf"
+
     def __init__(
         self,
         field: Field,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import HopfMismatchError
-from .hopf import AlgebraData, AxiomReport, HopfAlgebraData
+from .hopf import AlgebraData, AxiomReport, HopfAlgebraData, sparse_rows
 from .matrix import Matrix, kernel_basis
 
 
@@ -107,6 +107,17 @@ class ModuleRep:
         computed once per module for its dual and its pairing checks."""
         return [self.action_of_vector(column) for column in self.hopf.antipode.transpose().entries]
 
+    @cached_property
+    def sparse_action(self) -> list:
+        """``sparse_rows`` of the action, built once per module for the
+        tensor product, pairing and straightening kernels."""
+        return sparse_rows(self.action)
+
+    @cached_property
+    def sparse_twisted_action(self) -> list:
+        """``sparse_rows`` of the twisted action, built once per module."""
+        return sparse_rows(self.twisted_action)
+
 
 def check_module_axioms(m: ModuleRep) -> AxiomReport:
     """Unit and multiplicativity: A_i A_j = sum_t m_ij^t A_t, checked by the
@@ -143,8 +154,7 @@ def tensor_modules(m: ModuleRep, n: ModuleRep, name: str = "") -> ModuleRep:
     zero = field.zero()
     nd = n.dim
     dim = m.dim * nd
-    m_entries = [_nonzero_entries(a) for a in m.action]
-    n_entries = [_nonzero_entries(a) for a in n.action]
+    m_rows, n_rows = m.sparse_action, n.sparse_action
     action = []
     for i in range(h.dim):
         acc = [[zero] * dim for _ in range(dim)]
@@ -152,19 +162,18 @@ def tensor_modules(m: ModuleRep, n: ModuleRep, name: str = "") -> ModuleRep:
             for t, c in enumerate(row):
                 if not c:
                     continue
-                right = n_entries[t]
-                for a, b, x in m_entries[j]:
-                    cx = c * x
-                    for r, s, y in right:
-                        acc[a * nd + r][b * nd + s] += cx * y
+                right = n_rows[t]
+                for a, m_row in enumerate(m_rows[j]):
+                    for b, x in m_row:
+                        cx = c * x
+                        for r, n_row in enumerate(right):
+                            out = acc[a * nd + r]
+                            for s, y in n_row:
+                                out[b * nd + s] += cx * y
         if p:
             acc = [[x % p for x in row] for row in acc]
         action.append(Matrix(field, dim, dim, acc))
     return ModuleRep(h, dim, action, name=name or f"({m.name})(x)({n.name})")
-
-
-def _nonzero_entries(a: Matrix) -> list[tuple]:
-    return [(r, c, x) for r, row in enumerate(a.entries) for c, x in enumerate(row) if x]
 
 
 def dual_module(n: ModuleRep, name: str = "") -> ModuleRep:

@@ -27,8 +27,9 @@ representation:
 
 Verdicts carry a radical basis as a certificate; every element is checked
 to be nilpotent before the report is returned.  A brute-force oracle that
-enumerates all submodules over small finite fields provides the
-independent cross-check.
+spins every line over a small finite field and compares the socle (the sum
+of the simple submodules) with the whole space provides the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -313,62 +314,37 @@ def _spin_vector_space(field: Field, dim: int, operator_rows: list[list], seed) 
     return span
 
 
-def _sum_span(field: Field, dim: int, rows1: list, rows2: list) -> EchelonSpan:
-    union = EchelonSpan(field, dim)
-    for row in rows1 + rows2:
-        union.add(row)
-    return union
-
-
-def _invariant_subspaces(field: Field, dim: int, operators: list[Matrix]) -> dict[tuple, list]:
-    """Every invariant subspace of F_p^dim, keyed by its reduced echelon basis.
-
-    Each one is a sum of cyclic subspaces, and c*v spins the same subspace as
-    v, so only the vectors whose first nonzero coordinate is 1 are spun --
-    (p^dim - 1)/(p - 1) of them.  The collection is then closed under sums
-    with a worklist: every subspace is summed once with each one found
-    before it.
-    """
-    p = field.characteristic
-    # a YD object's n^2 products repeat and vanish often; the distinct
-    # nonzero operators have the same invariant subspaces
-    operator_rows = [op.entries for op in dict.fromkeys(op for op in operators if not op.is_zero())]
-    spaces: dict[tuple, list] = {(): []}
-    for lead in range(dim):
-        for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            seed = [0] * lead + [1] + list(tail)
-            rows = _spin_vector_space(field, dim, operator_rows, seed).basis_rows()
-            spaces.setdefault(tuple(tuple(r) for r in rows), rows)
-
-    found = list(spaces.values())
-    i = 2  # found[0] is the zero space, whose sums add nothing
-    while i < len(found):
-        for j in range(1, i):
-            rows = _sum_span(field, dim, found[i], found[j]).basis_rows()
-            key = tuple(tuple(r) for r in rows)
-            if key not in spaces:
-                spaces[key] = rows
-                found.append(rows)
-        i += 1
-    return spaces
-
-
 def _brute_force_operators(field: Field, dim: int, operators: list[Matrix], bound: int) -> bool:
-    """Splitting definition: enumerate all invariant subspaces and demand a
-    complementary invariant subspace for each."""
+    """Semisimple exactly when the module is its socle, the sum of its simple
+    submodules.
+
+    Every simple submodule is the spin of any of its nonzero vectors, and
+    c*v spins the same subspace as v, so only the vectors whose first nonzero
+    coordinate is 1 are spun -- (p^dim - 1)/(p - 1) of them.  Every nonzero
+    submodule contains a simple one, so taken by dimension, a cyclic subspace
+    is simple exactly when it contains none of the simple ones found before it.
+    """
     if field.characteristic == 0:
         raise BoundExceededError("brute force enumeration needs a finite field")
     p = field.characteristic
     if p**dim > bound:
         raise BoundExceededError(f"{p}^{dim} exceeds the oracle bound {bound}")
-    by_dim: dict[int, list] = {}
-    for rows in _invariant_subspaces(field, dim, operators).values():
-        by_dim.setdefault(len(rows), []).append(rows)
-    return all(
-        any(_sum_span(field, dim, rows, rows2).dim == dim for rows2 in by_dim.get(dim - d, []))
-        for d, spaces in by_dim.items()
-        for rows in spaces
-    )
+    # a YD object's n^2 products repeat and vanish often; the distinct
+    # nonzero operators have the same invariant subspaces
+    operator_rows = [op.entries for op in dict.fromkeys(op for op in operators if not op.is_zero())]
+    cyclic: dict[tuple, EchelonSpan] = {}
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            span = _spin_vector_space(field, dim, operator_rows, [0] * lead + [1] + list(tail))
+            cyclic.setdefault(tuple(tuple(r) for r in span.basis_rows()), span)
+    simple: list[EchelonSpan] = []
+    socle = EchelonSpan(field, dim)
+    for span in sorted(cyclic.values(), key=lambda s: s.dim):
+        if not any(all(span.contains(row) for row in s.basis_rows()) for s in simple):
+            simple.append(span)
+            for row in span.basis_rows():
+                socle.add(row)
+    return socle.dim == dim
 
 
 def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:

@@ -22,7 +22,7 @@ product, dual and Hom space are the module ones taken on both faces.
 from __future__ import annotations
 
 from .comodules import ComoduleRep, check_comodule_axioms, trivial_comodule
-from .hopf import AxiomReport, HopfAlgebraData, combination_differs, sparse_rows
+from .hopf import AxiomReport, HopfAlgebraData, combination_differs
 from .matrix import Matrix
 from .modules import ModuleRep, check_module_axioms, require_same_hopf, trivial_module
 
@@ -88,8 +88,8 @@ def _straightening_violation(y: YDModuleRep):
     """First (i, t) at which the straightening identity of the module
     docstring fails, or None: one sparse combination per (i, t)."""
     h, n = y.hopf, y.hopf.dim
-    a_rows = sparse_rows(y.module.action)
-    b_rows = sparse_rows(y.comodule.star_module.action)
+    a_rows = y.module.sparse_action
+    b_rows = y.comodule.star_module.sparse_action
     # left[s][t] holds (b, m_sb^t) and right[j][t] holds (a, m_aj^t)
     left = [[[(b, row[t]) for b, row in enumerate(h.mult[s]) if row[t]] for t in range(n)] for s in range(n)]
     right = [[[(a, h.mult[a][j][t]) for a in range(n) if h.mult[a][j][t]] for t in range(n)] for j in range(n)]

@@ -9,9 +9,11 @@ about its input and checks the engine's span independently.
 ``direct_sum_modules`` the block-diagonal sum the tests build semisimple and
 non-semisimple fixtures from; the engine itself needs neither.
 
-The brute-force oracle spins one vector per line and closes its subspaces
-under sums once per pair.  ``invariant_subspaces_reference`` spins every
-nonzero vector and rescans all pairs, and must find the same subspaces.
+The brute-force oracle spins one vector per line and compares the socle,
+the sum of the simple cyclic subspaces, with the whole space.
+``semisimple_by_complements`` decides by the splitting definition instead:
+``invariant_subspaces_reference`` spins every nonzero vector and closes the
+subspaces under sums, and each of them must have an invariant complement.
 """
 
 import itertools
@@ -109,3 +111,20 @@ def invariant_subspaces_reference(field: Field, dim: int, operators: list[Matrix
                     spaces[key] = rows
                     grew = True
     return spaces
+
+
+def semisimple_by_complements(field: Field, dim: int, operators: list[Matrix]) -> bool:
+    """The splitting definition: every invariant subspace has an invariant
+    complement among ``invariant_subspaces_reference``."""
+    spaces = list(invariant_subspaces_reference(field, dim, operators).values())
+
+    def spans_everything(rows1, rows2):
+        union = EchelonSpan(field, dim)
+        for row in rows1 + rows2:
+            union.add(list(row))
+        return union.dim == dim
+
+    return all(
+        any(len(rows) + len(rows2) == dim and spans_everything(rows, rows2) for rows2 in spaces)
+        for rows in spaces
+    )

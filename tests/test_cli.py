@@ -205,6 +205,20 @@ def test_campaign_over_a_field_without_entries_is_a_usage_error(capsys):
         assert "no catalog entries over F11" in err and out == "", fields
 
 
+def test_campaign_lists_a_repeated_field_once(capsys):
+    # Fp:2 names F2, and the campaign checks F2 once however it is named
+    docs = []
+    for fields in (["F2"], ["F2", "Fp:2"], ["F2", "F2"]):
+        argv = [arg for f in fields for arg in ("--field", f)]
+        code, out, _ = run(capsys, "campaign", *argv, "--category", "module", "--format", "machine")
+        assert code == 0, fields
+        doc = json.loads(out)
+        doc.pop("wall_time")
+        docs.append(doc)
+    assert docs[0]["field_list"] == ["F2"]
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+
+
 def test_non_positive_oracle_bound_is_a_usage_error(capsys):
     for bound in ("-5", "0"):
         code, out, err = run(capsys, "campaign", "--field", "F2", "--oracle", "--bound", bound)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from semisimple_reference import acting_algebra, direct_sum_modules, invariant_subspaces_reference
+from semisimple_reference import acting_algebra, direct_sum_modules, semisimple_by_complements
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup
 from hopfcheck.comodules import ComoduleRep, regular_comodule
 from hopfcheck.duality import tensor_in_category
@@ -18,7 +18,7 @@ from hopfcheck.semisimple import (
     is_semisimple,
     is_yd_semisimple,
 )
-from hopfcheck.semisimple import _image_module, _invariant_subspaces, _operator_semisimplicity
+from hopfcheck.semisimple import _image_module, _operator_semisimplicity
 from hopfcheck.yd import YDModuleRep
 
 
@@ -358,7 +358,7 @@ def test_yd_oracle_agreement_sample():
         assert is_yd_semisimple(y).verdict == brute_force_semisimple(y), yid
 
 
-def test_oracle_finds_the_reference_invariant_subspaces():
+def test_oracle_agrees_with_the_reference_complement_search():
     objects = [
         e.payload
         for e in catalog_entries()
@@ -373,12 +373,15 @@ def test_oracle_finds_the_reference_invariant_subspaces():
         ("kC2/F2/ydnonsplit2", "kC2/F2/ydline_g_sign"),
     ):
         objects.append(tensor_in_category(lookup(a).payload, lookup(b).payload))
-    # the subspaces depend only on the field, the dimension and the set of
+    # the verdict depends only on the field, the dimension and the set of
     # operators, which many catalog objects share (kS3 coregular = kdS3 regular)
     inputs = {(o.field, o.dim, frozenset(o.operators)): o for o in objects}
+    verdicts = set()
     for o in inputs.values():
-        want = invariant_subspaces_reference(o.field, o.dim, o.operators)
-        assert set(_invariant_subspaces(o.field, o.dim, o.operators)) == set(want), o
+        verdict = brute_force_semisimple(o)
+        assert verdict == semisimple_by_complements(o.field, o.dim, o.operators), o
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_radical_basis_elements_are_nilpotent_across_catalog():
