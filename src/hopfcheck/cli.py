@@ -99,7 +99,7 @@ def _cmd_semisimple(args) -> int:
     line = f"{str(report.verdict).lower()} (radical dim {report.radical_dim}, method {report.method})"
     if args.oracle:
         try:
-            agreement = brute_force_semisimple(obj, args.bound) == report.verdict
+            agreement = brute_force_semisimple(obj, args.bound or DEFAULT_ORACLE_BOUND) == report.verdict
             line += ", oracle: agrees" if agreement else ", oracle: DISAGREES"
             if not agreement:
                 print(line)
@@ -189,7 +189,7 @@ def _cmd_campaign(args) -> int:
         categories=categories,
         fields=fields,
         oracle=args.oracle,
-        bound=args.bound,
+        bound=args.bound or DEFAULT_ORACLE_BOUND,
     )
     if args.format == "machine":
         text = canonical_json(report.to_doc())
@@ -227,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bound",
         type=_positive_int,
-        default=DEFAULT_ORACLE_BOUND,
-        help="oracle cap on p^dim (the oracle spins (p^dim-1)/(p-1) lines)",
+        help=f"oracle cap on p^dim (the oracle spins (p^dim-1)/(p-1) lines; default {DEFAULT_ORACLE_BOUND})",
     )
     p.set_defaults(func=_cmd_semisimple)
 
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "machine"), default="table")
     p.add_argument("--out")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND)
+    p.add_argument("--bound", type=_positive_int)
     p.set_defaults(func=_cmd_campaign)
 
     return parser
@@ -268,6 +267,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "bound", None) is not None and not args.oracle:
+            # the bound caps only the oracle: ignoring it would hide a mistyped request
+            parser.error("--bound applies only with --oracle")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -131,23 +131,21 @@ class AlgebraData:
         report.record("unit", self._unit_violation())
         return report
 
-    def multiplicativity_violation(self, action: list[Matrix], indices=None, scale=1):
-        """First (i, j) with A_i A_j != sum_t m_ij^t A_t, or None.
+    def multiplicativity_violation(self, rows: list, scale=1):
+        """First (i, j) with A_i A_j != sum_t m_ij^t A_t, or None, for an
+        action given by its ``sparse_rows``.
 
         The one kernel behind every multiplicativity-type law: on a module's
-        action it is the module law, on ``regular_action_matrices()`` it is
+        action it is the module law, on the regular action it is
         associativity, over a dual Hopf algebra H* it is comodule and Hopf
-        coassociativity, and on the operators of a decision it guards the
-        image's table.  Only i, j in ``indices`` (default all) are checked.
-        ``action`` may hold d A_t for ``scale`` d, as integer matrices for a
-        rational action; the law then reads d sum_t m_ij^t (d A_t) =
-        (d A_i)(d A_j).  Each action's rows are built once.
+        coassociativity, and before a module's or comodule's decision it
+        checks that the operators are an action.  ``rows`` may hold d A_t for
+        ``scale`` d, as integer matrices for a rational action; the law then
+        reads d sum_t m_ij^t (d A_t) = (d A_i)(d A_j).
         """
-        rows = sparse_rows(action)
         size = len(rows[0]) if rows else 0
-        indices = range(self.dim) if indices is None else indices
-        for i in indices:
-            for j in indices:
+        for i in range(self.dim):
+            for j in range(self.dim):
                 linear = [(scale * c, rows[t]) for t, c in enumerate(self.mult[i][j]) if c]
                 if combination_differs(self.field, size, linear, [(1, rows[i], rows[j])]):
                     return (i, j)
@@ -155,7 +153,7 @@ class AlgebraData:
 
     def _associativity_violation(self):
         # L_i L_j = sum_t m_ij^t L_t says (b_i b_j) b_k = b_i (b_j b_k) for all k
-        return self.multiplicativity_violation(self.regular_action_matrices())
+        return self.multiplicativity_violation(sparse_rows(self.regular_action_matrices()))
 
     def _unit_violation(self):
         field = self.field
@@ -237,7 +235,7 @@ class HopfAlgebraData(AlgebraData):
         report.record("coassociativity", dual._associativity_violation())
         report.record("counit", dual._unit_violation())
         report.record("comult_multiplicative", self._comult_multiplicative_violation())
-        report.record("comult_unit", dual.multiplicativity_violation(trivial_module(dual).action))
+        report.record("comult_unit", dual.multiplicativity_violation(trivial_module(dual).sparse_action))
         report.record("counit_multiplicative", counit_multiplicative.first_violation)
         report.record("counit_unit", counit_unit.first_violation)
         report.record("antipode_left", pairing_violation(r, coev=False, dual_first=True))

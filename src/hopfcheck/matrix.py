@@ -2,8 +2,8 @@
 
 Everything downstream (axiom checks, Hom spaces, radicals, certificates)
 reduces to the operations here.  There is one elimination, ``EchelonSpan``;
-``rref``, and through it ``rank``, ``solve_linear``, ``kernel_basis`` and
-``inverse``, read its reduced basis.  Bases are in reduced row echelon form,
+``rref``, and through it ``rank``, ``solve_linear`` and ``kernel_basis``,
+read its reduced basis.  Bases are in reduced row echelon form,
 so repeated runs produce bit-identical results.
 """
 
@@ -238,14 +238,6 @@ class Matrix:
 
     def rank(self):
         return len(self.rref()[1])
-
-    def inverse(self):
-        if self.rows != self.cols:
-            raise NoSolutionError("only square matrices invert")
-        sol = solve_linear(self, Matrix.identity(self.field, self.rows))
-        if (self * sol).is_identity():
-            return sol
-        raise NoSolutionError("matrix is singular")
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:

@@ -126,7 +126,7 @@ def check_module_axioms(m: ModuleRep) -> AxiomReport:
     report = AxiomReport(m.name or "module")
     unit_matrix = m.action_of_vector(m.algebra.unit)
     report.record("unit_acts_as_identity", None if unit_matrix.is_identity() else (0,))
-    report.record("action_multiplicative", m.algebra.multiplicativity_violation(m.action))
+    report.record("action_multiplicative", m.algebra.multiplicativity_violation(m.sparse_action))
     return report
 
 

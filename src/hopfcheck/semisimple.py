@@ -1,22 +1,23 @@
 """Semisimplicity decisions via Jacobson-radical computation.
 
-An object is semisimple exactly when the image of its acting algebra in
-End(V) is: H for a module, the dual H* for a comodule, and the Drinfel'd
-double D(H) = H* H for a Yetter-Drinfel'd module.  The engine takes
-operators that span that image, and reads its structure by one of two
-routes:
+An algebra A acting on V through rho: A -> End(V) makes V semisimple
+exactly when Rad(A) acts as zero.  The acting algebra is H for a module,
+the dual H* for a comodule, and the Drinfel'd double D(H) = H* H for a
+Yetter-Drinfel'd module.  The radical the report certifies is that of the
+image rho(A) = A/Ann(V), and for finite-dimensional A
+Rad(A/I) = (Rad A + I)/I (Pierce, *Associative Algebras*, 1982), so
+Rad(rho(A)) = rho(Rad A).  The engine reaches it by one of two routes:
 
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
-  by the operators.  The image is A/Ann(V), so its table follows from A's:
-  the independent operators are its basis, each operator's coordinates in
-  them come from one small inverse, and no product of matrices is reduced.
-  A guard refuses operators that are no module's action;
+  by the operators.  Rad(A) is computed once per algebra object and mapped
+  through the face; no image algebra is built.  A guard first refuses
+  operators that are no module's action;
 * a YD module's image is that of D(H), whose table is not built.  The
   reduced echelon basis of the operators' span is the image's basis, its
   structure constants are read off at the pivot columns, and a product
   that leaves the span is refused as not coming from a module.
 
-The radical is computed through the image's (faithful) regular
+A radical is computed through the algebra's (faithful) regular
 representation:
 
 * characteristic 0: the radical is the kernel of the trace form
@@ -25,21 +26,23 @@ representation:
   characteristic-polynomial coefficient forms of index 1, p, p^2, ...,
   the standard iterated trace-form algorithm for algebras over F_p.
 
-Verdicts carry a radical basis as a certificate; every element is checked
-to be nilpotent before the report is returned.  A brute-force oracle that
-spins every line over a small finite field and compares the socle (the sum
-of the simple submodules) with the whole space provides the independent
+Verdicts carry the radical of the image, as the reduced echelon basis of
+its span in End(V), as a certificate; every element is checked to be
+nilpotent before the report is returned.  A brute-force oracle that spins
+every line over a small finite field and compares the socle (the sum of
+the simple submodules) with the whole space provides the independent
 cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from .errors import BoundExceededError
 from .fields import Field, _integral
-from .hopf import AlgebraData
+from .hopf import AlgebraData, sparse_rows
 from .matrix import EchelonSpan, Matrix, _cleared, kernel_basis
 from .modules import ModuleRep, regular_module
 
@@ -141,64 +144,14 @@ def _image_module(field: Field, dim: int, operators: list[Matrix]) -> ModuleRep:
     operators are not a module's action, and is refused.
     """
     identity = Matrix.identity(field, dim).flatten()
-    span = EchelonSpan(field, dim * dim)
-    for flat in [identity] + [m.flatten() for m in operators]:
-        span.add(flat)
-    rows = span.basis_rows()
-    if not field.characteristic:
-        # elimination leaves integral values as Fraction(n, 1); as ints the
-        # products below stay on the all-int path
-        rows = [[_integral(x) for x in row] for row in rows]
+    span, rows = _echelon(field, [identity] + [m.flatten() for m in operators])
     basis = [Matrix.from_flat(field, dim, dim, row) for row in rows]
-    mult = []
-    for a in basis:
-        row = []
-        for b in basis:
-            coords = span.coordinates((a * b).flatten())
-            if coords is None:
-                raise ValueError("the operators are not a module's action: a product leaves their span")
-            row.append(coords)
-        mult.append(row)
+    mult = [[span.coordinates((a * b).flatten()) for b in basis] for a in basis]
+    if any(None in row for row in mult):
+        raise ValueError("the operators are not a module's action: a product leaves their span")
     # associative by construction and closed as just checked
     image = AlgebraData(field, len(basis), mult, span.coordinates(identity), name="image", unchecked=True)
     return ModuleRep(image, dim, basis, name="image")
-
-
-def _table_image(field: Field, dim: int, operators: list[Matrix], algebra: AlgebraData) -> ModuleRep:
-    """The image A of ``algebra`` in End(F^dim), acting on F^dim, with its
-    table read off the algebra's: the route for a module or a comodule.
-
-    The A_t that enlarge one echelon span form A's basis S.  Each A_t lies in
-    the span, so its echelon coordinates are its entries at the pivots, and
-    one r x r inverse turns them into its coordinates x_t in S.  If the unit
-    acts as I and A_i A_j = sum_t m_ij^t A_t for i, j in S, the span is closed
-    and A's structure constants are sum_t m_ij^t x_t, its unit sum_t u_t x_t;
-    otherwise the operators are not a module's action, and are refused.
-    """
-    if not ModuleRep(algebra, dim, operators).action_of_vector(algebra.unit).is_identity():
-        raise ValueError("the operators are not a module's action: the unit does not act as I")
-    span = EchelonSpan(field, dim * dim)
-    flats = [a.flatten() for a in operators]
-    basis = [t for t, flat in enumerate(flats) if span.add(flat)]
-    pivots = span.pivots()
-    echelon = [[flat[c] for c in pivots] for flat in flats]
-    coords = Matrix.from_rows(field, echelon) * Matrix.from_rows(field, [echelon[s] for s in basis]).inverse()
-    if field.characteristic:
-        scaled, d = operators, 1
-    else:
-        # d A_t on integer rows: Fraction products would cost more than the check
-        cleared, d = _cleared([row for a in operators for row in a.entries])
-        scaled = [Matrix(field, dim, dim, cleared[t * dim : (t + 1) * dim]) for t in range(len(operators))]
-    violation = algebra.multiplicativity_violation(scaled, basis, d)
-    if violation is not None:
-        raise ValueError(f"the operators are not a module's action: A_i A_j != sum_t m_ij^t A_t at {violation}")
-    r = len(basis)
-    table = [algebra.mult[i][j] for i in basis for j in basis] + [algebra.unit]
-    rows = (Matrix.from_rows(field, table) * coords).entries
-    mult = [rows[k * r : (k + 1) * r] for k in range(r)]
-    # associative because it is A's table, checked above
-    image = AlgebraData(field, r, mult, rows[-1], name="image", unchecked=True)
-    return ModuleRep(image, dim, [operators[s] for s in basis], name="image")
 
 
 def _fast_trace_of_product(a: Matrix, b: Matrix):
@@ -213,11 +166,17 @@ def _fast_trace_of_product(a: Matrix, b: Matrix):
     return total % p if p else total
 
 
-def _canonical_vectors(field: Field, vectors: list[list]) -> list[list]:
+def _echelon(field: Field, vectors: list[list]) -> tuple[EchelonSpan, list[list]]:
+    """The span of ``vectors`` and its reduced echelon basis.  Elimination
+    leaves integral values as Fraction(n, 1) over Q; the basis holds them
+    as ints, so products of it stay on the all-int path."""
     span = EchelonSpan(field, len(vectors[0]) if vectors else 0)
     for v in vectors:
         span.add(v)
-    return span.basis_rows()
+    rows = span.basis_rows()
+    if not field.characteristic:
+        rows = [[_integral(x) for x in row] for row in rows]
+    return span, rows
 
 
 def _radical_coordinates(algebra: AlgebraData) -> list[list]:
@@ -234,43 +193,74 @@ def _radical_coordinates(algebra: AlgebraData) -> list[list]:
     q = 1
     while current:
         mats = [regular.action_of_vector(c) for c in current]
-        gram_rows = []
-        for a in mats:
-            if q == 1:
-                gram_rows.append([_fast_trace_of_product(a, b) for b in mats])
-            else:
-                gram_rows.append([charpoly(a * b)[r - q] for b in mats])
-        gram = Matrix.from_rows(field, gram_rows)
-        alphas = [alpha.flatten() for alpha in kernel_basis(gram.transpose())]
+        if q == 1:
+            gram = [[_fast_trace_of_product(a, b) for b in mats] for a in mats]
+        else:
+            gram = [[charpoly(a * b)[r - q] for b in mats] for a in mats]
+        alphas = [alpha.flatten() for alpha in kernel_basis(Matrix.from_rows(field, gram).transpose())]
         if not alphas:
             return []
         combos = Matrix.from_rows(field, alphas) * Matrix.from_rows(field, current)
-        current = _canonical_vectors(field, combos.entries)
+        _, current = _echelon(field, combos.entries)
         q *= p
         if p == 0 or q > r:
             break
     return current
 
 
-def _operator_semisimplicity(
-    field: Field, dim: int, operators: list[Matrix], algebra: AlgebraData | None = None
-) -> SemisimplicityReport:
-    """Verdict on the image of an algebra, given operators spanning it: the
-    action of ``algebra`` when it is given, else any operators spanning an
-    image (a YD object's products)."""
-    method = "TraceForm" if field.characteristic == 0 else "IteratedTraceForm"
-    if dim == 0:
-        return SemisimplicityReport(True, 0, [], method)
-    if algebra is None:
-        image = _image_module(field, dim, operators)
+# Rad(A) per acting algebra object, as from _radical_coordinates; algebras are
+# immutable, and weak keys keep no decided algebra alive
+_RADICALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _algebra_radical(algebra: AlgebraData) -> list[list]:
+    radical = _RADICALS.get(algebra)
+    if radical is None:
+        radical = _RADICALS[algebra] = _radical_coordinates(algebra)
+    return radical
+
+
+def _require_module_action(face: ModuleRep):
+    """Refuse a face whose operators are no module's action: the unit must
+    act as I and A_i A_j = sum_t m_ij^t A_t must hold for every (i, j), on
+    the cleared integer rows d A_t over Q."""
+    field, dim, algebra = face.field, face.dim, face.algebra
+    if not face.action_of_vector(algebra.unit).is_identity():
+        raise ValueError("the operators are not a module's action: the unit does not act as I")
+    if field.characteristic:
+        rows, d = face.sparse_action, 1
     else:
-        image = _table_image(field, dim, operators, algebra)
-    # the radical's reduced echelon basis in End(F^dim) is the same in
-    # whichever basis of the image it was computed
-    flats = [image.action_of_vector(c).flatten() for c in _radical_coordinates(image.algebra)]
-    rows = _canonical_vectors(field, flats)
-    if not field.characteristic:
-        rows = [[_integral(x) for x in row] for row in rows]
+        # d A_t on integer rows: Fraction products would cost more than the check
+        cleared, d = _cleared([row for a in face.action for row in a.entries])
+        rows = face.sparse_action if d == 1 else sparse_rows(
+            [Matrix(field, dim, dim, cleared[t * dim : (t + 1) * dim]) for t in range(algebra.dim)]
+        )
+    violation = algebra.multiplicativity_violation(rows, d)
+    if violation is not None:
+        raise ValueError(f"the operators are not a module's action: A_i A_j != sum_t m_ij^t A_t at {violation}")
+
+
+def _operator_semisimplicity(
+    field: Field, dim: int, operators: list[Matrix], face: ModuleRep | None = None
+) -> SemisimplicityReport:
+    """Verdict on V = F^dim by "Rad(A) acts as zero", certified by the
+    radical of the image rho(A) = A/Ann(V), which is rho(Rad A) because
+    Rad(A/I) = (Rad A + I)/I for finite-dimensional A.
+
+    ``face`` is the module whose action the operators are; Rad(A) is then
+    computed once per algebra object and mapped through it.  Without a face
+    the operators are any span of an image (a YD object's products), and
+    the face is that image, read off the matrices, acting on F^dim.
+    """
+    method = "TraceForm" if field.characteristic == 0 else "IteratedTraceForm"
+    if face is None:
+        face = _image_module(field, dim, operators)
+    else:
+        _require_module_action(face)
+    radical = [face.action_of_vector(z) for z in _algebra_radical(face.algebra)]
+    # the reduced echelon basis of the radical's span in End(F^dim) does not
+    # depend on the basis it was computed in
+    _, rows = _echelon(field, [z.flatten() for z in radical])
     radical = [Matrix.from_flat(field, dim, dim, row) for row in rows]
     for z in radical:
         if not z.power(dim).is_zero():
@@ -279,14 +269,15 @@ def _operator_semisimplicity(
 
 
 def is_semisimple(obj) -> SemisimplicityReport:
-    """Radical criterion on the image spanned by ``obj.operators``: H for a
+    """Whether the radical of the acting algebra acts as zero: H for a
     module, H* for a comodule, D(H) for a Yetter-Drinfel'd module; the
     stable subspaces are exactly the subobjects in each category.  An
-    object with one face is a module over that face's algebra, whose table
-    gives the image's; a YD object's image is read off its matrices."""
+    object with one face is a module over that face's algebra A, and since
+    Rad(A/Ann V) = (Rad A + Ann V)/Ann V its radical is Rad(A) mapped
+    through the face; a YD object's image is read off its matrices."""
     faces = obj.faces
-    algebra = faces[0].algebra if len(faces) == 1 else None
-    return _operator_semisimplicity(obj.field, obj.dim, obj.operators, algebra)
+    face = faces[0] if len(faces) == 1 else None
+    return _operator_semisimplicity(obj.field, obj.dim, obj.operators, face)
 
 
 # cosemisimple is semisimple as an H*-module, YD-semisimple as a D(H)-module
@@ -314,7 +305,7 @@ def _spin_vector_space(field: Field, dim: int, operator_rows: list[list], seed) 
     return span
 
 
-def _brute_force_operators(field: Field, dim: int, operators: list[Matrix], bound: int) -> bool:
+def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     """Semisimple exactly when the module is its socle, the sum of its simple
     submodules.
 
@@ -324,6 +315,7 @@ def _brute_force_operators(field: Field, dim: int, operators: list[Matrix], boun
     submodule contains a simple one, so taken by dimension, a cyclic subspace
     is simple exactly when it contains none of the simple ones found before it.
     """
+    field, dim = obj.field, obj.dim
     if field.characteristic == 0:
         raise BoundExceededError("brute force enumeration needs a finite field")
     p = field.characteristic
@@ -331,7 +323,7 @@ def _brute_force_operators(field: Field, dim: int, operators: list[Matrix], boun
         raise BoundExceededError(f"{p}^{dim} exceeds the oracle bound {bound}")
     # a YD object's n^2 products repeat and vanish often; the distinct
     # nonzero operators have the same invariant subspaces
-    operator_rows = [op.entries for op in dict.fromkeys(op for op in operators if not op.is_zero())]
+    operator_rows = [op.entries for op in dict.fromkeys(op for op in obj.operators if not op.is_zero())]
     cyclic: dict[tuple, EchelonSpan] = {}
     for lead in range(dim):
         for tail in itertools.product(range(p), repeat=dim - lead - 1):
@@ -345,7 +337,3 @@ def _brute_force_operators(field: Field, dim: int, operators: list[Matrix], boun
             for row in span.basis_rows():
                 socle.add(row)
     return socle.dim == dim
-
-
-def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    return _brute_force_operators(obj.field, obj.dim, obj.operators, bound)

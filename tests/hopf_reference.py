@@ -147,7 +147,7 @@ def comult_multiplicative_on_square(h):
     # entries per b_i; equal to the coefficient law when H is associative
     # and unital, because R and hence R (x) R are then faithful
     r = regular_module(h)
-    return h.multiplicativity_violation(tensor_modules(r, r).action)
+    return h.multiplicativity_violation(tensor_modules(r, r).sparse_action)
 
 
 def comult_unit_violation(h):

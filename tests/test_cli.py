@@ -229,6 +229,14 @@ def test_non_positive_oracle_bound_is_a_usage_error(capsys):
         assert "positive integer" in err and out == ""
 
 
+def test_bound_without_oracle_is_a_usage_error(capsys):
+    # the bound caps only the oracle, so a request that ignores it checks less than it asks
+    for argv in (("semisimple", "kC2/F2/regular"), ("campaign", "--field", "F2")):
+        code, out, err = run(capsys, *argv, "--bound", "3")
+        assert code == 2, argv
+        assert "--bound applies only with --oracle" in err and out == ""
+
+
 def test_campaign_yd_only(capsys):
     code, out, _ = run(capsys, "campaign", "--field", "Q", "--category", "yd")
     assert code == 0

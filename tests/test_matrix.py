@@ -108,13 +108,6 @@ def test_rref_leading_ones():
     assert r.is_identity()
 
 
-def test_inverse_and_singular():
-    m = q([1, 2], [3, 4])
-    assert (m * m.inverse()).is_identity()
-    with pytest.raises(NoSolutionError):
-        q([1, 1], [1, 1]).inverse()
-
-
 def test_kron_ordering_second_factor_fastest():
     a = q([0, 1], [1, 0])
     b = q([1, 0], [0, -1])

@@ -2,15 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semisimple_reference import acting_algebra, direct_sum_modules, semisimple_by_complements
-from hopfcheck.catalog import catalog_entries, hopf_entries, lookup
+from hopfcheck import semisimple
+from hopfcheck.catalog import (
+    catalog_entries,
+    group_algebra,
+    hopf_entries,
+    lookup,
+    s3_permutation_module,
+    s3_sign_module,
+    s3_standard_module,
+)
 from hopfcheck.comodules import ComoduleRep, regular_comodule
 from hopfcheck.duality import tensor_in_category
 from hopfcheck.errors import BoundExceededError
 from hopfcheck.fields import GF, QQ
-from hopfcheck.matrix import Matrix, NoSolutionError, solve_linear
-from hopfcheck.modules import ModuleRep, regular_module
+from hopfcheck.matrix import EchelonSpan, Matrix, NoSolutionError, solve_linear
+from hopfcheck.modules import ModuleRep, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import (
     brute_force_semisimple,
     charpoly,
@@ -129,11 +139,11 @@ def test_operators_spanning_no_algebra_are_refused():
         _operator_semisimplicity(QQ, 2, [e12, e21])
 
 
-def test_table_route_equals_the_matrix_route():
-    """A module's or comodule's image read off its algebra's table gives the
-    same report, radical basis included, as the image read off the matrices:
-    every valid catalog module and comodule, and every same-kind tensor pair
-    over one Hopf algebra with dim <= 36."""
+def test_the_mapped_radical_equals_the_radical_of_the_image_read_off_the_matrices():
+    """Rad(A) mapped through a module's or comodule's face gives the same
+    report, radical basis included, as the radical of the image algebra read
+    off the matrices: every valid catalog module and comodule, and every
+    same-kind tensor pair over one Hopf algebra with dim <= 36."""
     groups = {}
     for entry in catalog_entries():
         if entry.kind in ("module", "comodule") and entry.expected_failure is None:
@@ -148,10 +158,99 @@ def test_table_route_equals_the_matrix_route():
     ]
     for o in objects:
         (face,) = o.faces
-        by_table = _operator_semisimplicity(o.field, o.dim, o.operators, face.algebra)
+        mapped = _operator_semisimplicity(o.field, o.dim, o.operators, face)
         by_matrices = _operator_semisimplicity(o.field, o.dim, o.operators)
-        assert by_table.to_doc() == by_matrices.to_doc(), o
+        assert mapped.to_doc() == by_matrices.to_doc(), o
     assert len(objects) == 816
+
+
+def test_the_radical_of_an_algebra_is_computed_once(monkeypatch):
+    """Every module over one algebra maps that algebra's radical, so deciding
+    kS3/F3's regular, trivial, perm, sign and std2 modules and all their
+    tensor products computes Rad(kS3) once.  H is built here, not read from
+    the catalog, so no earlier decision has cached its radical."""
+    h = group_algebra(GF(3), "S3", "kS3/F3")
+    modules = [
+        regular_module(h),
+        trivial_module(h),
+        s3_permutation_module(h),
+        s3_sign_module(h),
+        s3_standard_module(h),
+    ]
+    computed = []
+    compute = semisimple._radical_coordinates
+
+    def counted(algebra):
+        computed.append(algebra)
+        return compute(algebra)
+
+    monkeypatch.setattr(semisimple, "_radical_coordinates", counted)
+    for m in modules:
+        assert is_semisimple(m).verdict == brute_force_semisimple(m), m
+    for a in modules:
+        for b in modules:
+            is_semisimple(tensor_modules(a, b))
+    assert computed == [h]
+
+
+_FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5), "F7": GF(7)}
+_MAX_DIM = 6  # the largest valid catalog object
+
+
+@st.composite
+def _change_of_basis(draw, field):
+    """(P, P^-1) for every n <= _MAX_DIM: P_n is the leading n x n block of
+    L U, with L unit lower triangular and U upper triangular with a nonzero
+    diagonal, so every block is invertible.  Over Q the diagonal holds
+    non-units, so P^-1 carries fractions."""
+    p = field.characteristic
+    pivots = [1, -1, 2, -3] if not p else list(range(1, p))
+    entries = st.integers(-2, 2) if not p else st.integers(0, p - 1)
+    n = _MAX_DIM
+    lower = [[1 if r == c else draw(entries) if r > c else 0 for c in range(n)] for r in range(n)]
+    upper = [
+        [draw(st.sampled_from(pivots)) if r == c else draw(entries) if r < c else 0 for c in range(n)]
+        for r in range(n)
+    ]
+    full = Matrix.from_rows(field, [[field.from_int(x) for x in row] for row in lower])
+    full = full * Matrix.from_rows(field, [[field.from_int(x) for x in row] for row in upper])
+    blocks = {}
+    for k in range(1, n + 1):
+        block = Matrix.from_rows(field, [row[:k] for row in full.entries[:k]])
+        blocks[k] = (block, solve_linear(block, Matrix.identity(field, k)))
+    return blocks
+
+
+def _span_rows(field, matrices):
+    span = EchelonSpan(field, len(matrices[0].flatten()) if matrices else 0)
+    for m in matrices:
+        span.add(m.flatten())
+    return span.basis_rows()
+
+
+@pytest.mark.parametrize("field_name", sorted(_FIELDS))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_conjugate_object_has_the_conjugate_radical(field_name, data):
+    """Deciding P.A.P^-1 on every face of a valid catalog module, comodule or
+    YD object gives the same verdict and radical dimension, and a radical
+    basis spanning P.R.P^-1: the decision does not depend on the basis."""
+    field = _FIELDS[field_name]
+    blocks = data.draw(_change_of_basis(field))
+    checked = 0
+    for entry in catalog_entries():
+        if entry.kind == "hopf" or entry.expected_failure is not None or entry.id.split("/")[1] != field_name:
+            continue
+        obj = entry.payload
+        p, pinv = blocks[obj.dim]
+        faces = [ModuleRep(f.algebra, f.dim, [p * a * pinv for a in f.action], f.name) for f in obj.faces]
+        conjugate = obj.with_faces(faces, f"P.{obj.name}.P^-1")
+        want, got = is_semisimple(obj), is_semisimple(conjugate)
+        assert (got.verdict, got.radical_dim) == (want.verdict, want.radical_dim), entry.id
+        moved = _span_rows(field, [p * z * pinv for z in want.radical_basis])
+        assert _span_rows(field, got.radical_basis) == moved, entry.id
+        checked += 1
+    assert checked >= 50
 
 
 def test_a_closed_span_that_breaks_the_table_is_refused():
@@ -446,8 +545,6 @@ def test_rotation_plane_across_characteristics():
 
 
 def test_tensor_module_verdicts_match_oracle():
-    from hopfcheck.modules import tensor_modules
-
     pairs = [
         ("kC2/F2/regular", "kC2/F2/regular"),
         ("kS3/F2/perm", "kS3/F2/std2"),
