@@ -82,6 +82,9 @@ def run_campaign(
     if not categories or set(categories) - set(CATEGORIES):
         # nor would one over no category it knows
         raise ValueError(f"categories must be drawn from {', '.join(CATEGORIES)}, got {list(categories)}")
+    if bound < 1:
+        # nor would an oracle whose bound no object meets
+        raise ValueError(f"the oracle bound must be at least 1, got {bound}")
     report = CampaignReport(
         tool_version=__version__,
         field_list=field_list,

@@ -324,15 +324,17 @@ class SerreVerdict:
         }
 
 
-def cached_verdict(obj, cache: dict | None = None) -> bool:
-    """The semisimplicity verdict of ``obj``, memoized in ``cache`` if given."""
-    if cache is None:
-        return is_semisimple(obj).verdict
-    # keyed by the object, not its id: the cache keeps it alive, so a
-    # collected object's id cannot be reused for a stale verdict
-    if obj not in cache:
-        cache[obj] = is_semisimple(obj).verdict
-    return cache[obj]
+def cached_verdict(obj, cache: dict) -> bool:
+    """The semisimplicity verdict of ``obj``, memoized in ``cache`` under
+    what a verdict and its guard depend on: each face's algebra object and
+    action matrices.  N and N (x) trivial share one decision; the same
+    matrices over another algebra, which may be no action, do not.  The key
+    holds the matrices, so no collected object's id returns a stale verdict."""
+    key = tuple((face.algebra, tuple(face.action)) for face in obj.faces)
+    verdict = cache.get(key)
+    if verdict is None:
+        verdict = cache[key] = is_semisimple(obj).verdict
+    return verdict
 
 
 def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
@@ -341,38 +343,26 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     ``consistent`` is false exactly when the tensor product is semisimple,
     one factor has invertible rank, and the other factor fails to be
     semisimple; over an involutory Hopf algebra that would contradict the
-    theorem under test and must abort any campaign loudly.
+    theorem under test and must abort any campaign loudly.  The three
+    verdicts share ``cache``, or one of this pair alone, so a product that
+    carries a factor's faces is not decided again.
     """
     kind = _common_category(m, n, "cannot compare objects of different kinds")
     h = m.hopf
     require_same_hopf(h, n.hopf)
-
-    product = tensor_in_category(m, n)
+    if cache is None:
+        cache = {}
     conclusion_m = cached_verdict(m, cache)
     conclusion_n = cached_verdict(n, cache)
-    # a verdict depends only on (field, dim, operators), and a product with
-    # a one-dimensional trivial factor carries the other factor's faces,
-    # hence its operators; faces compare without building a YD object's
-    # n^2 operator products
-    actions = [face.action for face in product.faces]
-    if product.dim == m.dim and actions == [face.action for face in m.faces]:
-        hypothesis = conclusion_m
-    elif product.dim == n.dim and actions == [face.action for face in n.faces]:
-        hypothesis = conclusion_n
-    else:
-        hypothesis = is_semisimple(product).verdict
-    rank_m = hs_rank(m.dim, h.field).invertible
-    rank_n = hs_rank(n.dim, h.field).invertible
-    verdict = SerreVerdict(
+    return SerreVerdict(
         category=kind,
         m_name=getattr(m, "name", "?"),
         n_name=getattr(n, "name", "?"),
         hopf_name=h.name,
         involutory=h.is_involutory(),
-        hypothesis_holds=hypothesis,
-        rank_invertible_m=rank_m,
-        rank_invertible_n=rank_n,
+        hypothesis_holds=cached_verdict(tensor_in_category(m, n), cache),
+        rank_invertible_m=hs_rank(m.dim, h.field).invertible,
+        rank_invertible_n=hs_rank(n.dim, h.field).invertible,
         conclusion_m=conclusion_m,
         conclusion_n=conclusion_n,
     )
-    return verdict

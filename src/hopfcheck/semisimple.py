@@ -10,8 +10,8 @@ Rad(rho(A)) = rho(Rad A).  The engine reaches it by one of two routes:
 
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
   by the operators.  Rad(A) is computed once per algebra object and mapped
-  through the face; no image algebra is built.  A guard first refuses
-  operators that are no module's action;
+  through the face; no image algebra is built.  A guard first refuses,
+  by the face's ``law_violations``, operators that are no module's action;
 * a YD module's image is that of D(H), whose table is not built.  The
   reduced echelon basis of the operators' span is the image's basis, its
   structure constants are read off at the pivot columns, and a product
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 from .errors import BoundExceededError
 from .fields import Field, _integral
-from .hopf import AlgebraData, sparse_rows
-from .matrix import EchelonSpan, Matrix, _cleared, kernel_basis
+from .hopf import AlgebraData
+from .matrix import EchelonSpan, Matrix, kernel_basis
 from .modules import ModuleRep, regular_module
 
 # largest p^dim the brute force accepts; it spins one vector per line,
@@ -221,23 +221,14 @@ def _algebra_radical(algebra: AlgebraData) -> list[list]:
 
 
 def _require_module_action(face: ModuleRep):
-    """Refuse a face whose operators are no module's action: the unit must
-    act as I and A_i A_j = sum_t m_ij^t A_t must hold for every (i, j), on
-    the cleared integer rows d A_t over Q."""
-    field, dim, algebra = face.field, face.dim, face.algebra
-    if not face.action_of_vector(algebra.unit).is_identity():
+    """Refuse a face whose operators are no module's action, by the face's
+    ``law_violations``: the unit must act as I and A_i A_j = sum_t m_ij^t A_t
+    must hold for every (i, j)."""
+    unit, multiplicative = face.law_violations
+    if unit is not None:
         raise ValueError("the operators are not a module's action: the unit does not act as I")
-    if field.characteristic:
-        rows, d = face.sparse_action, 1
-    else:
-        # d A_t on integer rows: Fraction products would cost more than the check
-        cleared, d = _cleared([row for a in face.action for row in a.entries])
-        rows = face.sparse_action if d == 1 else sparse_rows(
-            [Matrix(field, dim, dim, cleared[t * dim : (t + 1) * dim]) for t in range(algebra.dim)]
-        )
-    violation = algebra.multiplicativity_violation(rows, d)
-    if violation is not None:
-        raise ValueError(f"the operators are not a module's action: A_i A_j != sum_t m_ij^t A_t at {violation}")
+    if multiplicative is not None:
+        raise ValueError(f"the operators are not a module's action: A_i A_j != sum_t m_ij^t A_t at {multiplicative}")
 
 
 def _operator_semisimplicity(

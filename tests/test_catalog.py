@@ -178,6 +178,14 @@ def test_campaign_over_no_known_category_is_refused(unbuilt_catalog):
     assert _built_groups() == 0
 
 
+def test_campaign_with_an_oracle_bound_below_one_is_refused(unbuilt_catalog):
+    # no object meets such a bound, so the oracle would skip all and pass
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="oracle bound must be at least 1"):
+            run_campaign(fields=["F2"], oracle=True, bound=bound)
+    assert _built_groups() == 0
+
+
 def test_catalog_is_the_union_of_its_groups_in_id_order(unbuilt_catalog):
     union = [e for hid in HOPF_IDS for e in catalog._group(hid).values()]
     entries = catalog_entries()

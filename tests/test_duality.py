@@ -4,11 +4,21 @@ import pytest
 
 from duality_reference import in_hom_span, unit_in_category
 from semisimple_reference import direct_sum_modules
-from hopfcheck.catalog import catalog_entries, hopf_entries, lookup
+from hopfcheck import semisimple
+from hopfcheck.catalog import (
+    catalog_entries,
+    group_algebra,
+    hopf_entries,
+    lookup,
+    s3_permutation_module,
+    s3_sign_module,
+    s3_standard_module,
+)
 from hopfcheck.comodules import trivial_comodule
 from hopfcheck.documents import object_to_doc
 from hopfcheck.duality import (
     build_strong_dual_certificates,
+    cached_verdict,
     coevaluation,
     dual_in_category,
     evaluation,
@@ -32,7 +42,7 @@ from hopfcheck.errors import (
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix
 from hopfcheck.hopf import HopfAlgebraData
-from hopfcheck.modules import dual_module, regular_module, tensor_modules, trivial_module
+from hopfcheck.modules import ModuleRep, dual_module, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
 from hopfcheck.yd import trivial_yd
 
@@ -328,10 +338,50 @@ def test_serre_cache_is_not_fooled_by_transient_objects():
         del m
 
 
+def test_serre_decides_each_distinct_face_key_once(monkeypatch):
+    # with one shared cache, every same-kind pair of kS3/F3 modules decides
+    # each (face algebras, actions) key once: N (x) trivial is N, and
+    # sign (x) N and N (x) sign carry the same matrices.  H is built here so
+    # that no earlier test has cached its verdicts
+    h = group_algebra(GF(3), "S3", "kS3/F3")
+    modules = [
+        regular_module(h),
+        trivial_module(h),
+        s3_permutation_module(h),
+        s3_sign_module(h),
+        s3_standard_module(h),
+    ]
+    decided = []
+    decide = semisimple._operator_semisimplicity
+
+    def counted(field, dim, operators, face=None):
+        decided.append(tuple(operators))
+        return decide(field, dim, operators, face)
+
+    monkeypatch.setattr(semisimple, "_operator_semisimplicity", counted)
+    cache: dict = {}
+    for m in modules:
+        for n in modules:
+            verify_serre(m, n, cache=cache)
+    objects = modules + [tensor_modules(m, n) for m in modules for n in modules]
+    assert len(decided) == len(set(decided)) == len({tuple(o.action) for o in objects}) < len(objects)
+
+
+def test_a_cached_verdict_does_not_skip_the_guard_of_another_algebra():
+    # kC2/Q/regular's [I, swap] over kdC2/Q is no action: its unit e + g
+    # acts as I + swap.  The same matrices' verdict over kC2/Q is cached
+    reg = lookup("kC2/Q/regular").payload
+    cache: dict = {}
+    assert cached_verdict(reg, cache)
+    impostor = ModuleRep(lookup("kdC2/Q").payload, 2, reg.action)
+    with pytest.raises(ValueError, match="the unit does not act as I"):
+        cached_verdict(impostor, cache)
+
+
 def test_serre_hypothesis_taken_from_a_factor_equals_the_products_verdict():
-    # verify_serre reuses a factor's verdict when the product carries that
-    # factor's operators (N (x) trivial); every pair must still read the
-    # product's own verdict
+    # verify_serre's cache is keyed by the faces, so a product that carries
+    # a factor's operators (N (x) trivial) reads that factor's verdict; every
+    # pair must still read the product's own verdict
     groups: dict = {}
     for entry in catalog_entries():
         prefix = entry.id.rsplit("/", 1)[0]

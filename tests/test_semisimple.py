@@ -19,8 +19,9 @@ from hopfcheck.comodules import ComoduleRep, regular_comodule
 from hopfcheck.duality import tensor_in_category
 from hopfcheck.errors import BoundExceededError
 from hopfcheck.fields import GF, QQ
+from hopfcheck.hopf import AlgebraData
 from hopfcheck.matrix import EchelonSpan, Matrix, NoSolutionError, solve_linear
-from hopfcheck.modules import ModuleRep, regular_module, tensor_modules, trivial_module
+from hopfcheck.modules import ModuleRep, check_module_axioms, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import (
     brute_force_semisimple,
     charpoly,
@@ -193,7 +194,28 @@ def test_the_radical_of_an_algebra_is_computed_once(monkeypatch):
     assert computed == [h]
 
 
-_FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5), "F7": GF(7)}
+def test_a_modules_action_is_checked_once_for_its_report_and_its_decisions(monkeypatch):
+    """The decision guard and ``check_module_axioms`` read one law check per
+    module, so deciding a module, reporting its axioms and deciding it again
+    run the multiplicativity kernel once.  H is built here so that no earlier
+    test has checked its modules."""
+    h = group_algebra(QQ, "C2", "kC2/Q")
+    m = tensor_modules(regular_module(h), trivial_module(h))
+    checked = []
+    check = AlgebraData.multiplicativity_violation
+
+    def counted(algebra, *args):
+        checked.append(algebra)
+        return check(algebra, *args)
+
+    monkeypatch.setattr(AlgebraData, "multiplicativity_violation", counted)
+    assert is_semisimple(m).verdict
+    assert check_module_axioms(m).ok
+    assert is_semisimple(m).verdict
+    assert checked == [h]
+
+
+_FIELDS ={"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5), "F7": GF(7)}
 _MAX_DIM = 6  # the largest valid catalog object
 
 
