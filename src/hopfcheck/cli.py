@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bound",
         type=_positive_int,
-        help=f"oracle cap on p^dim (the oracle spins (p^dim-1)/(p-1) lines; default {DEFAULT_ORACLE_BOUND})",
+        help=f"oracle cap on p^dim (its graph has (p^dim-1)/(p-1) lines; it spins one per sink component; default {DEFAULT_ORACLE_BOUND})",
     )
     p.set_defaults(func=_cmd_semisimple)
 

@@ -28,10 +28,12 @@ representation:
 
 Verdicts carry the radical of the image, as the reduced echelon basis of
 its span in End(V), as a certificate; every element is checked to be
-nilpotent before the report is returned.  A brute-force oracle that spins
-every line over a small finite field and compares the socle (the sum of
-the simple submodules) with the whole space provides the independent
-cross-check.
+nilpotent before the report is returned.  A brute-force oracle over a
+small finite field provides the independent cross-check: it builds the
+graph of the lines of F_p^dim under a generating set of the operators,
+spins one line per sink component, and compares the socle (the sum of the
+simple submodules) with the whole space.  The graph has a node for every
+line, so the oracle refuses a p^dim above its cap.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ from .hopf import AlgebraData
 from .matrix import EchelonSpan, Matrix, kernel_basis
 from .modules import ModuleRep, regular_module
 
-# largest p^dim the brute force accepts; it spins one vector per line,
-# (p^dim - 1)/(p - 1) of them, but the cap is stated on p^dim
+# largest p^dim the brute force accepts; its line graph has a node for each
+# of the (p^dim - 1)/(p - 1) lines, though only one line per sink component
+# is spun, and the cap is stated on p^dim
 DEFAULT_ORACLE_BOUND = 6561
 
 
@@ -276,22 +279,157 @@ is_cosemisimple = is_yd_semisimple = is_semisimple
 
 
 # brute-force oracle ---------------------------------------------------------
+#
+# Plain lists mod p throughout, so the oracle shares no arithmetic with the
+# engine.  A subspace is a semi-echelon basis: (pivot, row) pairs, each row 1
+# at its pivot and 0 at the pivots of the rows before it.
 
 
-def _spin_vector_space(field: Field, dim: int, operator_rows: list[list], seed) -> EchelonSpan:
-    """The smallest invariant subspace containing ``seed``; each operator is
-    given as its plain list of rows over F_p."""
-    p = field.characteristic
-    span = EchelonSpan(field, dim)
-    span.add(seed)
+def _reduce(basis: list[tuple[int, list[int]]], v: list[int], p: int) -> list[int]:
+    """``v`` reduced by ``basis``: zero exactly when ``v`` lies in its span."""
+    for pivot, row in basis:
+        c = v[pivot]
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    return v
+
+
+def _extend(basis: list[tuple[int, list[int]]], v: list[int], p: int) -> bool:
+    """Add ``v`` to ``basis``; False when it already lies in the span."""
+    v = _reduce(basis, v, p)
+    pivot = next((i for i, a in enumerate(v) if a), None)
+    if pivot is None:
+        return False
+    inverse = pow(v[pivot], p - 2, p)
+    basis.append((pivot, [a * inverse % p for a in v]))
+    return True
+
+
+def _apply(rows: list[list[int]], v, p: int) -> list[int]:
+    """The matrix with these rows times ``v``, mod p."""
+    return [sum(a * b for a, b in zip(row, v) if a) % p for row in rows]
+
+
+def _generators(operators: list[list[list[int]]], dim: int, p: int) -> list[list[list[int]]]:
+    """A generating set of the unital algebra the operators generate, so with
+    the same invariant subspaces: an operator is kept only when it lies
+    outside the algebra generated by I and the operators kept before it.
+    I, zero and repeated operators are never kept."""
+    identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    algebra: list[tuple[int, list[int]]] = []
+    _extend(algebra, sum(identity, []), p)
+    # words spans the algebra and is closed under right multiplication by
+    # every kept operator: a word times an operator is again in its span
+    words, kept = [identity], []
+    for op in operators:
+        if not _extend(algebra, sum(op, []), p):
+            continue
+        closed = len(words)
+        kept.append(op)
+        words.append(op)
+        idx = 0
+        while idx < len(words):
+            x = words[idx]
+            # the words before ``closed`` are closed under the earlier operators
+            for g in kept if idx >= closed else (op,):
+                columns = list(zip(*g))
+                prod = [_apply(columns, row, p) for row in x]
+                if _extend(algebra, sum(prod, []), p):
+                    words.append(prod)
+            idx += 1
+    return kept
+
+
+def _line_code(v: list[int], p: int, inverse: list[int]) -> int:
+    """The line of a vector as a base-p integer: the digits of its multiple
+    whose first nonzero coordinate is 1, and 0 for the zero vector."""
+    code = scale = 0
+    for a in v:
+        if not scale:
+            scale = inverse[a]
+        code = code * p + a * scale % p
+    return code
+
+
+def _line_graph(generators: list[list[list[int]]], dim: int, p: int) -> tuple[list[int], list[list[int]]]:
+    """The codes of the (p^dim - 1)/(p - 1) lines and, for each generator,
+    the flat list mapping a line's code to the code of its image's line (0
+    where the image is zero)."""
+    inverse = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+    lines: list[int] = []
+    images = [[0] * p**dim for _ in generators]
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            v = (0,) * lead + (1,) + tail
+            code = _line_code(v, p, inverse)
+            lines.append(code)
+            for rows, image in zip(generators, images):
+                image[code] = _line_code(_apply(rows, v, p), p, inverse)
+    return lines, images
+
+
+def _sink_lines(lines: list[int], images: list[list[int]], size: int) -> list[int]:
+    """One line of each sink component of the line graph: a strongly
+    connected component with no edge leaving it (Tarjan, iteratively)."""
+    number = [0] * size  # DFS number from 1, 0 while unvisited
+    low = [0] * size
+    component = [0] * size  # component number from 1, 0 while on the stack
+    stack: list[int] = []
+    roots: list[int] = []
+    counter = 0
+    for start in lines:
+        if number[start]:
+            continue
+        counter += 1
+        number[start] = low[start] = counter
+        stack.append(start)
+        path = [[start, 0]]
+        while path:
+            frame = path[-1]
+            v, i = frame
+            if i < len(images):
+                frame[1] += 1
+                w = images[i][v]
+                if not w:
+                    continue
+                if not number[w]:
+                    counter += 1
+                    number[w] = low[w] = counter
+                    stack.append(w)
+                    path.append([w, 0])
+                elif not component[w]:
+                    low[v] = min(low[v], number[w])
+                continue
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == number[v]:
+                roots.append(v)
+                w = None
+                while w != v:
+                    w = stack.pop()
+                    component[w] = len(roots)
+    sink = [True] * (len(roots) + 1)
+    for v in lines:
+        for image in images:
+            if image[v] and component[image[v]] != component[v]:
+                sink[component[v]] = False
+    return [v for c, v in enumerate(roots, 1) if sink[c]]
+
+
+def _spin(generators: list[list[list[int]]], seed: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """The smallest invariant subspace containing ``seed``."""
+    span: list[tuple[int, list[int]]] = []
+    _extend(span, seed, p)
     work = [seed]
     idx = 0
     while idx < len(work):
         v = work[idx]
         idx += 1
-        for rows in operator_rows:
-            image = [sum(a * b for a, b in zip(row, v) if a) % p for row in rows]
-            if span.add(image):
+        for rows in generators:
+            image = _apply(rows, v, p)
+            if _extend(span, image, p):
                 work.append(image)
     return span
 
@@ -300,11 +438,17 @@ def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     """Semisimple exactly when the module is its socle, the sum of its simple
     submodules.
 
-    Every simple submodule is the spin of any of its nonzero vectors, and
-    c*v spins the same subspace as v, so only the vectors whose first nonzero
-    coordinate is 1 are spun -- (p^dim - 1)/(p - 1) of them.  Every nonzero
-    submodule contains a simple one, so taken by dimension, a cyclic subspace
-    is simple exactly when it contains none of the simple ones found before it.
+    The operators are first cut down to generators of the same unital
+    algebra.  The line graph has the (p^dim - 1)/(p - 1) lines of F_p^dim
+    as nodes and an edge from the line of v to the line of each nonzero g*v,
+    g a generator; the spin of v, the smallest invariant subspace containing
+    it, is the span of the lines reachable from v.  So two lines in one
+    strongly connected component spin the same subspace.  A simple submodule
+    S is the spin of any of its nonzero vectors; from a line of S the graph
+    never leaves S and reaches a sink component, so S is the spin of a line
+    in a sink component.  Only one line per sink component is spun.  Every
+    nonzero submodule contains a simple one, so taken by dimension, a spin is
+    simple exactly when it contains none of the simple ones found before it.
     """
     field, dim = obj.field, obj.dim
     if field.characteristic == 0:
@@ -312,19 +456,20 @@ def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     p = field.characteristic
     if p**dim > bound:
         raise BoundExceededError(f"{p}^{dim} exceeds the oracle bound {bound}")
-    # a YD object's n^2 products repeat and vanish often; the distinct
-    # nonzero operators have the same invariant subspaces
-    operator_rows = [op.entries for op in dict.fromkeys(op for op in obj.operators if not op.is_zero())]
-    cyclic: dict[tuple, EchelonSpan] = {}
-    for lead in range(dim):
-        for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            span = _spin_vector_space(field, dim, operator_rows, [0] * lead + [1] + list(tail))
-            cyclic.setdefault(tuple(tuple(r) for r in span.basis_rows()), span)
-    simple: list[EchelonSpan] = []
-    socle = EchelonSpan(field, dim)
-    for span in sorted(cyclic.values(), key=lambda s: s.dim):
-        if not any(all(span.contains(row) for row in s.basis_rows()) for s in simple):
+    generators = _generators([op.entries for op in obj.operators], dim, p)
+    lines, images = _line_graph(generators, dim, p)
+    spins = []
+    for code in _sink_lines(lines, images, p**dim):
+        seed = []
+        for _ in range(dim):
+            code, digit = divmod(code, p)
+            seed.append(digit)
+        spins.append(_spin(generators, seed[::-1], p))
+    simple: list[list[tuple[int, list[int]]]] = []
+    socle: list[tuple[int, list[int]]] = []
+    for span in sorted(spins, key=len):
+        if not any(all(not any(_reduce(span, row, p)) for _, row in s) for s in simple):
             simple.append(span)
-            for row in span.basis_rows():
-                socle.add(row)
-    return socle.dim == dim
+            for _, row in span:
+                _extend(socle, row, p)
+    return len(socle) == dim

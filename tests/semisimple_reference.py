@@ -9,8 +9,10 @@ about its input and checks the engine's span independently.
 ``direct_sum_modules`` the block-diagonal sum the tests build semisimple and
 non-semisimple fixtures from; the engine itself needs neither.
 
-The brute-force oracle spins one vector per line and compares the socle,
-the sum of the simple cyclic subspaces, with the whole space.
+``line_by_line_semisimple`` is the socle oracle in its plainest form: it
+spins every line, keeps the distinct cyclic subspaces and compares the sum
+of the simple ones with the whole space.  The engine's oracle spins one line
+per sink component of the line graph and is pinned to it.
 ``semisimple_by_complements`` decides by the splitting definition instead:
 ``invariant_subspaces_reference`` spins every nonzero vector and closes the
 subspaces under sums, and each of them must have an invariant complement.
@@ -18,6 +20,7 @@ subspaces under sums, and each of them must have an invariant complement.
 
 import itertools
 
+from hopfcheck.errors import BoundExceededError
 from hopfcheck.fields import Field
 from hopfcheck.matrix import EchelonSpan, Matrix
 from hopfcheck.modules import ModuleRep, require_same_hopf
@@ -65,6 +68,55 @@ def spin_algebra(field: Field, dim: int, generators: list[Matrix]) -> list[Matri
             if span.add(prod.flatten()):
                 work.append(prod)
     return [Matrix.from_flat(field, dim, dim, row) for row in span.basis_rows()]
+
+
+def spin_vector_space(field: Field, dim: int, operator_rows: list[list], seed) -> EchelonSpan:
+    """The smallest invariant subspace containing ``seed``; each operator is
+    given as its plain list of rows over F_p."""
+    p = field.characteristic
+    span = EchelonSpan(field, dim)
+    span.add(seed)
+    work = [seed]
+    idx = 0
+    while idx < len(work):
+        v = work[idx]
+        idx += 1
+        for rows in operator_rows:
+            image = [sum(a * b for a, b in zip(row, v) if a) % p for row in rows]
+            if span.add(image):
+                work.append(image)
+    return span
+
+
+def line_by_line_semisimple(obj) -> bool:
+    """Semisimple exactly when the module is its socle, the sum of its simple
+    submodules.
+
+    Every simple submodule is the spin of any of its nonzero vectors, and
+    c*v spins the same subspace as v, so only the vectors whose first nonzero
+    coordinate is 1 are spun -- (p^dim - 1)/(p - 1) of them.  Every nonzero
+    submodule contains a simple one, so taken by dimension, a cyclic subspace
+    is simple exactly when it contains none of the simple ones found before it.
+    """
+    field, dim = obj.field, obj.dim
+    if field.characteristic == 0:
+        raise BoundExceededError("brute force enumeration needs a finite field")
+    p = field.characteristic
+    # the distinct nonzero operators have the same invariant subspaces
+    operator_rows = [op.entries for op in dict.fromkeys(op for op in obj.operators if not op.is_zero())]
+    cyclic: dict[tuple, EchelonSpan] = {}
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            span = spin_vector_space(field, dim, operator_rows, [0] * lead + [1] + list(tail))
+            cyclic.setdefault(tuple(tuple(r) for r in span.basis_rows()), span)
+    simple: list[EchelonSpan] = []
+    socle = EchelonSpan(field, dim)
+    for span in sorted(cyclic.values(), key=lambda s: s.dim):
+        if not any(all(span.contains(row) for row in s.basis_rows()) for s in simple):
+            simple.append(span)
+            for row in span.basis_rows():
+                socle.add(row)
+    return socle.dim == dim
 
 
 def invariant_subspaces_reference(field: Field, dim: int, operators: list[Matrix]) -> dict:
