@@ -17,14 +17,16 @@ Rad(rho(A)) = rho(Rad A).  The engine reaches it by one of two routes:
   structure constants are read off at the pivot columns, and a product
   that leaves the span is refused as not coming from a module.
 
-A radical is computed through the algebra's (faithful) regular
-representation:
+A radical is computed in a faithful representation of the algebra on F^n:
+the regular one (n = dim A) for H and H*, and V itself (n = dim V) for a
+YD object's image, which acts faithfully on V by construction:
 
 * characteristic 0: the radical is the kernel of the trace form
-  tr(xy) (Dickson's criterion);
+  tr(xy) on F^n (Dickson's criterion);
 * characteristic p: a descending chain of subspaces cut out by the
-  characteristic-polynomial coefficient forms of index 1, p, p^2, ...,
-  the standard iterated trace-form algorithm for algebras over F_p.
+  characteristic-polynomial coefficient forms of index 1, p, p^2, ... up
+  to n, the iterated trace-form chain of Cohen, Ivanyos and Wales (1997),
+  which runs in any faithful representation A <= M_n(F_p).
 
 Verdicts carry the radical of the image, as the reduced echelon basis of
 its span in End(V), as a certificate; every element is checked to be
@@ -182,31 +184,44 @@ def _echelon(field: Field, vectors: list[list]) -> tuple[EchelonSpan, list[list]
     return span, rows
 
 
-def _radical_coordinates(algebra: AlgebraData) -> list[list]:
-    """Radical of the algebra, as reduced coordinate vectors in its basis.
+def _radical_coordinates(rep: ModuleRep) -> list[list]:
+    """Radical of ``rep.algebra``, as reduced coordinate vectors in its
+    basis, computed in ``rep``, which must be faithful; n = ``rep.dim``.
 
-    Uses the regular representation, which is faithful because the algebra
-    is unital, so all characteristic polynomials have size dim(A).
+    * Characteristic 0: I = {a : tr(ab) = 0 for all b}, traces taken on
+      F^n, is an ideal, and each a in I has tr(a^k) = tr(a a^(k-1)) = 0 for
+      every k >= 1, so a is nilpotent and I lies in Rad(A); an element of
+      Rad(A) times any b is nilpotent, so of trace 0.  Hence I = Rad(A):
+      Dickson's criterion holds in any faithful representation.
+    * Characteristic p: the chain of Cohen, Ivanyos and Wales ("Finding the
+      radical of an algebra of linear transformations", JPAA 117, 1997),
+      which runs in any faithful representation A <= M_n(F_p).  I_0 is cut
+      out by tr(ab) and I_k, inside I_(k-1), by the coefficient of
+      lambda^(n-q) in charpoly(ab), q = p^k; it reaches Rad(A) once q > n.
+
+    tr(ab) = tr(ba) and charpoly(ab) = charpoly(ba), so each Gram matrix is
+    symmetric and only its upper triangle is computed.
     """
-    field, r = algebra.field, algebra.dim
-    regular = regular_module(algebra)
+    field, n = rep.field, rep.dim
     p = field.characteristic
     # current subspace, initially the whole algebra in coordinates
-    current = Matrix.identity(field, r).entries
+    current = Matrix.identity(field, rep.algebra.dim).entries
     q = 1
     while current:
-        mats = [regular.action_of_vector(c) for c in current]
-        if q == 1:
-            gram = [[_fast_trace_of_product(a, b) for b in mats] for a in mats]
-        else:
-            gram = [[charpoly(a * b)[r - q] for b in mats] for a in mats]
-        alphas = [alpha.flatten() for alpha in kernel_basis(Matrix.from_rows(field, gram).transpose())]
+        mats = [rep.action_of_vector(c) for c in current]
+        size = len(mats)
+        gram = [[None] * size for _ in range(size)]
+        for i, a in enumerate(mats):
+            for j in range(i, size):
+                b = mats[j]
+                gram[i][j] = gram[j][i] = _fast_trace_of_product(a, b) if q == 1 else charpoly(a * b)[n - q]
+        alphas = [alpha.flatten() for alpha in kernel_basis(Matrix.from_rows(field, gram))]
         if not alphas:
             return []
         combos = Matrix.from_rows(field, alphas) * Matrix.from_rows(field, current)
         _, current = _echelon(field, combos.entries)
         q *= p
-        if p == 0 or q > r:
+        if p == 0 or q > n:
             break
     return current
 
@@ -219,7 +234,7 @@ _RADICALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _algebra_radical(algebra: AlgebraData) -> list[list]:
     radical = _RADICALS.get(algebra)
     if radical is None:
-        radical = _RADICALS[algebra] = _radical_coordinates(algebra)
+        radical = _RADICALS[algebra] = _radical_coordinates(regular_module(algebra))
     return radical
 
 
@@ -242,16 +257,21 @@ def _operator_semisimplicity(
     Rad(A/I) = (Rad A + I)/I for finite-dimensional A.
 
     ``face`` is the module whose action the operators are; Rad(A) is then
-    computed once per algebra object and mapped through it.  Without a face
-    the operators are any span of an image (a YD object's products), and
-    the face is that image, read off the matrices, acting on F^dim.
+    computed once per algebra object, in its regular representation, and
+    mapped through it.  Without a face the operators are any span of an
+    image (a YD object's products), and the face is that image, read off the
+    matrices, acting faithfully on F^dim, where its radical is computed.
     """
     method = "TraceForm" if field.characteristic == 0 else "IteratedTraceForm"
     if face is None:
+        # V is a faithful module over its image, and smaller than the image's
+        # regular representation when dim A > dim V
         face = _image_module(field, dim, operators)
+        coordinates = _radical_coordinates(face)
     else:
         _require_module_action(face)
-    radical = [face.action_of_vector(z) for z in _algebra_radical(face.algebra)]
+        coordinates = _algebra_radical(face.algebra)
+    radical = [face.action_of_vector(z) for z in coordinates]
     # the reduced echelon basis of the radical's span in End(F^dim) does not
     # depend on the basis it was computed in
     _, rows = _echelon(field, [z.flatten() for z in radical])
@@ -446,9 +466,12 @@ def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     strongly connected component spin the same subspace.  A simple submodule
     S is the spin of any of its nonzero vectors; from a line of S the graph
     never leaves S and reaches a sink component, so S is the spin of a line
-    in a sink component.  Only one line per sink component is spun.  Every
-    nonzero submodule contains a simple one, so taken by dimension, a spin is
-    simple exactly when it contains none of the simple ones found before it.
+    in a sink component.  Only one line per sink component is spun.  Taken
+    by dimension, a spin joins the socle exactly when it meets the socle
+    found so far only in 0, one extension of a copy of the socle per spin.
+    The socle is the sum of the simple submodules: a non-simple spin contains
+    a smaller simple spin, which the socle already holds, and a simple spin
+    either meets the socle in 0 or lies in it and adds nothing.
     """
     field, dim = obj.field, obj.dim
     if field.characteristic == 0:
@@ -465,11 +488,9 @@ def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
             code, digit = divmod(code, p)
             seed.append(digit)
         spins.append(_spin(generators, seed[::-1], p))
-    simple: list[list[tuple[int, list[int]]]] = []
     socle: list[tuple[int, list[int]]] = []
     for span in sorted(spins, key=len):
-        if not any(all(not any(_reduce(span, row, p)) for _, row in s) for s in simple):
-            simple.append(span)
-            for _, row in span:
-                _extend(socle, row, p)
+        grown = list(socle)
+        if all(_extend(grown, row, p) for _, row in span):
+            socle = grown
     return len(socle) == dim

@@ -143,6 +143,22 @@ def test_the_oracle_campaign_spins_at_most_800_lines(monkeypatch):
     assert len(spins) <= 800
 
 
+@pytest.mark.parametrize("p,dim", [(3, 8), (2, 12)])
+def test_a_scalar_action_checks_each_spin_against_the_socle_once(monkeypatch, p, dim):
+    """Under the identity alone every line is a sink, so all (p^dim - 1)/(p - 1)
+    lines are spun, each a simple line.  A spin is checked once against the
+    socle found so far, not against every simple found before it: one
+    reduction per spin's seed and one per spin's row, after the two of the
+    generator step."""
+    field = GF(p)
+    obj = SimpleNamespace(field=field, dim=dim, operators=[Matrix.identity(field, dim)])
+    spins = _count_calls(monkeypatch, semisimple, "_spin")
+    reductions = _count_calls(monkeypatch, semisimple, "_reduce")
+    assert brute_force_semisimple(obj) is True
+    assert len(spins) == (p**dim - 1) // (p - 1)
+    assert len(reductions) <= 2 * len(spins) + 2
+
+
 # the generator step --------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from hopfcheck.catalog import (
     group_algebra,
     hopf_entries,
     lookup,
+    objects_over,
     s3_permutation_module,
     s3_sign_module,
     s3_standard_module,
@@ -181,9 +183,9 @@ def test_the_radical_of_an_algebra_is_computed_once(monkeypatch):
     computed = []
     compute = semisimple._radical_coordinates
 
-    def counted(algebra):
-        computed.append(algebra)
-        return compute(algebra)
+    def counted(rep):
+        computed.append(rep.algebra)
+        return compute(rep)
 
     monkeypatch.setattr(semisimple, "_radical_coordinates", counted)
     for m in modules:
@@ -192,6 +194,25 @@ def test_the_radical_of_an_algebra_is_computed_once(monkeypatch):
         for b in modules:
             is_semisimple(tensor_modules(a, b))
     assert computed == [h]
+
+
+def test_a_yd_radical_is_computed_in_v(monkeypatch):
+    """The image of D(H) in End(V) acts faithfully on V, so its radical is
+    computed there: kS3/F3/ydconj3 (x) ydconj3 has dim V = 9 and an image of
+    dimension 17, and the chain runs on the dim-9 module."""
+    y = lookup("kS3/F3/ydconj3").payload
+    product = tensor_in_category(y, y)
+    reps = []
+    compute = semisimple._radical_coordinates
+
+    def recorded(rep):
+        reps.append(rep)
+        return compute(rep)
+
+    monkeypatch.setattr(semisimple, "_radical_coordinates", recorded)
+    report = is_yd_semisimple(product)
+    assert [(rep.dim, rep.algebra.dim) for rep in reps] == [(9, 17)]
+    assert (report.verdict, report.radical_dim) == (False, 11)
 
 
 def test_a_modules_action_is_checked_once_for_its_report_and_its_decisions(monkeypatch):
@@ -462,15 +483,71 @@ def test_yd_semisimplicity():
     assert brute_force_semisimple(nonsplit) is False
 
 
+def _yd_direct_sum(a, b):
+    return YDModuleRep(
+        direct_sum_modules(a.module, b.module),
+        ComoduleRep.over_dual(a.hopf, direct_sum_modules(a.comodule.star_module, b.comodule.star_module)),
+        name=f"{a.name} + {b.name}",
+    )
+
+
+def _valid_yd_objects(hopf_id):
+    return [e.payload for e in objects_over(hopf_id, "yd") if e.expected_failure is None]
+
+
 def test_yd_direct_sum_of_distinct_lines_is_semisimple():
     a = lookup("kC2/Q/ydline_g_sign").payload
     b = lookup("kC2/Q/ydline_e_sign").payload
-    s = YDModuleRep(
-        direct_sum_modules(a.module, b.module),
-        ComoduleRep.over_dual(a.hopf, direct_sum_modules(a.comodule.star_module, b.comodule.star_module)),
-        name="sum",
-    )
-    assert is_yd_semisimple(s).verdict
+    assert is_yd_semisimple(_yd_direct_sum(a, b)).verdict
+
+
+def test_a_yd_direct_sum_is_semisimple_exactly_when_both_summands_are():
+    """M (+) N is semisimple exactly when M and N are, for every pair of
+    valid YD objects over one Hopf algebra with dim M + dim N <= 6, and the
+    socle oracle agrees on every sum within its cap."""
+    sums = oracle_checked = 0
+    verdicts = set()
+    for hopf_entry in hopf_entries():
+        valid = _valid_yd_objects(hopf_entry.id)
+        for m, n in combinations_with_replacement(valid, 2):
+            if m.dim + n.dim > 6:
+                continue
+            s = _yd_direct_sum(m, n)
+            verdict = is_yd_semisimple(s).verdict
+            assert verdict == (is_yd_semisimple(m).verdict and is_yd_semisimple(n).verdict), s.name
+            sums += 1
+            verdicts.add(verdict)
+            p = s.field.characteristic
+            if p and p**s.dim <= semisimple.DEFAULT_ORACLE_BOUND:
+                assert brute_force_semisimple(s) == verdict, s.name
+                oracle_checked += 1
+    assert (sums, oracle_checked) == (147, 116)
+    assert verdicts == {True, False}
+
+
+def test_a_yd_radical_in_v_is_the_radical_in_the_regular_representation():
+    """The image A of D(H) acts faithfully on V and on itself, so both give
+    Rad(A), for every valid YD object and every same-kind YD tensor pair.
+    Only this route runs the characteristic-p chain in V, where it stops
+    once p^k > dim V, not p^k > dim A."""
+    images = []
+    for hopf_entry in hopf_entries():
+        valid = _valid_yd_objects(hopf_entry.id)
+        objects = valid + [tensor_in_category(m, n) for m, n in combinations_with_replacement(valid, 2)]
+        images += [_image_module(o.field, o.dim, o.operators) for o in objects]
+    assert len(images) == 225
+
+    def mapped(face, coordinates):
+        return _span_rows(face.field, [face.action_of_vector(z) for z in coordinates])
+
+    larger = radicals = 0
+    for face in images:
+        in_v = mapped(face, semisimple._radical_coordinates(face))
+        assert in_v == mapped(face, semisimple._radical_coordinates(regular_module(face.algebra))), face
+        larger += face.algebra.dim > face.dim
+        radicals += bool(in_v)
+    assert larger == 20
+    assert radicals > 0
 
 
 def test_yd_oracle_agreement_sample():
