@@ -24,16 +24,38 @@ maps, read off the one vector each map carries by
 certificates also use.  The two antipode laws equal the coefficient laws
 when H is associative and unital (R is then faithful); the others equal
 them outright.
+
+Two laws closed under products are checked only on the rows i of a
+generating set G of the algebra (``AlgebraData.generators``), when their
+preconditions hold, and on every row otherwise:
+
+* a module law A_i A_j = sum_t m_ij^t A_t, when H is unital and
+  associative and the unit acts as I: the x with rho(xy) = rho(x) rho(y)
+  for all y then form a subspace that contains 1 and is closed under
+  products;
+* associativity, when the unit law holds (Light's test with the
+  generator on the left; Clifford and Preston, *The Algebraic Theory of
+  Semigroups* I, 1961, section 1.2): the left nucleus
+  {x : (xy)z = x(yz) for all y, z} of any algebra is closed under
+  products, and with the unit law it contains 1.
+
+A subspace that contains 1 and G and is closed under products holds every
+left-normed word in G, and these words span the algebra by construction
+of G.  The first violation is the full scan's too: G is kept greedily in
+index order, so a row i outside G is a combination of 1 and words in the
+generators before i; if every row before i holds, so does row i, and the
+first failing row is in G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import lcm
 
 from .errors import AxiomError
 from .fields import Field
-from .matrix import Matrix
+from .matrix import EchelonSpan, Matrix
 
 
 @dataclass
@@ -101,6 +123,7 @@ class AlgebraData:
         self.mult = mult
         self.unit = unit
         self.name = name
+        self._generators = None
         if not unchecked:
             report = self.check_algebra_axioms()
             if not report.ok:
@@ -124,40 +147,97 @@ class AlgebraData:
     def regular_action_matrices(self) -> list[Matrix]:
         return [self.left_mult_matrix(i) for i in range(self.dim)]
 
+    def generators(self) -> list[int]:
+        """Indices of basis elements that, with 1, generate the algebra;
+        computed once per object.
+
+        Greedily in index order, b_i is kept when it lies outside the span
+        of 1 and the left-normed words ((g_1 g_2) ...) g_k in the generators
+        kept so far; that span is then closed under right multiplication by
+        every kept generator.  Only structure constants are read, so the
+        words span the algebra whether or not its table is associative.
+        """
+        if self._generators is None:
+            field, n = self.field, self.dim
+            p = field.characteristic
+            zero, one = field.zero(), field.one()
+
+            def times(word, g):
+                # coordinates of word * b_g
+                out = [0] * n
+                for i, w in enumerate(word):
+                    if w:
+                        for t, c in enumerate(self.mult[i][g]):
+                            if c:
+                                out[t] += w * c
+                return [x % p for x in out] if p else out
+
+            span = EchelonSpan(field, n)
+            span.add(self.unit)
+            words, kept = [list(self.unit)], []
+            for g in range(n):
+                basis = [one if t == g else zero for t in range(n)]
+                if not span.add(basis):
+                    continue
+                # the words before ``closed`` are closed under the earlier generators
+                closed = len(words)
+                kept.append(g)
+                words.append(basis)
+                idx = 0
+                while idx < len(words):
+                    for k in kept if idx >= closed else (g,):
+                        word = times(words[idx], k)
+                        if span.add(word):
+                            words.append(word)
+                    idx += 1
+            self._generators = kept
+        return self._generators
+
     # axioms -----------------------------------------------------------------
 
     def check_algebra_axioms(self) -> AxiomReport:
+        unit, associativity = self.law_violations
         report = AxiomReport(self.name or "algebra")
-        report.record("associativity", self._associativity_violation())
-        report.record("unit", self._unit_violation())
+        report.record("associativity", associativity)
+        report.record("unit", unit)
         return report
 
-    def multiplicativity_violation(self, rows: list):
+    @cached_property
+    def law_violations(self) -> tuple:
+        """First violations (None where it holds) of the unit law and of
+        associativity, computed once per object for the axiom reports and
+        the module-law precondition alike.  L_i L_j = sum_t m_ij^t L_t says
+        (b_i b_j) b_k = b_i (b_j b_k) for all k; with the unit law it is
+        checked on the rows i in ``generators`` (see the module docstring)."""
+        unit = self._unit_violation()
+        rows = sparse_rows(self.regular_action_matrices())
+        return unit, self.multiplicativity_violation(rows, self.generators() if unit is None else None)
+
+    def multiplicativity_violation(self, rows: list, scan=None):
         """First (i, j) with A_i A_j != sum_t m_ij^t A_t, or None, for an
-        action given by its ``sparse_rows``.
+        action given by its ``sparse_rows``, checked on the rows i in
+        ``scan`` (every row when None).
 
         The one kernel behind every multiplicativity-type law: on a module's
         action it is the module law, on the regular action it is
         associativity, and over a dual Hopf algebra H* it is comodule and
-        Hopf coassociativity and comult_unit.  A rational action is checked
-        on the integer rows d A_t, d the lcm of its denominators, because
-        Fraction products would cost more than the check; the law then reads
-        d sum_t m_ij^t (d A_t) = (d A_i)(d A_j).
+        Hopf coassociativity and comult_unit.  Callers pass ``generators()``
+        as ``scan`` when the law's closure argument applies (see the module
+        docstring), which decides the law and finds its first violation.  A
+        rational action is checked on the integer rows d A_t, d the lcm of
+        its denominators, because Fraction products would cost more than the
+        check; the law then reads d sum_t m_ij^t (d A_t) = (d A_i)(d A_j).
         """
         d = lcm(*{x.denominator for a in rows for row in a for _, x in row})
         if d != 1:
             rows = [[[(c, x.numerator * (d // x.denominator)) for c, x in row] for row in a] for a in rows]
         size = len(rows[0]) if rows else 0
-        for i in range(self.dim):
+        for i in range(self.dim) if scan is None else scan:
             for j in range(self.dim):
                 linear = [(d * c, rows[t]) for t, c in enumerate(self.mult[i][j]) if c]
                 if combination_differs(self.field, size, linear, [(1, rows[i], rows[j])]):
                     return (i, j)
         return None
-
-    def _associativity_violation(self):
-        # L_i L_j = sum_t m_ij^t L_t says (b_i b_j) b_k = b_i (b_j b_k) for all k
-        return self.multiplicativity_violation(sparse_rows(self.regular_action_matrices()))
 
     def _unit_violation(self):
         field = self.field
@@ -199,6 +279,7 @@ class HopfAlgebraData(AlgebraData):
         self.counit = counit
         self.antipode = antipode
         self._dual_algebra = None
+        self._involutory = None
         super().__init__(field, dim, mult, unit, name=name, unchecked=True)
         if not unchecked:
             report = self.check_hopf_axioms()
@@ -231,12 +312,14 @@ class HopfAlgebraData(AlgebraData):
 
         dual = self.dual_algebra()
         r = regular_module(self)
+        unit, associativity = self.law_violations
+        counit, coassociativity = dual.law_violations
         counit_unit, counit_multiplicative = trivial_module(self).law_violations
         report = AxiomReport(self.name or "hopf")
-        report.record("associativity", self._associativity_violation())
-        report.record("unit", self._unit_violation())
-        report.record("coassociativity", dual._associativity_violation())
-        report.record("counit", dual._unit_violation())
+        report.record("associativity", associativity)
+        report.record("unit", unit)
+        report.record("coassociativity", coassociativity)
+        report.record("counit", counit)
         report.record("comult_multiplicative", self._comult_multiplicative_violation())
         report.record("comult_unit", trivial_module(dual).law_violations[1])
         report.record("counit_multiplicative", counit_multiplicative)
@@ -272,7 +355,10 @@ class HopfAlgebraData(AlgebraData):
     # derived structure -------------------------------------------------------
 
     def is_involutory(self) -> bool:
-        return (self.antipode * self.antipode).is_identity()
+        """Whether S^2 = id, computed once per object."""
+        if self._involutory is None:
+            self._involutory = (self.antipode * self.antipode).is_identity()
+        return self._involutory
 
     def dual_algebra(self) -> HopfAlgebraData:
         """The dual Hopf algebra H* on the dual basis.

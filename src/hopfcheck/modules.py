@@ -121,9 +121,14 @@ class ModuleRep:
     @cached_property
     def law_violations(self) -> tuple:
         """First violations (None where it holds) of the unit law and of
-        A_i A_j = sum_t m_ij^t A_t, for the axiom report and the guard alike."""
-        unit = None if self.action_of_vector(self.algebra.unit).is_identity() else (0,)
-        return unit, self.algebra.multiplicativity_violation(self.sparse_action)
+        A_i A_j = sum_t m_ij^t A_t, for the axiom report and the guard alike.
+        When the algebra is unital and associative and the unit acts as I,
+        the law is checked on the rows i in the algebra's ``generators``,
+        which decide it and find its first violation (see ``hopf``)."""
+        algebra = self.algebra
+        unit = None if self.action_of_vector(algebra.unit).is_identity() else (0,)
+        scan = algebra.generators() if unit is None and algebra.law_violations == (None, None) else None
+        return unit, algebra.multiplicativity_violation(self.sparse_action, scan)
 
 
 def check_module_axioms(m: ModuleRep) -> AxiomReport:

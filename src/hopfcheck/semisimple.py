@@ -11,7 +11,10 @@ Rad(rho(A)) = rho(Rad A).  The engine reaches it by one of two routes:
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
   by the operators.  Rad(A) is computed once per algebra object and mapped
   through the face; no image algebra is built.  A guard first refuses,
-  by the face's ``law_violations``, operators that are no module's action;
+  by the face's ``law_violations``, operators that are no module's action
+  (the module law is checked on the rows of the algebra's generators,
+  which decide it once the algebra is unital and associative and the unit
+  acts as I);
 * a YD module's image is that of D(H), whose table is not built.  The
   reduced echelon basis of the operators' span is the image's basis, its
   structure constants are read off at the pivot columns, and a product
@@ -241,7 +244,10 @@ def _algebra_radical(algebra: AlgebraData) -> list[list]:
 def _require_module_action(face: ModuleRep):
     """Refuse a face whose operators are no module's action, by the face's
     ``law_violations``: the unit must act as I and A_i A_j = sum_t m_ij^t A_t
-    must hold for every (i, j)."""
+    must hold for every (i, j).  The law is checked on the rows i in the
+    algebra's generators, which decides it for every (i, j) once the algebra
+    is unital and associative and the unit acts as I (see
+    ``ModuleRep.law_violations``); otherwise every (i, j) is scanned."""
     unit, multiplicative = face.law_violations
     if unit is not None:
         raise ValueError("the operators are not a module's action: the unit does not act as I")
@@ -277,7 +283,11 @@ def _operator_semisimplicity(
     _, rows = _echelon(field, [z.flatten() for z in radical])
     radical = [Matrix.from_flat(field, dim, dim, row) for row in rows]
     for z in radical:
-        if not z.power(dim).is_zero():
+        # z is nilpotent exactly when z^(2^k) = 0 for the least 2^k >= dim
+        power, exponent = z, 1
+        while exponent < dim and not power.is_zero():
+            power, exponent = power * power, 2 * exponent
+        if not power.is_zero():
             raise AssertionError("radical certificate failed nilpotency check")
     return SemisimplicityReport(not radical, len(radical), radical, method)
 

@@ -4,11 +4,11 @@ import pytest
 
 from hopf_reference import antipode_violation, comult_multiplicative_on_square
 from matrix_reference import is_invertible
-from hopfcheck.catalog import catalog_entries, group_algebra, lookup
+from hopfcheck.catalog import catalog_entries, group_algebra, hopf_entries, lookup
 from hopfcheck.errors import AxiomError
 from hopfcheck.fields import GF, QQ
 from hopfcheck.hopf import AlgebraData, HopfAlgebraData
-from hopfcheck.matrix import Matrix
+from hopfcheck.matrix import EchelonSpan, Matrix
 
 
 def kc2():
@@ -239,3 +239,41 @@ def test_regular_action_matrices_multiply_like_the_table():
                 if c:
                     combo = combo + mats[t].scale(c)
             assert prod == combo
+
+
+def test_generating_sets_are_read_greedily_in_index_order():
+    # kS3 is generated by a transposition and a 3-cycle; its dual k^{S3}
+    # (kdS3, and kS3's H*) by five of its six idempotents; H4 by g and x
+    for hid in ("kS3/Q", "kS3/F3", "H4/Q", "H4/F5"):
+        assert lookup(hid).payload.generators() == [1, 2], hid
+    for h in (lookup("kdS3/Q").payload, lookup("kdS3/F2").payload, lookup("kS3/Q").payload.dual_algebra()):
+        assert h.generators() == [0, 1, 2, 3, 4], h.name
+    for hid in ("kC2/Q", "kC3/F2", "kC4/F3", "kC4/Q"):
+        assert lookup(hid).payload.generators() == [1], hid
+
+
+def _generated_dimension(algebra, generators) -> int:
+    """Dimension of the algebra that I and the left multiplications L_g,
+    g in ``generators``, generate in End(H), by matrix products.  For a
+    unital associative H, x -> L_x is an injective algebra map, so this is
+    the dimension of the subalgebra that 1 and the b_g generate."""
+    field, n = algebra.field, algebra.dim
+    lmats = algebra.regular_action_matrices()
+    span = EchelonSpan(field, n * n)
+    words = [Matrix.identity(field, n)]
+    span.add(words[0].flatten())
+    for word in words:
+        for g in generators:
+            product = word * lmats[g]
+            if span.add(product.flatten()):
+                words.append(product)
+    return span.dim
+
+
+def test_one_and_the_generating_set_generate_every_catalog_algebra():
+    algebras = [a for entry in hopf_entries() for a in (entry.payload, entry.payload.dual_algebra())]
+    assert len(algebras) == 74
+    for algebra in algebras:
+        assert _generated_dimension(algebra, algebra.generators()) == algebra.dim, algebra.name
+        # without its last generator the set generates less
+        assert _generated_dimension(algebra, algebra.generators()[:-1]) < algebra.dim, algebra.name

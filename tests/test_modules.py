@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from hopfcheck.catalog import catalog_entries, lookup
+from hopfcheck.catalog import catalog_entries, hopf_entries, lookup, objects_over
+from hopfcheck.duality import tensor_in_category
 from hopfcheck.errors import HopfMismatchError
 from hopfcheck.fields import QQ
 from hopfcheck.matrix import Matrix
@@ -140,27 +142,54 @@ def _first_multiplicativity_violation_reference(m: ModuleRep):
     return None
 
 
+def _perturbed(face: ModuleRep, rng: random.Random) -> ModuleRep:
+    """``face`` with one entry of one action matrix moved by a nonzero
+    amount (half the time 1/2 over Q)."""
+    field = face.field
+    action = [Matrix(field, a.rows, a.cols, [row[:] for row in a.entries]) for a in face.action]
+    k, r, c = rng.randrange(len(action)), rng.randrange(face.dim), rng.randrange(face.dim)
+    bump = field.from_int(rng.randrange(1, field.characteristic or 4))
+    if not field.characteristic and rng.random() < 0.5:
+        bump = Fraction(1, 2)
+    action[k].entries[r][c] = field.add(action[k].entries[r][c], bump)
+    return ModuleRep(face.algebra, face.dim, action, name="perturbed")
+
+
+def _reported_multiplicativity_violation(m: ModuleRep):
+    (mult,) = [check for check in check_module_axioms(m).checks if check.name == "action_multiplicative"]
+    return mult.first_violation
+
+
+def _same_kind_products(max_dim: int):
+    """Every product a (x) b of two valid catalog objects of one kind over
+    one Hopf algebra, a <= b by id, with dim a * dim b <= max_dim."""
+    for hopf in hopf_entries():
+        for kind in ("module", "comodule", "yd"):
+            objects = [e for e in objects_over(hopf.id, kind) if e.expected_failure is None and e.payload.dim]
+            for a, b in combinations_with_replacement(objects, 2):
+                if a.payload.dim * b.payload.dim <= max_dim:
+                    yield f"{a.id} (x) {b.id}", tensor_in_category(a.payload, b.payload)
+
+
 def test_perturbed_modules_report_the_reference_first_violation():
+    """The module law is checked on the algebra's generator rows and falls
+    back to the full scan on a failure, so the first violation reported is
+    the full scan's: on every face (the H-module, the H*-module of a
+    comodule, both faces of a YD module) of every catalog object and of the
+    same-kind products of dim <= 12."""
     rng = random.Random(7)
-    perturbed = 0
-    for entry in catalog_entries():
-        if entry.kind != "module" or entry.payload.dim == 0:
-            continue
-        m = entry.payload
-        field = m.field
-        for _ in range(3):
-            action = [Matrix(field, a.rows, a.cols, [row[:] for row in a.entries]) for a in m.action]
-            k, r, c = rng.randrange(len(action)), rng.randrange(m.dim), rng.randrange(m.dim)
-            bump = field.from_int(rng.randrange(1, field.characteristic or 4))
-            if not field.characteristic and rng.random() < 0.5:
-                bump = Fraction(1, 2)
-            action[k].entries[r][c] = field.add(action[k].entries[r][c], bump)
-            bad = ModuleRep(m.algebra, m.dim, action, name="perturbed")
-            report = check_module_axioms(bad)
-            (mult,) = [check for check in report.checks if check.name == "action_multiplicative"]
-            assert mult.first_violation == _first_multiplicativity_violation_reference(bad), entry.id
-            perturbed += mult.first_violation is not None
-    assert perturbed > 100
+    perturbed = dict.fromkeys(("module", "comodule", "yd", "product"), 0)
+    subjects = [(e.kind, e.id, e.payload) for e in catalog_entries() if e.kind != "hopf" and e.payload.dim]
+    subjects += [("product", pid, obj) for pid, obj in _same_kind_products(12)]
+    for kind, oid, obj in subjects:
+        for face in obj.faces:
+            for _ in range(3):
+                bad = _perturbed(face, rng)
+                violation = _reported_multiplicativity_violation(bad)
+                assert violation == _first_multiplicativity_violation_reference(bad), oid
+                perturbed[kind] += violation is not None
+    assert perturbed["module"] > 100
+    assert min(perturbed.values()) > 50, perturbed
 
 
 def test_action_of_vector_equals_the_matrix_sum():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semisimple_reference import acting_algebra, direct_sum_modules, semisimple_by_complements
-from hopfcheck import semisimple
+from hopfcheck import hopf, semisimple
 from hopfcheck.catalog import (
     catalog_entries,
     group_algebra,
@@ -234,6 +234,34 @@ def test_a_modules_action_is_checked_once_for_its_report_and_its_decisions(monke
     assert check_module_axioms(m).ok
     assert is_semisimple(m).verdict
     assert checked == [h]
+
+
+def test_a_radical_certificate_that_is_not_nilpotent_is_refused(monkeypatch):
+    """Each radical element is squared until it is zero or its exponent
+    reaches dim; a nonzero idempotent (here the unit) never gets to zero."""
+    monkeypatch.setattr(semisimple, "_algebra_radical", lambda algebra: [list(algebra.unit)])
+    with pytest.raises(AssertionError, match="nilpotency"):
+        is_semisimple(lookup("kC3/F3/regular").payload)
+
+
+def test_a_module_law_is_checked_on_the_generator_rows(monkeypatch):
+    """kS3 is generated by b_1 and b_2, so deciding regular (x) regular
+    (dim 36) checks A_i A_j = sum_t m_ij^t A_t on the 2 * 6 pairs with i in
+    {1, 2}, not on all 36."""
+    h = lookup("kS3/Q").payload
+    regular = lookup("kS3/Q/regular").payload
+    product = tensor_modules(regular, regular)
+    assert h.generators() == [1, 2] and h.law_violations == (None, None)
+    sizes = []
+    differs = hopf.combination_differs
+
+    def counted(field, size, linear, products):
+        sizes.append(size)
+        return differs(field, size, linear, products)
+
+    monkeypatch.setattr(hopf, "combination_differs", counted)
+    assert is_semisimple(product).verdict
+    assert sizes == [36] * 12
 
 
 _FIELDS ={"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5), "F7": GF(7)}
