@@ -1,12 +1,20 @@
 """Built-in structure-constant data: Hopf algebras, modules, comodules and
 Yetter-Drinfel'd modules, plus the negative fixtures the test campaign needs.
 
-All structure constants are stored as integer literals and specialized to
-each base field when built, so one table serves every characteristic.
+Every Hopf algebra comes from one constructor, ``_hopf_from_ints``, on
+integer tables that code derives from its presentation: kG from the group's
+multiplication table and inverses, and H4 (Sweedler's algebra, the Taft
+algebra T_2) from the rule that defines its product.  Integer tables are
+specialized to each base field when built, so one table serves every
+characteristic.
+
 The catalog is built one group at a time: a Hopf entry together with every
-object over it, on first use.  Every entry runs through its axiom checker
-once, when its group is first built (a Hopf entry inside its constructor);
-entries tagged with ``expected_failure`` must fail exactly that check.
+object over it, on first use.  Each entry is checked once.  kG is built and
+checked once per field, in its constructor, and shared by the group of k^G,
+whose Hopf entry is built unchecked on kG's dual tables: each law of k^G is
+a law of kG read backwards.  Every other entry runs through its axiom
+checker when its group is first built; entries tagged with
+``expected_failure`` must fail exactly that check.
 
 Identifiers follow <hopf>/<field>[/<object>], e.g. "kS3/F3/regular".
 """
@@ -19,7 +27,7 @@ from itertools import permutations
 
 from .comodules import ComoduleRep, regular_comodule, trivial_comodule
 from .duality import axioms_in_category
-from .fields import GF, QQ, Field
+from .fields import Field, field_by_name, field_name
 from .hopf import HopfAlgebraData
 from .matrix import Matrix
 from .modules import ModuleRep, regular_module, trivial_module
@@ -27,14 +35,6 @@ from .yd import YDModuleRep, trivial_yd
 
 HOPF_FIELDS = ("Q", "F2", "F3", "F5", "F7")
 SWEEDLER_FIELDS = ("Q", "F5")  # needs -1 != 1
-
-_FIELDS: dict[str, Field] = {
-    "Q": QQ,
-    "F2": GF(2),
-    "F3": GF(3),
-    "F5": GF(5),
-    "F7": GF(7),
-}
 
 
 @dataclass
@@ -63,17 +63,8 @@ def _symmetric_group_3():
     """S3 as permutations of {0,1,2}; identity first, composition (p*q)(x) = p(q(x))."""
     elements = sorted(permutations(range(3)), key=lambda p: (sum(p[i] != i for i in range(3)), p))
     index = {p: i for i, p in enumerate(elements)}
-    table = []
-    for p in elements:
-        row = []
-        for q in elements:
-            composed = tuple(p[q[x]] for x in range(3))
-            row.append(index[composed])
-        table.append(row)
-    inverses = []
-    for p in elements:
-        inv = tuple(sorted(range(3), key=lambda x: p[x]))
-        inverses.append(index[inv])
+    table = [[index[tuple(p[q[x]] for x in range(3))] for q in elements] for p in elements]
+    inverses = [index[tuple(sorted(range(3), key=lambda x: p[x]))] for p in elements]
     return elements, table, inverses
 
 
@@ -103,88 +94,65 @@ def _specialize_matrix(field: Field, rows):
     return Matrix(field, len(rows), len(rows[0]) if rows else 0, [[field.from_int(x) for x in r] for r in rows])
 
 
+def _hopf_from_ints(field: Field, mult, unit, comult, counit, antipode, name: str) -> HopfAlgebraData:
+    """The Hopf algebra on integer structure constants, specialized to
+    ``field`` and checked in its constructor."""
+    return HopfAlgebraData(
+        field, len(unit), _specialize_tensor(field, mult), [field.from_int(x) for x in unit],
+        _specialize_tensor(field, comult), [field.from_int(x) for x in counit],
+        _specialize_matrix(field, antipode), name=name,
+    )
+
+
 def group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
+    """kG: basis the group, diagonal coproduct, inverse antipode; a fresh,
+    checked copy on every call."""
     table, inverses = _GROUPS[group]
     n = len(table)
     mult = [[[1 if table[i][j] == t else 0 for t in range(n)] for j in range(n)] for i in range(n)]
     comult = [[[1 if (j == i and t == i) else 0 for t in range(n)] for j in range(n)] for i in range(n)]
     unit = [1 if i == 0 else 0 for i in range(n)]
-    counit = [1] * n
     antipode = [[1 if r == inverses[c] else 0 for c in range(n)] for r in range(n)]
-    return HopfAlgebraData(
-        field,
-        n,
-        _specialize_tensor(field, mult),
-        [field.from_int(x) for x in unit],
-        _specialize_tensor(field, comult),
-        [field.from_int(x) for x in counit],
-        _specialize_matrix(field, antipode),
-        name=name,
-    )
+    return _hopf_from_ints(field, mult, unit, comult, [1] * n, antipode, name)
+
+
+@lru_cache(maxsize=None)
+def _shared_group_algebra(field: Field, group: str) -> HopfAlgebraData:
+    """kG over ``field``, built and checked once: the Hopf entry of kG's
+    group and the algebra whose dual tables k^G is built on."""
+    return group_algebra(field, group, f"k{group}/{field_name(field)}")
 
 
 def dual_group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
     """Functions on the group, k^G = (kG)*: pointwise product, coproduct dual
     to the group law, built on the tables of the group algebra's dual.  It is
     checked once, as kG: each law of k^G is a law of kG read backwards."""
-    d = group_algebra(field, group, name).dual_algebra()
+    d = _shared_group_algebra(field, group).dual_algebra()
     return HopfAlgebraData(field, d.dim, d.mult, d.unit, d.comult, d.counit, d.antipode, name=name, unchecked=True)
 
 
 def sweedler_algebra(field: Field, name: str) -> HopfAlgebraData:
     """The four-dimensional algebra on 1, g, x, gx with g^2 = 1, x^2 = 0,
     xg = -gx; the antipode has order four."""
-    # basis indices: 0 = 1, 1 = g, 2 = x, 3 = gx
-    n = 4
-    mult = [[[0] * n for _ in range(n)] for _ in range(n)]
-
-    def set_product(i, j, coeffs):
-        for t, c in coeffs:
-            mult[i][j][t] = c
-
-    set_product(0, 0, [(0, 1)])
-    set_product(0, 1, [(1, 1)])
-    set_product(0, 2, [(2, 1)])
-    set_product(0, 3, [(3, 1)])
-    set_product(1, 0, [(1, 1)])
-    set_product(1, 1, [(0, 1)])
-    set_product(1, 2, [(3, 1)])  # g*x = gx
-    set_product(1, 3, [(2, 1)])  # g*gx = x
-    set_product(2, 0, [(2, 1)])
-    set_product(2, 1, [(3, -1)])  # x*g = -gx
-    set_product(2, 2, [])
-    set_product(2, 3, [])  # x*gx = -gx*x = 0
-    set_product(3, 0, [(3, 1)])
-    set_product(3, 1, [(2, -1)])  # gx*g = -x
-    set_product(3, 2, [])
-    set_product(3, 3, [])
-
-    comult = [[[0] * n for _ in range(n)] for _ in range(n)]
-    comult[0][0][0] = 1  # 1 -> 1 (x) 1
-    comult[1][1][1] = 1  # g -> g (x) g
-    comult[2][2][0] = 1  # x -> x (x) 1 + g (x) x
-    comult[2][1][2] = 1
-    comult[3][3][1] = 1  # gx -> gx (x) g + 1 (x) gx
-    comult[3][0][3] = 1
-
-    unit = [1, 0, 0, 0]
-    counit = [1, 1, 0, 0]
+    # basis index a + 2b for g^a x^b: 0 = 1, 1 = g, 2 = x, 3 = gx
+    mult = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            (b, a), (d, c) = divmod(i, 2), divmod(j, 2)
+            if b + d < 2:  # (g^a x^b)(g^c x^d) = (-1)^(bc) g^(a+c) x^(b+d)
+                mult[i][j][(a + c) % 2 + 2 * (b + d)] = (-1) ** (b * c)
+    comult = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for a in range(2):
+        comult[a][a][a] = 1  # g^a -> g^a (x) g^a
+        comult[a + 2][a + 2][a] = 1  # g^a x -> g^a x (x) g^a + g^(a+1) (x) g^a x
+        comult[a + 2][1 - a][a + 2] = 1
     antipode = [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, 0, 1],  # S(x) = -gx, S(gx) = x
         [0, 0, -1, 0],
     ]
-    return HopfAlgebraData(
-        field,
-        n,
-        _specialize_tensor(field, mult),
-        [field.from_int(x) for x in unit],
-        _specialize_tensor(field, comult),
-        [field.from_int(x) for x in counit],
-        _specialize_matrix(field, antipode),
-        name=name,
-    )
+    return _hopf_from_ints(field, mult, [1, 0, 0, 0], comult, [1, 1, 0, 0], antipode, name)
 
 
 # module builders ---------------------------------------------------------------
@@ -197,12 +165,7 @@ def _module_from_int_matrices(h: HopfAlgebraData, mats, name: str) -> ModuleRep:
 
 
 def s3_permutation_module(h: HopfAlgebraData) -> ModuleRep:
-    mats = []
-    for p in _S3_ELEMENTS:
-        m = [[0] * 3 for _ in range(3)]
-        for c in range(3):
-            m[p[c]][c] = 1
-        mats.append(m)
+    mats = [[[1 if p[c] == r else 0 for c in range(3)] for r in range(3)] for p in _S3_ELEMENTS]
     return _module_from_int_matrices(h, mats, "perm")
 
 
@@ -212,20 +175,14 @@ def s3_sign_module(h: HopfAlgebraData) -> ModuleRep:
 
 def s3_standard_module(h: HopfAlgebraData) -> ModuleRep:
     """Two-dimensional simple factor of the permutation module, on the basis
-    e0-e1, e1-e2; entries are 0, +/-1 so the same table works over every field."""
-    mats = []
-    for p in _S3_ELEMENTS:
-        cols = []
-        for (i, j) in ((0, 1), (1, 2)):
-            a, b = p[i], p[j]
-            # express e_a - e_b in the basis v1 = e0-e1, v2 = e1-e2
-            diff = {(0, 1): (1, 0), (1, 2): (0, 1), (0, 2): (1, 1)}
-            if (a, b) in diff:
-                cols.append(diff[(a, b)])
-            else:
-                x, y = diff[(b, a)]
-                cols.append((-x, -y))
-        mats.append([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+    v1 = e0-e1, v2 = e1-e2; entries are 0, +/-1 so the same table works over
+    every field.  A sum-zero vector w is w_0 v1 - w_2 v2, which gives the
+    coordinates of e_a - e_b below; p sends v1 to e_p(0) - e_p(1)."""
+
+    def col(a, b):  # coordinates of e_a - e_b
+        return [(a == 0) - (b == 0), (b == 2) - (a == 2)]
+
+    mats = [[list(r) for r in zip(col(p[0], p[1]), col(p[1], p[2]))] for p in _S3_ELEMENTS]
     return _module_from_int_matrices(h, mats, "std2")
 
 
@@ -240,25 +197,13 @@ def cyclic_rotation_module(h: HopfAlgebraData) -> ModuleRep:
     """Order-three rotation plane: the generator acts by the companion matrix
     of the quadratic x^2 + x + 1.  Simple over Q, F2 and F5, a split pair of
     lines over F7, and a non-semisimple Jordan block in characteristic 3."""
-    return _module_from_int_matrices(h, [list(map(list, m)) for m in ROT2_MATRICES], "rot2")
+    return _module_from_int_matrices(h, ROT2_MATRICES, "rot2")
 
 
 def cyclic_unipotent_module(h: HopfAlgebraData, order: int) -> ModuleRep:
     """Indecomposable 2-dimensional module for a cyclic group in its own
     characteristic: the generator acts by a unipotent Jordan block."""
-    mats = []
-    block = [[1, 1], [0, 1]]
-    power = [[1, 0], [0, 1]]
-    for _ in range(order):
-        mats.append([row[:] for row in power])
-        power = [
-            [
-                sum(power[r][k] * block[k][c] for k in range(2))
-                for c in range(2)
-            ]
-            for r in range(2)
-        ]
-    return _module_from_int_matrices(h, mats, "unipotent2")
+    return _module_from_int_matrices(h, [[[1, k], [0, 1]] for k in range(order)], "unipotent2")
 
 
 def sweedler_two_dim_module(h: HopfAlgebraData) -> ModuleRep:
@@ -292,29 +237,21 @@ def comodule_from_group_action(h: HopfAlgebraData, mats, name: str) -> ComoduleR
 
 def yd_group_line(h: HopfAlgebraData, degree: int, character, name: str) -> YDModuleRep:
     """A line of fixed degree with the group acting by a +/-1 character."""
-    action = [Matrix(h.field, 1, 1, [[h.field.from_int(character[i])]]) for i in range(h.dim)]
-    module = ModuleRep(h, 1, action, name=name)
-    comodule = ComoduleRep(
-        h, 1, [[[h.field.from_int(1 if t == degree else 0) for t in range(h.dim)]]], name=name
-    )
-    return YDModuleRep(module, comodule, name=name)
+    module = _module_from_int_matrices(h, [[[character[i]]] for i in range(h.dim)], name)
+    return YDModuleRep(module, group_line_comodule(h, degree, name), name=name)
 
 
 def yd_s3_conjugation(h: HopfAlgebraData) -> YDModuleRep:
     """Span of the transpositions, graded by themselves, with the group acting
     by conjugation; the grading is conjugation-equivariant by construction."""
-    field = h.field
-    trans = _S3_TRANSPOSITIONS
-    pos = {t: a for a, t in enumerate(trans)}
+    field, trans = h.field, _S3_TRANSPOSITIONS
     dim = len(trans)
-    mats = []
-    for i in range(h.dim):
-        m = [[0] * dim for _ in range(dim)]
-        for a, t in enumerate(trans):
-            conj = _S3_TABLE[_S3_TABLE[i][t]][_S3_INVERSES[i]]
-            m[pos[conj]][a] = 1
-        mats.append(_specialize_matrix(field, m))
-    module = ModuleRep(h, dim, mats, name="ydconj3")
+    # g_i sends the basis vector t to g_i t g_i^-1
+    mats = [
+        [[1 if trans[r] == _S3_TABLE[_S3_TABLE[i][t]][_S3_INVERSES[i]] else 0 for t in trans] for r in range(dim)]
+        for i in range(h.dim)
+    ]
+    module = _module_from_int_matrices(h, mats, "ydconj3")
     coaction = [
         [[field.from_int(1 if (b == a and t == trans[a]) else 0) for t in range(h.dim)] for b in range(dim)]
         for a in range(dim)
@@ -328,11 +265,8 @@ def yd_unipotent_nonsplit(h: HopfAlgebraData) -> YDModuleRep:
     only proper subobject has no stable complement in characteristic 2."""
     module = cyclic_unipotent_module(h, 2)
     module.name = "ydnonsplit2"
-    field = h.field
-    coaction = [
-        [[field.mul(field.one() if a == b else field.zero(), h.unit[t]) for t in range(h.dim)] for b in range(2)]
-        for a in range(2)
-    ]
+    zero = [h.field.zero()] * h.dim
+    coaction = [[list(h.unit if a == b else zero) for b in range(2)] for a in range(2)]
     comodule = ComoduleRep(h, 2, coaction, name="ydnonsplit2")
     return YDModuleRep(module, comodule, name="ydnonsplit2")
 
@@ -353,7 +287,7 @@ def _register(entries, entry: CatalogEntry):
 
 def _check_entry(entry: CatalogEntry):
     if entry.kind == "hopf":
-        return  # HopfAlgebraData ran the full axiom check when it was built
+        return  # checked in its constructor, a k^G entry as the kG it shares
     report = axioms_in_category(entry.payload)
     if entry.expected_failure is None:
         if not report.ok:
@@ -367,18 +301,27 @@ def _check_entry(entry: CatalogEntry):
             )
 
 
-def _group_algebra_entries(entries, hid: str, group: str, field_name: str):
-    h = group_algebra(_FIELDS[field_name], group, hid)
-    _register(entries, CatalogEntry(hid, h, f"group algebra of {group}: basis the group, diagonal coproduct, inverse antipode"))
-    _register(entries, CatalogEntry(f"{hid}/trivial", trivial_module(h), "counit action on one dimension"))
-    _register(entries, CatalogEntry(f"{hid}/regular", regular_module(h), f"left multiplication table of {group}"))
-    _register(entries, CatalogEntry(f"{hid}/cotrivial", trivial_comodule(h), "coaction by the unit on one dimension"))
-    _register(entries, CatalogEntry(f"{hid}/coregular", regular_comodule(h), "the coproduct read as a coaction"))
-    _register(entries, CatalogEntry(f"{hid}/ydtrivial", trivial_yd(h), "trivial action and trivial grading"))
+def _register_standard(entries, hid: str, h: HopfAlgebraData, notes):
+    """Register H and its trivial and regular module, comodule and YD
+    object, with the family's provenance ``notes`` in that order."""
+    objects = (h, trivial_module(h), regular_module(h), trivial_comodule(h), regular_comodule(h), trivial_yd(h))
+    suffixes = ("", "/trivial", "/regular", "/cotrivial", "/coregular", "/ydtrivial")
+    for suffix, payload, note in zip(suffixes, objects, notes, strict=True):
+        _register(entries, CatalogEntry(hid + suffix, payload, note))
+
+
+def _group_algebra_entries(entries, hid: str, group: str, fname: str):
+    h = _shared_group_algebra(field_by_name(fname), group)
+    _register_standard(entries, hid, h, (
+        f"group algebra of {group}: basis the group, diagonal coproduct, inverse antipode",
+        "counit action on one dimension",
+        f"left multiplication table of {group}",
+        "coaction by the unit on one dimension",
+        "the coproduct read as a coaction",
+        "trivial action and trivial grading",
+    ))
     if group != "S3":
-        _register(entries, CatalogEntry(
-            f"{hid}/coline_g", group_line_comodule(h, 1, "coline_g"),
-            "line graded by the generator"))
+        _register(entries, CatalogEntry(f"{hid}/coline_g", group_line_comodule(h, 1, "coline_g"), "line graded by the generator"))
     if group == "C2":
         _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", yd_group_line(h, 1, [1, 1], "ydline_g_triv"), "degree g, trivial action; abelian so compatible"))
         _register(entries, CatalogEntry(f"{hid}/ydline_g_sign", yd_group_line(h, 1, [1, -1], "ydline_g_sign"), "degree g, sign action"))
@@ -393,58 +336,53 @@ def _group_algebra_entries(entries, hid: str, group: str, field_name: str):
         _register(entries, CatalogEntry(f"{hid}/perm", s3_permutation_module(h), "permutation matrices on three points"))
         _register(entries, CatalogEntry(f"{hid}/sign", s3_sign_module(h), "sign character"))
         _register(entries, CatalogEntry(f"{hid}/std2", s3_standard_module(h), "sum-zero plane of the permutation module, integral basis"))
-        _register(entries, CatalogEntry(
-            f"{hid}/coline_t",
-            group_line_comodule(h, _S3_TRANSPOSITIONS[0], "coline_t"),
-            "line graded by a transposition"))
-        _register(entries, CatalogEntry(
-            f"{hid}/coline_c",
-            group_line_comodule(h, _S3_THREE_CYCLE, "coline_c"),
-            "line graded by a three-cycle"))
+        _register(entries, CatalogEntry(f"{hid}/coline_t", group_line_comodule(h, _S3_TRANSPOSITIONS[0], "coline_t"), "line graded by a transposition"))
+        _register(entries, CatalogEntry(f"{hid}/coline_c", group_line_comodule(h, _S3_THREE_CYCLE, "coline_c"), "line graded by a three-cycle"))
         _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", yd_group_line(h, 0, _S3_SIGNS, "ydline_e_sign"), "degree e, sign action; central degree"))
         _register(entries, CatalogEntry(f"{hid}/ydconj3", yd_s3_conjugation(h), "transposition class graded by itself with conjugation action"))
-    if group == "C2" and field_name == "F2":
+    if group == "C2" and fname == "F2":
         _register(entries, CatalogEntry(f"{hid}/unipotent2", cyclic_unipotent_module(h, 2), "Jordan block for the generator, char 2"))
         _register(entries, CatalogEntry(f"{hid}/ydnonsplit2", yd_unipotent_nonsplit(h), "unipotent module, trivial grading; no stable complement"))
-    if group == "C3" and field_name == "F3":
+    if group == "C3" and fname == "F3":
         _register(entries, CatalogEntry(f"{hid}/unipotent2", cyclic_unipotent_module(h, 3), "Jordan block for the generator, char 3"))
-    if group == "S3" and field_name == "Q":
+    if group == "S3" and fname == "Q":
         _register(entries, CatalogEntry(
             f"{hid}/ydbadline", yd_incompatible_line(h),
             "line graded by a transposition with trivial action; grading not conjugation-equivariant",
             expected_failure="yd_compatibility"))
 
 
-def _dual_group_entries(entries, hid: str, group: str, field_name: str):
-    h = dual_group_algebra(_FIELDS[field_name], group, hid)
-    _register(entries, CatalogEntry(hid, h, f"functions on {group}: pointwise product, coproduct dual to the group law"))
-    _register(entries, CatalogEntry(f"{hid}/trivial", trivial_module(h), "counit action: evaluation at the identity"))
-    _register(entries, CatalogEntry(f"{hid}/regular", regular_module(h), "pointwise multiplication on itself"))
-    _register(entries, CatalogEntry(f"{hid}/cotrivial", trivial_comodule(h), "coaction by the constant function 1"))
-    _register(entries, CatalogEntry(f"{hid}/coregular", regular_comodule(h), "the coproduct read as a coaction"))
-    _register(entries, CatalogEntry(f"{hid}/ydtrivial", trivial_yd(h), "trivial action and trivial coaction"))
-    if group == "C2" and field_name == "F2":
-        mats = [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]
+def _dual_group_entries(entries, hid: str, group: str, fname: str):
+    h = dual_group_algebra(field_by_name(fname), group, hid)
+    _register_standard(entries, hid, h, (
+        f"functions on {group}: pointwise product, coproduct dual to the group law",
+        "counit action: evaluation at the identity",
+        "pointwise multiplication on itself",
+        "coaction by the constant function 1",
+        "the coproduct read as a coaction",
+        "trivial action and trivial coaction",
+    ))
+    if group == "C2" and fname == "F2":
         _register(entries, CatalogEntry(
-            f"{hid}/cononsplit2",
-            comodule_from_group_action(h, mats, "cononsplit2"),
+            f"{hid}/cononsplit2", comodule_from_group_action(h, [[[1, 0], [0, 1]], [[1, 1], [0, 1]]], "cononsplit2"),
             "unipotent two-dimensional representation of C2 in char 2, written as a coaction"))
     if group == "C3":
         _register(entries, CatalogEntry(
-            f"{hid}/corot2",
-            comodule_from_group_action(h, [list(map(list, m)) for m in ROT2_MATRICES], "corot2"),
+            f"{hid}/corot2", comodule_from_group_action(h, ROT2_MATRICES, "corot2"),
             "order-three rotation plane written as a coaction; loses cosemisimplicity in char 3"))
 
 
-def _sweedler_entries(entries, hid: str, field_name: str):
-    h = sweedler_algebra(_FIELDS[field_name], hid)
-    _register(entries, CatalogEntry(hid, h, "four-dimensional algebra on 1, g, x, gx with antipode of order four"))
-    _register(entries, CatalogEntry(f"{hid}/trivial", trivial_module(h), "counit action"))
-    _register(entries, CatalogEntry(f"{hid}/regular", regular_module(h), "left multiplication table"))
+def _sweedler_entries(entries, hid: str, fname: str):
+    h = sweedler_algebra(field_by_name(fname), hid)
+    _register_standard(entries, hid, h, (
+        "four-dimensional algebra on 1, g, x, gx with antipode of order four",
+        "counit action",
+        "left multiplication table",
+        "coaction by the unit",
+        "the coproduct read as a coaction",
+        "trivial action and coaction",
+    ))
     _register(entries, CatalogEntry(f"{hid}/h4mod2", sweedler_two_dim_module(h), "g diagonal, x a lowering operator; contains a line without complement"))
-    _register(entries, CatalogEntry(f"{hid}/cotrivial", trivial_comodule(h), "coaction by the unit"))
-    _register(entries, CatalogEntry(f"{hid}/coregular", regular_comodule(h), "the coproduct read as a coaction"))
-    _register(entries, CatalogEntry(f"{hid}/ydtrivial", trivial_yd(h), "trivial action and coaction"))
 
 
 # Hopf id -> the builder of its group and the builder's arguments

@@ -15,12 +15,18 @@ import sys
 from . import __version__
 from .campaign import CATEGORIES, run_campaign
 from .catalog import catalog_entries, lookup
-from .documents import canonical_json, load_document, object_from_doc, object_to_doc
+from .documents import MAX_HOPF_DIM, canonical_json, load_document, object_from_doc, object_to_doc
 from .duality import axioms_in_category, category_of, dual_in_category, tensor_in_category
 from .errors import AxiomError, BoundExceededError, HopfMismatchError, ParseError
 from .fields import field_by_name, field_name
 from .hopf import HopfAlgebraData
 from .semisimple import DEFAULT_ORACLE_BOUND, brute_force_semisimple, is_semisimple
+
+# the largest product ``tensor`` builds: its action holds (dim M dim N)^2
+# entries per basis element of H, so memory grows as the fourth power of the
+# factors' dimension; MAX_HOPF_DIM^2 still squares the regular module of the
+# largest Hopf document accepted
+MAX_TENSOR_DIM = MAX_HOPF_DIM**2
 
 
 def _resolve_hopf(ref: str) -> HopfAlgebraData:
@@ -120,6 +126,8 @@ def _cmd_dual(args) -> int:
 def _cmd_tensor(args) -> int:
     a, _ = _load_target(args.left)
     b, _ = _load_target(args.right)
+    if a.dim * b.dim > MAX_TENSOR_DIM:
+        raise ValueError(f"a tensor product of dimension {a.dim} x {b.dim} exceeds the limit of {MAX_TENSOR_DIM}")
     built = tensor_in_category(a, b)
     _write_or_print(canonical_json(object_to_doc(built)), args.out)
     return 0

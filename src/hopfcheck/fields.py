@@ -40,19 +40,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 class Field:
     """Common interface for the two supported base fields."""
 
@@ -209,9 +196,7 @@ class PrimeField(Field):
         a %= self.p
         if a == 0:
             raise NotInvertibleError(f"0 has no inverse in F_{self.p}")
-        g, s, _ = _xgcd(a, self.p)
-        assert g == 1
-        return s % self.p
+        return pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

@@ -11,6 +11,10 @@ Conventions, fixed once and used everywhere:
 All axiom checks evaluate exact polynomial identities in the structure
 constants; a failure is data (reported with the first violating index), not
 an exception, unless the object was constructed with checking enabled.
+Each object computes its law table once (``AlgebraData.law_violations``,
+``HopfAlgebraData.hopf_law_violations``): the constructor's check and every
+later report read the same table, so the tables must not be edited after
+construction.
 
 Only H's algebra laws and comult_multiplicative are read off the structure
 constants, the latter as a sparse matrix identity on the n x n matrices of
@@ -289,7 +293,18 @@ class HopfAlgebraData(AlgebraData):
     # axioms -----------------------------------------------------------------
 
     def check_hopf_axioms(self) -> AxiomReport:
-        """Every Hopf axiom, each recorded with its first violation.
+        """Every Hopf axiom, each recorded with its first violation; read off
+        ``hopf_law_violations``, so a repeated check costs no arithmetic."""
+        report = AxiomReport(self.name or "hopf")
+        for name, violation in self.hopf_law_violations:
+            report.record(name, violation)
+        return report
+
+    @cached_property
+    def hopf_law_violations(self) -> tuple:
+        """The ten Hopf laws as (name, first violation or None) pairs, in
+        report order, computed once per object for the constructor's check
+        and every later report alike.
 
         Each law beyond H's algebra laws is a module statement (Sweedler,
         *Hopf Algebras*, ch. 1 and 4; see the module docstring), indexed in
@@ -315,18 +330,18 @@ class HopfAlgebraData(AlgebraData):
         unit, associativity = self.law_violations
         counit, coassociativity = dual.law_violations
         counit_unit, counit_multiplicative = trivial_module(self).law_violations
-        report = AxiomReport(self.name or "hopf")
-        report.record("associativity", associativity)
-        report.record("unit", unit)
-        report.record("coassociativity", coassociativity)
-        report.record("counit", counit)
-        report.record("comult_multiplicative", self._comult_multiplicative_violation())
-        report.record("comult_unit", trivial_module(dual).law_violations[1])
-        report.record("counit_multiplicative", counit_multiplicative)
-        report.record("counit_unit", counit_unit)
-        report.record("antipode_left", pairing_violation(r, coev=False, dual_first=True))
-        report.record("antipode_right", pairing_violation(r, coev=True, dual_first=False))
-        return report
+        return (
+            ("associativity", associativity),
+            ("unit", unit),
+            ("coassociativity", coassociativity),
+            ("counit", counit),
+            ("comult_multiplicative", self._comult_multiplicative_violation()),
+            ("comult_unit", trivial_module(dual).law_violations[1]),
+            ("counit_multiplicative", counit_multiplicative),
+            ("counit_unit", counit_unit),
+            ("antipode_left", pairing_violation(r, coev=False, dual_first=True)),
+            ("antipode_right", pairing_violation(r, coev=True, dual_first=False)),
+        )
 
     def _comult_multiplicative_violation(self):
         """First (i, j) with Delta(b_i b_j) != Delta(b_i) Delta(b_j), or None.

@@ -1,10 +1,15 @@
+import hashlib
+import os
+
 import pytest
 
 from hopfcheck import catalog, cli
 from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import HOPF_IDS, catalog_entries, hopf_entries, lookup, objects_over
 from hopfcheck.comodules import check_comodule_axioms
-from hopfcheck.fields import QQ
+from hopfcheck.documents import canonical_json, object_to_doc
+from hopfcheck.fields import GF, QQ
+from hopfcheck.hopf import HopfAlgebraData
 from hopfcheck.modules import check_module_axioms
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
 from hopfcheck.yd import check_yd_compat
@@ -121,16 +126,42 @@ def test_bad_characteristic_fixtures_present():
     assert not is_semisimple(lookup("kC3/F3/unipotent2").payload).verdict
 
 
+# sha256 of every entry's id, kind, tag, note and document: the report
+# hashes pin verdicts only, so a changed table that keeps them would pass
+CATALOG_DOCUMENTS_SHA256 = os.path.join(os.path.dirname(__file__), "catalog_documents.sha256")
+
+
+def test_catalog_tables_equal_the_recorded_ones():
+    rows = [
+        {
+            "id": e.id,
+            "kind": e.kind,
+            "expected_failure": e.expected_failure,
+            "provenance_note": e.provenance_note,
+            "document": object_to_doc(e.payload),
+        }
+        for e in catalog_entries()
+    ]
+    assert len(rows) == 319
+    with open(CATALOG_DOCUMENTS_SHA256, encoding="utf-8") as fh:
+        expected = fh.read().strip()
+    assert hashlib.sha256(canonical_json({"entries": rows}).encode("utf-8")).hexdigest() == expected
+
+
 # the catalog is built one Hopf algebra's group at a time ---------------------
+
+
+def _clear_catalog():
+    catalog._group.cache_clear()
+    catalog._catalog.cache_clear()
+    catalog._shared_group_algebra.cache_clear()
 
 
 @pytest.fixture
 def unbuilt_catalog():
-    catalog._group.cache_clear()
-    catalog._catalog.cache_clear()
+    _clear_catalog()
     yield
-    catalog._group.cache_clear()
-    catalog._catalog.cache_clear()
+    _clear_catalog()
 
 
 def _built_groups() -> int:
@@ -184,6 +215,34 @@ def test_campaign_with_an_oracle_bound_below_one_is_refused(unbuilt_catalog):
         with pytest.raises(ValueError, match="oracle bound must be at least 1"):
             run_campaign(fields=["F2"], oracle=True, bound=bound)
     assert _built_groups() == 0
+
+
+def test_each_hopf_algebra_is_built_once_and_checked_once(unbuilt_catalog, monkeypatch):
+    # comult_multiplicative runs once per Hopf law table
+    real = HopfAlgebraData._comult_multiplicative_violation
+    tables = []
+
+    def counted(self):
+        tables.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(HopfAlgebraData, "_comult_multiplicative_violation", counted)
+    catalog_entries()
+    # the 20 kG and 2 H4; each k^G is checked as the kG it shares
+    assert len(tables) == 22 and len(set(tables)) == 22
+    assert not any(name.startswith("kd") for name in tables)
+    run_campaign()
+    # the campaign reports every k^G's own laws, computed once
+    assert len(tables) == 37 and len(set(tables)) == 37
+    run_campaign()
+    assert len(tables) == 37
+
+
+def test_lookup_of_a_dual_group_entry_builds_only_its_group(unbuilt_catalog):
+    lookup("kdS3/F3/regular")
+    assert _built_groups() == 1
+    assert lookup("kS3/F3").payload is catalog._shared_group_algebra(GF(3), "S3")
+    assert _built_groups() == 2 and catalog._shared_group_algebra.cache_info().currsize == 1
 
 
 def test_catalog_is_the_union_of_its_groups_in_id_order(unbuilt_catalog):

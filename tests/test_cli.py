@@ -141,6 +141,23 @@ def test_tensor_across_kinds_or_with_a_hopf_id_exits_two(capsys):
         assert out == "" and "error" in err, argv
 
 
+def test_tensor_above_the_size_limit_exits_two_before_building(tmp_path, capsys):
+    # a valid dim-17 module: 17 * 17 exceeds 16^2, so its square is refused
+    doc = object_to_doc(lookup("kC2/Q/trivial").payload)
+    identity = [["1" if r == c else "0" for c in range(17)] for r in range(17)]
+    doc.update(name="big", dim=17, action=[identity, identity])
+    path, out_path = tmp_path / "big.json", tmp_path / "big-sq.json"
+    path.write_text(canonical_json(doc))
+    assert run(capsys, "check", str(path))[0] == 0
+    code, out, err = run(capsys, "tensor", str(path), str(path), "--out", str(out_path))
+    assert code == 2
+    assert out == "" and "error: a tensor product of dimension 17 x 17 exceeds the limit of 256" in err
+    assert not out_path.exists()
+    # the cap is on the product of the dimensions, not on either factor
+    code, _, _ = run(capsys, "tensor", str(path), "kC2/Q/trivial", "--out", str(out_path))
+    assert code == 0 and json.loads(out_path.read_text())["dim"] == 17
+
+
 def test_non_integer_prime_in_a_document_is_a_parse_error(tmp_path, capsys):
     doc = hopf_to_doc(lookup("kC2/F3").payload)
     for p in (11.5, 11.0, 3.0, True, "7"):
