@@ -12,9 +12,9 @@ The catalog is built one group at a time: a Hopf entry together with every
 object over it, on first use.  Each entry is checked once.  kG is built and
 checked once per field, in its constructor, and shared by the group of k^G,
 whose Hopf entry is built unchecked on kG's dual tables: each law of k^G is
-a law of kG read backwards.  Every other entry runs through its axiom
-checker when its group is first built; entries tagged with
-``expected_failure`` must fail exactly that check.
+a law of kG read backwards, so k^G's law tables are kG's.  Every other
+entry runs through its axiom checker when its group is first built;
+entries tagged with ``expected_failure`` must fail exactly that check.
 
 Identifiers follow <hopf>/<field>[/<object>], e.g. "kS3/F3/regular".
 """
@@ -126,9 +126,15 @@ def _shared_group_algebra(field: Field, group: str) -> HopfAlgebraData:
 def dual_group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
     """Functions on the group, k^G = (kG)*: pointwise product, coproduct dual
     to the group law, built on the tables of the group algebra's dual.  It is
-    checked once, as kG: each law of k^G is a law of kG read backwards."""
-    d = _shared_group_algebra(field, group).dual_algebra()
-    return HopfAlgebraData(field, d.dim, d.mult, d.unit, d.comult, d.counit, d.antipode, name=name, unchecked=True)
+    checked once, as kG: each law of k^G is a law of kG read backwards, and
+    kG's constructor raises unless all ten hold, so k^G's law tables are
+    kG's, not computed again."""
+    g = _shared_group_algebra(field, group)
+    d = g.dual_algebra()
+    h = HopfAlgebraData(field, d.dim, d.mult, d.unit, d.comult, d.counit, d.antipode, name=name, unchecked=True)
+    h.law_violations = d.law_violations  # kG's counit law and coassociativity
+    h.hopf_law_violations = g.hopf_law_violations
+    return h
 
 
 def sweedler_algebra(field: Field, name: str) -> HopfAlgebraData:

@@ -240,6 +240,19 @@ class Matrix:
         return len(self.rref()[1])
 
 
+def combination(field: Field, size: int, coefficients, matrices: list[Matrix]) -> Matrix:
+    """sum_i c_i M_i of size x size matrices, summed on plain rows and
+    reduced mod p once."""
+    acc = [[field.zero()] * size for _ in range(size)]
+    for coeff, m in zip(coefficients, matrices):
+        if coeff:
+            acc = [[x + coeff * y if y else x for x, y in zip(out, row)] for out, row in zip(acc, m.entries)]
+    p = field.characteristic
+    if p:
+        acc = [[x % p for x in row] for row in acc]
+    return Matrix(field, size, size, acc)
+
+
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")

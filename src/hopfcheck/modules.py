@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import HopfMismatchError
 from .hopf import AlgebraData, AxiomReport, HopfAlgebraData, sparse_rows
-from .matrix import Matrix, kernel_basis
+from .matrix import Matrix, combination, kernel_basis
 
 
 def same_algebra(a: AlgebraData, b: AlgebraData) -> bool:
@@ -89,17 +89,8 @@ class ModuleRep:
         return f"<ModuleRep {self.name or '?'} dim={self.dim} over {self.algebra.name or '?'}>"
 
     def action_of_vector(self, v) -> Matrix:
-        """Matrix of the algebra element with coordinates ``v``, summed on
-        plain rows and reduced mod p once."""
-        field = self.field
-        acc = [[field.zero()] * self.dim for _ in range(self.dim)]
-        for coeff, a in zip(v, self.action):
-            if coeff:
-                acc = [[x + coeff * y if y else x for x, y in zip(out, row)] for out, row in zip(acc, a.entries)]
-        p = field.characteristic
-        if p:
-            acc = [[x % p for x in row] for row in acc]
-        return Matrix(field, self.dim, self.dim, acc)
+        """Matrix of the algebra element with coordinates ``v``."""
+        return combination(self.field, self.dim, v, self.action)
 
     @cached_property
     def twisted_action(self) -> list[Matrix]:

@@ -6,19 +6,22 @@ the dual H* for a comodule, and the Drinfel'd double D(H) = H* H for a
 Yetter-Drinfel'd module.  The radical the report certifies is that of the
 image rho(A) = A/Ann(V), and for finite-dimensional A
 Rad(A/I) = (Rad A + I)/I (Pierce, *Associative Algebras*, 1982), so
-Rad(rho(A)) = rho(Rad A).  The engine reaches it by one of two routes:
+Rad(rho(A)) = rho(Rad A).
+
+One guard comes first, for every kind: an object is refused exactly when
+its axiom report or its Hopf algebra's fails, that is when one of H's ten
+Hopf laws, a face's unit or module law, or a YD object's straightening
+identity fails.  Each is computed once per object and read by the reports
+and the guard alike.  Then the engine takes one of two routes:
 
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
   by the operators.  Rad(A) is computed once per algebra object and mapped
-  through the face; no image algebra is built.  A guard first refuses,
-  by the face's ``law_violations``, operators that are no module's action
-  (the module law is checked on the rows of the algebra's generators,
-  which decide it once the algebra is unital and associative and the unit
-  acts as I);
-* a YD module's image is that of D(H), whose table is not built.  The
-  reduced echelon basis of the operators' span is the image's basis, its
-  structure constants are read off at the pivot columns, and a product
-  that leaves the span is refused as not coming from a module.
+  through the face; no image algebra is built;
+* a YD module's image is that of D(H), whose table is not built.  Once the
+  laws hold, V is a D(H)-module (Kassel, *Quantum Groups*, ch. IX) and the
+  operators B_t A_j are the action of the basis f_t h_j of D(H), so their
+  span is the image of D(H), closed under products without a check.  Its
+  reduced echelon basis is all the route uses.
 
 A radical is computed in a faithful representation of the algebra on F^n:
 the regular one (n = dim A) for H and H*, and V itself (n = dim V) for a
@@ -50,8 +53,8 @@ from dataclasses import dataclass
 from .errors import BoundExceededError
 from .fields import Field, _integral
 from .hopf import AlgebraData
-from .matrix import EchelonSpan, Matrix, kernel_basis
-from .modules import ModuleRep, regular_module
+from .matrix import EchelonSpan, Matrix, combination, kernel_basis
+from .modules import ModuleRep
 
 # largest p^dim the brute force accepts; its line graph has a node for each
 # of the (p^dim - 1)/(p - 1) lines, though only one line per sink component
@@ -140,28 +143,6 @@ def charpoly(m: Matrix) -> list:
     return polys[n]
 
 
-def _image_module(field: Field, dim: int, operators: list[Matrix]) -> ModuleRep:
-    """The image A of the acting algebra in End(F^dim), acting on F^dim,
-    read off the matrices alone: the route for a YD object, whose image is
-    that of D(H), whose table is not built.
-
-    The operators must span the image of an algebra (the action of a
-    module).  The reduced echelon basis of span(I, operators) is A's
-    basis: the returned module's action, over A with structure constants
-    read off at the pivot columns.  A product outside the span means the
-    operators are not a module's action, and is refused.
-    """
-    identity = Matrix.identity(field, dim).flatten()
-    span, rows = _echelon(field, [identity] + [m.flatten() for m in operators])
-    basis = [Matrix.from_flat(field, dim, dim, row) for row in rows]
-    mult = [[span.coordinates((a * b).flatten()) for b in basis] for a in basis]
-    if any(None in row for row in mult):
-        raise ValueError("the operators are not a module's action: a product leaves their span")
-    # associative by construction and closed as just checked
-    image = AlgebraData(field, len(basis), mult, span.coordinates(identity), name="image", unchecked=True)
-    return ModuleRep(image, dim, basis, name="image")
-
-
 def _fast_trace_of_product(a: Matrix, b: Matrix):
     p = a.field.characteristic
     total = 0
@@ -174,8 +155,8 @@ def _fast_trace_of_product(a: Matrix, b: Matrix):
     return total % p if p else total
 
 
-def _echelon(field: Field, vectors: list[list]) -> tuple[EchelonSpan, list[list]]:
-    """The span of ``vectors`` and its reduced echelon basis.  Elimination
+def _echelon(field: Field, vectors: list[list]) -> list[list]:
+    """The reduced echelon basis of the span of ``vectors``.  Elimination
     leaves integral values as Fraction(n, 1) over Q; the basis holds them
     as ints, so products of it stay on the all-int path."""
     span = EchelonSpan(field, len(vectors[0]) if vectors else 0)
@@ -184,12 +165,21 @@ def _echelon(field: Field, vectors: list[list]) -> tuple[EchelonSpan, list[list]
     rows = span.basis_rows()
     if not field.characteristic:
         rows = [[_integral(x) for x in row] for row in rows]
-    return span, rows
+    return rows
 
 
-def _radical_coordinates(rep: ModuleRep) -> list[list]:
-    """Radical of ``rep.algebra``, as reduced coordinate vectors in its
-    basis, computed in ``rep``, which must be faithful; n = ``rep.dim``.
+def _image_basis(field: Field, dim: int, operators: list[Matrix]) -> list[Matrix]:
+    """The reduced echelon basis of span(I, operators) in End(F^dim): the
+    image of the acting algebra when the operators span it, as those of an
+    object that passed ``_require_laws`` do."""
+    identity = Matrix.identity(field, dim).flatten()
+    rows = _echelon(field, [identity] + [m.flatten() for m in operators])
+    return [Matrix.from_flat(field, dim, dim, row) for row in rows]
+
+
+def _radical_coordinates(field: Field, basis: list[Matrix]) -> list[list]:
+    """Radical of the algebra A spanned by the n x n matrices ``basis``, as
+    reduced coordinate vectors in that basis: A acts faithfully on F^n.
 
     * Characteristic 0: I = {a : tr(ab) = 0 for all b}, traces taken on
       F^n, is an ideal, and each a in I has tr(a^k) = tr(a a^(k-1)) = 0 for
@@ -205,13 +195,13 @@ def _radical_coordinates(rep: ModuleRep) -> list[list]:
     tr(ab) = tr(ba) and charpoly(ab) = charpoly(ba), so each Gram matrix is
     symmetric and only its upper triangle is computed.
     """
-    field, n = rep.field, rep.dim
     p = field.characteristic
+    n = basis[0].rows if basis else 0
     # current subspace, initially the whole algebra in coordinates
-    current = Matrix.identity(field, rep.algebra.dim).entries
+    current = Matrix.identity(field, len(basis)).entries
     q = 1
     while current:
-        mats = [rep.action_of_vector(c) for c in current]
+        mats = [combination(field, n, c, basis) for c in current]
         size = len(mats)
         gram = [[None] * size for _ in range(size)]
         for i, a in enumerate(mats):
@@ -222,7 +212,7 @@ def _radical_coordinates(rep: ModuleRep) -> list[list]:
         if not alphas:
             return []
         combos = Matrix.from_rows(field, alphas) * Matrix.from_rows(field, current)
-        _, current = _echelon(field, combos.entries)
+        current = _echelon(field, combos.entries)
         q *= p
         if p == 0 or q > n:
             break
@@ -237,22 +227,29 @@ _RADICALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _algebra_radical(algebra: AlgebraData) -> list[list]:
     radical = _RADICALS.get(algebra)
     if radical is None:
-        radical = _RADICALS[algebra] = _radical_coordinates(regular_module(algebra))
+        radical = _RADICALS[algebra] = _radical_coordinates(algebra.field, algebra.regular_action_matrices())
     return radical
 
 
-def _require_module_action(face: ModuleRep):
-    """Refuse a face whose operators are no module's action, by the face's
-    ``law_violations``: the unit must act as I and A_i A_j = sum_t m_ij^t A_t
-    must hold for every (i, j).  The law is checked on the rows i in the
-    algebra's generators, which decides it for every (i, j) once the algebra
-    is unital and associative and the unit acts as I (see
-    ``ModuleRep.law_violations``); otherwise every (i, j) is scanned."""
-    unit, multiplicative = face.law_violations
-    if unit is not None:
-        raise ValueError("the operators are not a module's action: the unit does not act as I")
-    if multiplicative is not None:
-        raise ValueError(f"the operators are not a module's action: A_i A_j != sum_t m_ij^t A_t at {multiplicative}")
+def _require_laws(obj):
+    """Refuse an object whose laws fail, exactly when its axiom report or its
+    Hopf algebra's fails: H's ten Hopf laws, each face's unit and module law
+    (``law_violations``, the rows of the algebra's generators deciding the
+    latter once the algebra is unital and associative and the unit acts as
+    I), and for a YD object the straightening identity.  Each is computed
+    once per object, for the reports and this guard alike."""
+    h = obj.hopf
+    for law, violation in h.hopf_law_violations:
+        if violation is not None:
+            raise ValueError(f"{h.name or 'H'} is not a Hopf algebra: {law} fails at {violation}")
+    for face in obj.faces:
+        unit, multiplicative = face.law_violations
+        if unit is not None:
+            raise ValueError("the operators are not a module's action: the unit does not act as I")
+        if multiplicative is not None:
+            raise ValueError(f"the operators are not a module's action: A_i A_j != sum_t m_ij^t A_t at {multiplicative}")
+    if obj.kind == "yd" and obj.straightening_violation is not None:
+        raise ValueError(f"the faces are no YD module: yd_compatibility fails at {obj.straightening_violation}")
 
 
 def _operator_semisimplicity(
@@ -264,23 +261,22 @@ def _operator_semisimplicity(
 
     ``face`` is the module whose action the operators are; Rad(A) is then
     computed once per algebra object, in its regular representation, and
-    mapped through it.  Without a face the operators are any span of an
-    image (a YD object's products), and the face is that image, read off the
-    matrices, acting faithfully on F^dim, where its radical is computed.
+    mapped through it.  Without a face the operators span the image (a YD
+    object's products), whose reduced echelon basis acts faithfully on
+    F^dim, where its radical is computed.  The operators are not checked
+    here: ``is_semisimple`` guards them.
     """
     method = "TraceForm" if field.characteristic == 0 else "IteratedTraceForm"
     if face is None:
-        # V is a faithful module over its image, and smaller than the image's
+        # V is a faithful module over the image, and smaller than the image's
         # regular representation when dim A > dim V
-        face = _image_module(field, dim, operators)
-        coordinates = _radical_coordinates(face)
+        basis = _image_basis(field, dim, operators)
+        coordinates = _radical_coordinates(field, basis)
     else:
-        _require_module_action(face)
-        coordinates = _algebra_radical(face.algebra)
-    radical = [face.action_of_vector(z) for z in coordinates]
+        basis, coordinates = face.action, _algebra_radical(face.algebra)
     # the reduced echelon basis of the radical's span in End(F^dim) does not
     # depend on the basis it was computed in
-    _, rows = _echelon(field, [z.flatten() for z in radical])
+    rows = _echelon(field, [combination(field, dim, z, basis).flatten() for z in coordinates])
     radical = [Matrix.from_flat(field, dim, dim, row) for row in rows]
     for z in radical:
         # z is nilpotent exactly when z^(2^k) = 0 for the least 2^k >= dim
@@ -296,9 +292,11 @@ def is_semisimple(obj) -> SemisimplicityReport:
     """Whether the radical of the acting algebra acts as zero: H for a
     module, H* for a comodule, D(H) for a Yetter-Drinfel'd module; the
     stable subspaces are exactly the subobjects in each category.  An
-    object with one face is a module over that face's algebra A, and since
+    object whose laws fail is refused with a ``ValueError``.  An object
+    with one face is a module over that face's algebra A, and since
     Rad(A/Ann V) = (Rad A + Ann V)/Ann V its radical is Rad(A) mapped
-    through the face; a YD object's image is read off its matrices."""
+    through the face; a YD object's image is spanned by its operators."""
+    _require_laws(obj)
     faces = obj.faces
     face = faces[0] if len(faces) == 1 else None
     return _operator_semisimplicity(obj.field, obj.dim, obj.operators, face)

@@ -12,14 +12,20 @@ law into one straightening identity of operators per (i, t):
 
 that is, the relations of the Drinfel'd double D(H) that move H* past H
 (Kassel, *Quantum Groups*, ch. IX), so a YD module is a D(H)-module.
-``check_yd_compat`` checks it with ``hopf.combination_differs``, the sparse
-kernel behind H's own laws.
+``YDModuleRep.straightening_violation`` checks it once per object with
+``hopf.combination_differs``, the sparse kernel behind H's own laws, and
+``check_yd_compat`` and the decision guard of ``semisimple`` both read it.
+Once H's laws, both faces' module laws and this identity hold, V is a
+D(H)-module and the products B_t A_j are the action of the basis f_t h_j of
+D(H), so they span its image in End(V), an algebra closed under products.
 
 Its faces are the H-module and the H*-module of the comodule: the tensor
 product, dual and Hom space are the module ones taken on both faces.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .comodules import ComoduleRep, check_comodule_axioms, trivial_comodule
 from .hopf import AxiomReport, HopfAlgebraData, combination_differs
@@ -74,33 +80,34 @@ class YDModuleRep:
     def __repr__(self):
         return f"<YDModuleRep {self.name or '?'} dim={self.dim} over {self.hopf.name or '?'}>"
 
+    @cached_property
+    def straightening_violation(self):
+        """First (i, t) at which the straightening identity of the module
+        docstring fails, or None: one sparse combination per (i, t),
+        computed once per object for the axiom report and the guard alike."""
+        h, n = self.hopf, self.hopf.dim
+        a_rows = self.module.sparse_action
+        b_rows = self.comodule.star_module.sparse_action
+        # left[s][t] holds (b, m_sb^t) and right[j][t] holds (a, m_aj^t)
+        left = [[[(b, row[t]) for b, row in enumerate(h.mult[s]) if row[t]] for t in range(n)] for s in range(n)]
+        right = [[[(a, h.mult[a][j][t]) for a in range(n) if h.mult[a][j][t]] for t in range(n)] for j in range(n)]
+        for i in range(n):
+            terms = [(c, j, s) for j, row in enumerate(h.comult[i]) for s, c in enumerate(row) if c]
+            for t in range(n):
+                products = [(c * x, a_rows[j], b_rows[b]) for c, j, s in terms for b, x in left[s][t]]
+                products += [(-c * x, b_rows[a], a_rows[s]) for c, j, s in terms for a, x in right[j][t]]
+                if combination_differs(h.field, self.dim, [], products):
+                    return (i, t)
+        return None
+
 
 def check_yd_compat(y: YDModuleRep) -> AxiomReport:
     """Module and comodule axioms plus the compatibility law."""
     report = AxiomReport(y.name or "yd")
     report.checks += check_module_axioms(y.module).checks
     report.checks += check_comodule_axioms(y.comodule).checks
-    report.record("yd_compatibility", _straightening_violation(y))
+    report.record("yd_compatibility", y.straightening_violation)
     return report
-
-
-def _straightening_violation(y: YDModuleRep):
-    """First (i, t) at which the straightening identity of the module
-    docstring fails, or None: one sparse combination per (i, t)."""
-    h, n = y.hopf, y.hopf.dim
-    a_rows = y.module.sparse_action
-    b_rows = y.comodule.star_module.sparse_action
-    # left[s][t] holds (b, m_sb^t) and right[j][t] holds (a, m_aj^t)
-    left = [[[(b, row[t]) for b, row in enumerate(h.mult[s]) if row[t]] for t in range(n)] for s in range(n)]
-    right = [[[(a, h.mult[a][j][t]) for a in range(n) if h.mult[a][j][t]] for t in range(n)] for j in range(n)]
-    for i in range(n):
-        terms = [(c, j, s) for j, row in enumerate(h.comult[i]) for s, c in enumerate(row) if c]
-        for t in range(n):
-            products = [(c * x, a_rows[j], b_rows[b]) for c, j, s in terms for b, x in left[s][t]]
-            products += [(-c * x, b_rows[a], a_rows[s]) for c, j, s in terms for a, x in right[j][t]]
-            if combination_differs(h.field, y.dim, [], products):
-                return (i, t)
-    return None
 
 
 def trivial_yd(h: HopfAlgebraData) -> YDModuleRep:

@@ -5,9 +5,15 @@ already span an algebra's image.  ``spin_algebra`` is the unconditional
 closure: it multiplies until the span stops growing, so it needs no promise
 about its input and checks the engine's span independently.
 
-``acting_algebra`` is the engine's own image of a module's action, and
-``direct_sum_modules`` the block-diagonal sum the tests build semisimple and
-non-semisimple fixtures from; the engine itself needs neither.
+``image_module`` reads the image algebra off a span of operators with its
+product table: the reduced echelon basis of span(I, operators), the
+structure constants read off at the pivot columns, and a product that leaves
+the span refused.  The engine keeps only that basis, because the laws its
+guard checks make the span closed; the table checks the closure it no
+longer checks.  ``acting_algebra`` is that image's basis for a module's
+action, and ``direct_sum_modules`` the block-diagonal sum the tests build
+semisimple and non-semisimple fixtures from; the engine itself needs
+neither.
 
 ``line_by_line_semisimple`` is the socle oracle in its plainest form: it
 spins every line, keeps the distinct cyclic subspaces and compares the sum
@@ -22,14 +28,33 @@ import itertools
 
 from hopfcheck.errors import BoundExceededError
 from hopfcheck.fields import Field
+from hopfcheck.hopf import AlgebraData
 from hopfcheck.matrix import EchelonSpan, Matrix
 from hopfcheck.modules import ModuleRep, require_same_hopf
-from hopfcheck.semisimple import _image_module
+from hopfcheck.semisimple import _image_basis
+
+
+def image_module(field: Field, dim: int, operators: list[Matrix]) -> ModuleRep:
+    """The image A of an acting algebra in End(F^dim), acting on F^dim: the
+    engine's basis of span(I, operators), over A with structure constants
+    read off at the pivot columns.  A product outside the span means the
+    operators span no algebra, and is refused."""
+    basis = _image_basis(field, dim, operators)
+    span = EchelonSpan(field, dim * dim)
+    for b in basis:
+        span.add(b.flatten())
+    mult = [[span.coordinates((a * b).flatten()) for b in basis] for a in basis]
+    if any(None in row for row in mult):
+        raise ValueError("the operators span no algebra: a product leaves their span")
+    unit = span.coordinates(Matrix.identity(field, dim).flatten())
+    # associative as a matrix algebra and closed as just checked
+    image = AlgebraData(field, len(basis), mult, unit, name="image", unchecked=True)
+    return ModuleRep(image, dim, basis, name="image")
 
 
 def acting_algebra(m: ModuleRep) -> list[Matrix]:
     """Canonical basis of the image of the algebra in End(M)."""
-    return _image_module(m.field, m.dim, m.action).action
+    return image_module(m.field, m.dim, m.action).action
 
 
 def direct_sum_modules(m: ModuleRep, n: ModuleRep, name: str = "") -> ModuleRep:

@@ -278,6 +278,23 @@ def test_check_negative_fixture_reports_and_exits_zero(capsys):
     assert "tagged negative fixture" in out
 
 
+def test_commands_refuse_a_tagged_negative_fixture(capsys):
+    # only ``check`` reads a fixture that fails its axioms by design; every
+    # other command refuses it as it refuses a failing document
+    for argv in (
+        ["semisimple", "kS3/Q/ydbadline"],
+        ["dual", "kS3/Q/ydbadline"],
+        ["export", "kS3/Q/ydbadline"],
+        ["tensor", "kS3/Q/ydbadline", "kS3/Q/ydtrivial"],
+        ["tensor", "kS3/Q/ydtrivial", "kS3/Q/ydbadline"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == "", argv
+        assert err.startswith("axiom failure:"), argv
+        assert "yd_compatibility: FAIL at (2, 4)" in err, argv
+
+
 def test_commands_refuse_a_document_failing_its_axioms(tmp_path, capsys):
     # g acts by an idempotent, not an involution: g.g = e fails
     doc = json.loads(canonical_json(object_to_doc(lookup("kC2/Q/regular").payload)))

@@ -23,7 +23,7 @@ from hopfcheck.duality import (
 from hopfcheck.hopf import HopfAlgebraData
 from hopfcheck.matrix import Matrix
 from hopfcheck.modules import ModuleRep, check_module_axioms, dual_module, hom_space, tensor_modules
-from hopfcheck.semisimple import _image_module, is_semisimple
+from hopfcheck.semisimple import _image_basis, is_semisimple
 from hopfcheck.yd import YDModuleRep, check_yd_compat
 
 
@@ -192,7 +192,7 @@ def _engine_and_spin(obj, kind):
         star = obj.star_module
         return acting_algebra(star), spin_algebra(obj.field, obj.dim, star.action)
     both = list(obj.module.action) + obj.comodule.star_module.action
-    return _image_module(obj.field, obj.dim, obj.double_action).action, spin_algebra(obj.field, obj.dim, both)
+    return _image_basis(obj.field, obj.dim, obj.double_action), spin_algebra(obj.field, obj.dim, both)
 
 
 def test_image_basis_equals_the_spin_on_every_object_and_campaign_pair():

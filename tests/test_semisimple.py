@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semisimple_reference import acting_algebra, direct_sum_modules, semisimple_by_complements
+from semisimple_reference import acting_algebra, direct_sum_modules, image_module, semisimple_by_complements
 from hopfcheck import hopf, semisimple
 from hopfcheck.catalog import (
     catalog_entries,
@@ -16,12 +16,13 @@ from hopfcheck.catalog import (
     s3_permutation_module,
     s3_sign_module,
     s3_standard_module,
+    yd_incompatible_line,
 )
 from hopfcheck.comodules import ComoduleRep, regular_comodule
-from hopfcheck.duality import tensor_in_category
+from hopfcheck.duality import axioms_in_category, tensor_in_category
 from hopfcheck.errors import BoundExceededError
 from hopfcheck.fields import GF, QQ
-from hopfcheck.hopf import AlgebraData
+from hopfcheck.hopf import AlgebraData, HopfAlgebraData
 from hopfcheck.matrix import EchelonSpan, Matrix, NoSolutionError, solve_linear
 from hopfcheck.modules import ModuleRep, check_module_axioms, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import (
@@ -31,7 +32,7 @@ from hopfcheck.semisimple import (
     is_semisimple,
     is_yd_semisimple,
 )
-from hopfcheck.semisimple import _image_module, _operator_semisimplicity
+from hopfcheck.semisimple import _image_basis, _operator_semisimplicity
 from hopfcheck.yd import YDModuleRep
 
 
@@ -109,7 +110,7 @@ def test_acting_algebra_entries_are_ints_when_integral_over_q():
         if entry.kind == "hopf" or entry.payload.field != QQ:
             continue
         obj = entry.payload
-        basis = acting_algebra(obj) if entry.kind == "module" else _image_module(obj.field, obj.dim, obj.operators).action
+        basis = acting_algebra(obj) if entry.kind == "module" else _image_basis(obj.field, obj.dim, obj.operators)
         for a in basis:
             for x in (x for row in a.entries for x in row):
                 assert type(x) is int or x.denominator != 1, (entry.id, x)
@@ -134,12 +135,16 @@ def test_acting_algebra_closes_under_products():
 
 def test_operators_spanning_no_algebra_are_refused():
     # E12 and E21 generate all of M_2(Q), but I, E12, E21 span no algebra:
-    # E12 E21 = E11 lies outside, so these are not the action of a module
+    # E12 E21 = E11 lies outside, so as g and g^2 of kC3 they are not the
+    # action of a module, and g g = g^2 fails first
     one, zero = Fraction(1), Fraction(0)
     e12 = Matrix.from_rows(QQ, [[zero, one], [zero, zero]])
     e21 = Matrix.from_rows(QQ, [[zero, zero], [one, zero]])
-    with pytest.raises(ValueError, match="not a module's action"):
-        _operator_semisimplicity(QQ, 2, [e12, e21])
+    m = ModuleRep(lookup("kC3/Q").payload, 2, [Matrix.identity(QQ, 2), e12, e21], name="e12e21")
+    with pytest.raises(ValueError, match="not a module's action.*\\(1, 1\\)"):
+        is_semisimple(m)
+    with pytest.raises(ValueError, match="leaves their span"):
+        image_module(QQ, 2, m.operators)
 
 
 def test_the_mapped_radical_equals_the_radical_of_the_image_read_off_the_matrices():
@@ -183,9 +188,9 @@ def test_the_radical_of_an_algebra_is_computed_once(monkeypatch):
     computed = []
     compute = semisimple._radical_coordinates
 
-    def counted(rep):
-        computed.append(rep.algebra)
-        return compute(rep)
+    def counted(field, basis):
+        computed.append(basis)
+        return compute(field, basis)
 
     monkeypatch.setattr(semisimple, "_radical_coordinates", counted)
     for m in modules:
@@ -193,7 +198,7 @@ def test_the_radical_of_an_algebra_is_computed_once(monkeypatch):
     for a in modules:
         for b in modules:
             is_semisimple(tensor_modules(a, b))
-    assert computed == [h]
+    assert computed == [h.regular_action_matrices()]
 
 
 def test_a_yd_radical_is_computed_in_v(monkeypatch):
@@ -202,16 +207,16 @@ def test_a_yd_radical_is_computed_in_v(monkeypatch):
     dimension 17, and the chain runs on the dim-9 module."""
     y = lookup("kS3/F3/ydconj3").payload
     product = tensor_in_category(y, y)
-    reps = []
+    shapes = []
     compute = semisimple._radical_coordinates
 
-    def recorded(rep):
-        reps.append(rep)
-        return compute(rep)
+    def recorded(field, basis):
+        shapes.append((basis[0].rows, len(basis)))
+        return compute(field, basis)
 
     monkeypatch.setattr(semisimple, "_radical_coordinates", recorded)
     report = is_yd_semisimple(product)
-    assert [(rep.dim, rep.algebra.dim) for rep in reps] == [(9, 17)]
+    assert shapes == [(9, 17)]
     assert (report.verdict, report.radical_dim) == (False, 11)
 
 
@@ -335,6 +340,66 @@ def test_a_closed_span_that_breaks_the_table_is_refused():
     # the unit must act as I: here b_0 = e acts as 2 I
     with pytest.raises(ValueError, match="not a module's action: the unit"):
         is_semisimple(ModuleRep(h, 2, [e.scale(2), g], name="doubled"))
+
+
+def _refused(obj) -> bool:
+    try:
+        is_semisimple(obj)
+    except ValueError:
+        return True
+    return False
+
+
+def _changed(matrices, k):
+    """The matrices with 1 added to entry (0, 0) of the k-th."""
+    out = [Matrix(m.field, m.rows, m.cols, [row[:] for row in m.entries]) for m in matrices]
+    out[k].entries[0][0] = out[k].field.add(out[k].entries[0][0], out[k].field.one())
+    return out
+
+
+def test_the_guard_refuses_exactly_the_objects_whose_laws_fail():
+    """``is_semisimple`` raises ValueError exactly when the object's axiom
+    report or its Hopf algebra's fails: on every catalog object, ydbadline
+    included, on every same-kind product over one Hopf algebra of dim <= 36,
+    and on corrupted objects: a YD object with one entry changed in its
+    H-face or in its H*-face, YD lines that break only the straightening
+    law, and modules over an unchecked H with a zero antipode.  Each object
+    is decided before its reports are read."""
+    groups = {}
+    for entry in catalog_entries():
+        if entry.kind != "hopf":
+            groups.setdefault((entry.id.rsplit("/", 1)[0], entry.kind), []).append(entry.payload)
+    objects = [o for group in groups.values() for o in group]
+    objects += [
+        tensor_in_category(a, b) for group in groups.values() for a in group for b in group if a.dim * b.dim <= 36
+    ]
+    y = lookup("kS3/Q/ydconj3").payload
+    star = y.comodule.star_module
+    corrupted = [
+        YDModuleRep(ModuleRep(y.hopf, y.dim, _changed(y.module.action, 1)), y.comodule, name="bad H-face"),
+        y.with_faces((y.module, ModuleRep(star.algebra, y.dim, _changed(star.action, 1))), "bad H*-face"),
+    ]
+    straightening_only = [yd_incompatible_line(lookup(f"kS3/{f}").payload) for f in ("F3", "F5")]
+    h = lookup("kC2/Q").payload
+    zero_antipode = HopfAlgebraData(
+        h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.zeros(h.field, h.dim, h.dim), unchecked=True
+    )
+    corrupted += straightening_only + [trivial_module(zero_antipode), regular_module(zero_antipode)]
+    refusals = 0
+    for o in objects + corrupted:
+        refused = _refused(o)
+        assert refused == (not axioms_in_category(o).ok or not o.hopf.check_hopf_axioms().ok), o
+        refusals += refused
+    assert all(_refused(o) for o in corrupted)
+    for o in straightening_only:
+        assert {c.name for c in axioms_in_category(o).failures()} == {"yd_compatibility"}
+    # ydbadline and its six products with the other kS3/Q YD objects; its square
+    # is graded by t^2 = e and passes
+    assert (len(objects), refusals - len(corrupted)) == (1118, 7)
+    with pytest.raises(ValueError, match="yd_compatibility fails at \\(2, 4\\)"):
+        is_semisimple(lookup("kS3/Q/ydbadline").payload)
+    with pytest.raises(ValueError, match="antipode_left fails"):
+        is_semisimple(trivial_module(zero_antipode))
 
 
 def test_regular_c2_rationals_semisimple_with_idempotent_eigenlines():
@@ -557,12 +622,16 @@ def test_a_yd_radical_in_v_is_the_radical_in_the_regular_representation():
     """The image A of D(H) acts faithfully on V and on itself, so both give
     Rad(A), for every valid YD object and every same-kind YD tensor pair.
     Only this route runs the characteristic-p chain in V, where it stops
-    once p^k > dim V, not p^k > dim A."""
+    once p^k > dim V, not p^k > dim A.  The engine reads A as the echelon
+    basis of its operators' span, closed under products because the laws
+    make V a D(H)-module; ``image_module`` checks every product of two
+    basis elements against that span, and its table gives A's regular
+    representation."""
     images = []
     for hopf_entry in hopf_entries():
         valid = _valid_yd_objects(hopf_entry.id)
         objects = valid + [tensor_in_category(m, n) for m, n in combinations_with_replacement(valid, 2)]
-        images += [_image_module(o.field, o.dim, o.operators) for o in objects]
+        images += [image_module(o.field, o.dim, o.operators) for o in objects]
     assert len(images) == 225
 
     def mapped(face, coordinates):
@@ -570,8 +639,9 @@ def test_a_yd_radical_in_v_is_the_radical_in_the_regular_representation():
 
     larger = radicals = 0
     for face in images:
-        in_v = mapped(face, semisimple._radical_coordinates(face))
-        assert in_v == mapped(face, semisimple._radical_coordinates(regular_module(face.algebra))), face
+        in_v = mapped(face, semisimple._radical_coordinates(face.field, face.action))
+        regular = face.algebra.regular_action_matrices()
+        assert in_v == mapped(face, semisimple._radical_coordinates(face.field, regular)), face
         larger += face.algebra.dim > face.dim
         radicals += bool(in_v)
     assert larger == 20
