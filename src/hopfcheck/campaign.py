@@ -31,6 +31,7 @@ from .duality import (
     verify_serre,
 )
 from .errors import BoundExceededError, CertificateError, NotInvolutoryError, RankNotInvertibleError
+from .fields import field_by_name
 from .semisimple import DEFAULT_ORACLE_BOUND, brute_force_semisimple
 
 CATEGORIES = ("module", "comodule", "yd")
@@ -85,6 +86,9 @@ def run_campaign(
     if bound < 1:
         # nor would an oracle whose bound no object meets
         raise ValueError(f"the oracle bound must be at least 1, got {bound}")
+    if oracle and not any(field_by_name(f).characteristic for f in field_list):
+        # nor would an oracle over no finite field: it checks nothing over Q
+        raise ValueError(f"the oracle checks finite fields only, and none is selected: {', '.join(field_list)}")
     report = CampaignReport(
         tool_version=__version__,
         field_list=field_list,

@@ -13,11 +13,14 @@ S = S^-1 and is expected to fail on non-involutory inputs.  Both are
 checked as exact identities rather than assumed, by one function:
 ``pairing_violation`` decides coev into N (x) N* or N* (x) N, or ev out of
 either square, on the one vector the map carries, without building N*, the
-unit object or the square.  The campaign's equivariance dichotomy, both
-orders of the strong-dual certificates and H's antipode laws (coev and ev
-of the regular module) all call it.  A comodule is checked as the module
-over the dual Hopf algebra H* that it is: there equivariance is
-colinearity, and H* is involutory exactly when H is.
+unit object or the square.  Each face decides each of the four maps at most
+once and keeps the answer (``ModuleRep.pairing_violation``), so the
+campaign's equivariance dichotomy, both orders of the strong-dual
+certificates and H's antipode laws (coev and ev of the regular module) share
+one computation, and a catalog object checked again costs no arithmetic.
+A comodule is checked as the module over the dual Hopf algebra H* that it
+is: there equivariance is colinearity, and H* is involutory exactly when H
+is.
 
 Every object is the tuple of modules in its ``faces``: tensor product,
 dual and Hom space are the module constructions applied face by face, and
@@ -38,7 +41,7 @@ from .errors import (
     RankNotInvertibleError,
 )
 from .fields import Field
-from .hopf import AxiomReport, combination_differs
+from .hopf import AxiomReport
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
     check_module_axioms,
@@ -140,31 +143,16 @@ def morphism_violation(g: Matrix, source, target):
 def pairing_violation(obj, coev: bool, dual_first: bool):
     """``morphism_violation`` of coev: k -> square (``coev``) or of
     ev: square -> k, where the square is N (x) N*, or N* (x) N with
-    ``dual_first``, decided on the one vector the map carries and face by
-    face, without building N*, k or the square.
-
-    (X (x) Y).vec(I) = vec(X Y^T), vec(I)^T.(X (x) Y) = vec(X^T Y)^T and
-    A*_d^T = A_S(b_d).  With (n, d) the legs of N and N* in Delta_i^jt, that
-    is (j, t) for N (x) N* and (t, j) for N* (x) N, coev is a morphism exactly
-    when every sum_jt Delta_i^jt A_n A_S(b_d), and ev when every
-    sum_jt Delta_i^jt A_S(b_d) A_n, is eps(b_i) I.  Generators are numbered
-    across faces as ``morphism_violation`` numbers them.
-    """
+    ``dual_first``, read face by face off ``ModuleRep.pairing_violation``,
+    which decides each map once per face on the one vector it carries.
+    Generators are numbered across faces as ``morphism_violation`` numbers
+    them."""
     offset = 0
     for face in obj.faces:
-        h = face.hopf
-        plain, twisted = face.sparse_action, face.sparse_twisted_action
-        identity = [[(r, h.field.one())] for r in range(face.dim)]
-        for i in range(h.dim):
-            products = []
-            for j, row in enumerate(h.comult[i]):
-                for t, c in enumerate(row):
-                    if c:
-                        n, d = (t, j) if dual_first else (j, t)
-                        products.append((c, plain[n], twisted[d]) if coev else (c, twisted[d], plain[n]))
-            if combination_differs(h.field, face.dim, [(h.counit[i], identity)], products):
-                return (offset + i,)
-        offset += h.dim
+        i = face.pairing_violation(coev, dual_first)
+        if i is not None:
+            return (offset + i,)
+        offset += face.hopf.dim
     return None
 
 
@@ -326,11 +314,13 @@ class SerreVerdict:
 
 def cached_verdict(obj, cache: dict) -> bool:
     """The semisimplicity verdict of ``obj``, memoized in ``cache`` under
-    what a verdict and its guard depend on: each face's algebra object and
-    action matrices.  N and N (x) trivial share one decision; the same
-    matrices over another algebra, which may be no action, do not.  The key
-    holds the matrices, so no collected object's id returns a stale verdict."""
-    key = tuple((face.algebra, tuple(face.action)) for face in obj.faces)
+    what a verdict and its guard depend on: each face's ``verdict_key``, its
+    algebra object and the text of its action entries.  N and N (x) trivial
+    share one decision; the same matrices over another algebra, which may be
+    no action, do not.  The key holds no matrix, so ``cache`` keeps no
+    tensor product alive, and no collected object's id returns a stale
+    verdict."""
+    key = tuple(face.verdict_key for face in obj.faces)
     verdict = cache.get(key)
     if verdict is None:
         verdict = cache[key] = is_semisimple(obj).verdict

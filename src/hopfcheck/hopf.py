@@ -25,9 +25,9 @@ counit_multiplicative and counit_unit that k is an H-module, and the
 antipode laws that ev: R* (x) R -> k and coev: k -> R (x) R* are module
 maps, read off the one vector each map carries by
 ``duality.pairing_violation``, the check the campaign and the strong-dual
-certificates also use.  The two antipode laws equal the coefficient laws
-when H is associative and unital (R is then faithful); the others equal
-them outright.
+certificates also use, decided once per face and kept with it.  The two
+antipode laws equal the coefficient laws when H is associative and unital
+(R is then faithful); the others equal them outright.
 
 Two laws closed under products are checked only on the rows i of a
 generating set G of the algebra (``AlgebraData.generators``), when their

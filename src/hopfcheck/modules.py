@@ -6,6 +6,12 @@ product is ordered with the second factor fastest, so iterated products
 agree entry-for-entry without reindexing.  Comodules are modules over the
 dual Hopf algebra, so the tensor product, dual and Hom solver here serve
 comodules and both faces of a Yetter-Drinfel'd module as well.
+
+Every object is a tuple of these modules, its faces, and each face keeps
+what the checks read of it: the sparse and twisted actions, the law
+violations, the four pairing violations of coev and ev and the key its
+semisimplicity verdict is cached under.  Catalog faces persist, so a second
+campaign in one process repeats none of these computations.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import HopfMismatchError
-from .hopf import AlgebraData, AxiomReport, HopfAlgebraData, sparse_rows
+from .hopf import AlgebraData, AxiomReport, HopfAlgebraData, combination_differs, sparse_rows
 from .matrix import Matrix, combination, kernel_basis
 
 
@@ -50,6 +56,9 @@ class ModuleRep:
     (spanning the image of the acting algebra) and ``with_faces``, which
     rebuilds an object of the same kind from new faces.  A module is its own
     only face.
+
+    What the checks read of a face is kept with it (see the module
+    docstring), so the action must not be edited after construction.
     """
 
     kind = "module"
@@ -64,6 +73,7 @@ class ModuleRep:
         self.dim = dim
         self.action = action
         self.name = name
+        self._pairing_violations = {}
 
     @property
     def field(self):
@@ -116,10 +126,62 @@ class ModuleRep:
         When the algebra is unital and associative and the unit acts as I,
         the law is checked on the rows i in the algebra's ``generators``,
         which decide it and find its first violation (see ``hopf``)."""
-        algebra = self.algebra
-        unit = None if self.action_of_vector(algebra.unit).is_identity() else (0,)
+        algebra, rows = self.algebra, self.sparse_action
+        # sum_i u_i A_i - I, on the sparse rows; no dense matrix is built
+        linear = [(c, rows[i]) for i, c in enumerate(algebra.unit) if c]
+        linear.append((-1, _sparse_identity(self.field, self.dim)))
+        unit = (0,) if combination_differs(self.field, self.dim, linear, []) else None
         scan = algebra.generators() if unit is None and algebra.law_violations == (None, None) else None
-        return unit, algebra.multiplicativity_violation(self.sparse_action, scan)
+        return unit, algebra.multiplicativity_violation(rows, scan)
+
+    @cached_property
+    def verdict_key(self) -> tuple:
+        """What a semisimplicity verdict on this face depends on: its algebra
+        object and the text of its action entries.  Built once; the text
+        keeps no matrix alive, and a ``str`` caches its hash.  Equal texts
+        mean equal actions; an integral ``Fraction`` reads apart from its
+        ``int``, which costs at most a repeated decision."""
+        return self.algebra, repr([a.entries for a in self.action])
+
+    def pairing_violation(self, coev: bool, dual_first: bool):
+        """The first i at which coev: k -> square (``coev``) or ev: square -> k
+        fails to intertwine b_i on this face, or None; the square is N (x) N*,
+        or N* (x) N with ``dual_first``.  Each of the four maps is decided at
+        most once per face, by ``_pairing_kernel``, and kept."""
+        key = coev, dual_first
+        if key not in self._pairing_violations:
+            self._pairing_violations[key] = _pairing_kernel(self, coev, dual_first)
+        return self._pairing_violations[key]
+
+
+def _sparse_identity(field, dim: int) -> list:
+    """``sparse_rows`` of the dim x dim identity."""
+    return [[(r, field.one())] for r in range(dim)]
+
+
+def _pairing_kernel(face: ModuleRep, coev: bool, dual_first: bool):
+    """``ModuleRep.pairing_violation``, decided on the one vector the map
+    carries, without building N*, k or the square.
+
+    (X (x) Y).vec(I) = vec(X Y^T), vec(I)^T.(X (x) Y) = vec(X^T Y)^T and
+    A*_d^T = A_S(b_d).  With (n, d) the legs of N and N* in Delta_i^jt, that
+    is (j, t) for N (x) N* and (t, j) for N* (x) N, coev is a morphism exactly
+    when every sum_jt Delta_i^jt A_n A_S(b_d), and ev when every
+    sum_jt Delta_i^jt A_S(b_d) A_n, is eps(b_i) I.
+    """
+    h = face.hopf
+    plain, twisted = face.sparse_action, face.sparse_twisted_action
+    identity = _sparse_identity(h.field, face.dim)
+    for i in range(h.dim):
+        products = []
+        for j, row in enumerate(h.comult[i]):
+            for t, c in enumerate(row):
+                if c:
+                    n, d = (t, j) if dual_first else (j, t)
+                    products.append((c, plain[n], twisted[d]) if coev else (c, twisted[d], plain[n]))
+        if combination_differs(h.field, face.dim, [(h.counit[i], identity)], products):
+            return i
+    return None
 
 
 def check_module_axioms(m: ModuleRep) -> AxiomReport:

@@ -217,6 +217,17 @@ def test_campaign_with_an_oracle_bound_below_one_is_refused(unbuilt_catalog):
     assert _built_groups() == 0
 
 
+def test_campaign_with_an_oracle_over_no_finite_field_is_refused(unbuilt_catalog):
+    # the oracle runs over F_p only, so over Q alone it would skip all and pass
+    with pytest.raises(ValueError, match="oracle checks finite fields only"):
+        run_campaign(fields=["Q"], oracle=True)
+    assert _built_groups() == 0
+    # next to a finite field, Q's objects are listed as skipped, as before
+    report = run_campaign(categories=("module",), fields=["Q", "F2"], oracle=True)
+    assert report.ok and report.oracle["checked"] > 0
+    assert any(i.split("/")[1] == "Q" for i in report.oracle["skipped_bound_exceeded"])
+
+
 def test_each_hopf_algebra_is_built_once_and_checked_once(unbuilt_catalog, monkeypatch):
     # comult_multiplicative runs once per Hopf law table
     real = HopfAlgebraData._comult_multiplicative_violation

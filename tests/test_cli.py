@@ -246,6 +246,13 @@ def test_non_positive_oracle_bound_is_a_usage_error(capsys):
         assert "positive integer" in err and out == ""
 
 
+def test_campaign_oracle_over_no_finite_field_is_a_usage_error(capsys):
+    # it would check no object, skip all 59 and print CONSISTENT
+    code, out, err = run(capsys, "campaign", "--field", "Q", "--oracle")
+    assert code == 2
+    assert "oracle checks finite fields only" in err and out == ""
+
+
 def test_bound_without_oracle_is_a_usage_error(capsys):
     # the bound caps only the oracle, so a request that ignores it checks less than it asks
     for argv in (("semisimple", "kC2/F2/regular"), ("campaign", "--field", "F2")):

@@ -1,10 +1,13 @@
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from duality_reference import in_hom_span, unit_in_category
 from semisimple_reference import direct_sum_modules
-from hopfcheck import semisimple
+from hopfcheck import duality, modules, semisimple
+from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import (
     catalog_entries,
     group_algebra,
@@ -40,7 +43,7 @@ from hopfcheck.errors import (
     RankNotInvertibleError,
 )
 from hopfcheck.fields import GF, QQ
-from hopfcheck.matrix import Matrix
+from hopfcheck.matrix import Matrix, solve_linear
 from hopfcheck.hopf import HopfAlgebraData
 from hopfcheck.modules import ModuleRep, dual_module, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
@@ -189,6 +192,83 @@ def test_is_morphism_agrees_with_hom_span_on_canonical_maps():
     # the six objects the campaign counts as non-involutory evaluation failures
     h4 = {f"H4/{f}/{name}" for f in ("Q", "F5") for name in ("regular", "h4mod2", "coregular")}
     assert rejected == {("right", "ev"): h4, ("left", "coev"): h4}
+
+
+def _on_fresh_faces(obj):
+    """``obj`` on new faces with the same actions, which have kept nothing."""
+    return obj.with_faces(tuple(ModuleRep(f.algebra, f.dim, f.action, f.name) for f in obj.faces), obj.name)
+
+
+@pytest.fixture
+def pairing_kernel_runs(monkeypatch):
+    """Runs of the per-face pairing kernel, counted by face id."""
+    runs = Counter()
+    kernel = modules._pairing_kernel
+
+    def counted(face, coev, dual_first):
+        runs[id(face)] += 1
+        return kernel(face, coev, dual_first)
+
+    monkeypatch.setattr(modules, "_pairing_kernel", counted)
+    return runs
+
+
+def test_each_face_decides_each_pairing_map_once(pairing_kernel_runs):
+    # the dichotomy asks for coev and ev into N (x) N*, both certificate
+    # orders for all four maps: four kernel runs per face, asked twice
+    for entry_id in ("kS3/Q/std2", "kS3/Q/coregular", "kS3/Q/ydconj3", "kC2/F3/regular"):
+        pairing_kernel_runs.clear()
+        obj = _on_fresh_faces(lookup(entry_id).payload)
+        for _ in range(2):
+            assert pairing_violation(obj, True, False) is None
+            assert pairing_violation(obj, False, False) is None
+            build_strong_dual_certificates(obj)
+        assert [pairing_kernel_runs[id(face)] for face in obj.faces] == [4] * len(obj.faces), entry_id
+
+
+def test_a_second_campaign_runs_no_pairing_kernel(pairing_kernel_runs):
+    # catalog faces keep their pairing violations across runs
+    run_campaign()
+    pairing_kernel_runs.clear()
+    assert run_campaign().ok
+    assert not pairing_kernel_runs
+
+
+def _conjugator(field, dim):
+    """P.(.).P^-1 for the fixed P = L U, L unit lower triangular with ones
+    below the diagonal, U upper with ones above it and diagonal 1, 2, 1, 2;
+    over Q, P^-1 carries fractions."""
+    lower = [[1 if r >= c else 0 for c in range(dim)] for r in range(dim)]
+    upper = [[(1, 2)[r % 2] if r == c else 1 if r < c else 0 for c in range(dim)] for r in range(dim)]
+    p = Matrix.from_rows(field, lower) * Matrix.from_rows(field, upper)
+    pinv = solve_linear(p, Matrix.identity(field, dim))
+    return lambda a: p * a * pinv
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F3"])
+def test_a_change_of_basis_keeps_hom_dimensions_verdicts_and_radicals(field_name):
+    # P.N.P^-1 is isomorphic to N, so it has the same Hom dimension with
+    # every same-kind object over the same H, in both directions, the same
+    # verdict and the same radical dimension
+    field = {"Q": QQ, "F3": GF(3)}[field_name]
+    groups: dict = {}
+    for entry in catalog_entries():
+        hopf_name, entry_field = entry.id.split("/")[:2]
+        if entry.kind != "hopf" and entry.expected_failure is None and entry_field == field_name and entry.payload.dim <= 4:
+            groups.setdefault((hopf_name, entry.kind), []).append(entry.payload)
+    checked = 0
+    for group in groups.values():
+        for obj in group:
+            conj = _conjugator(field, obj.dim)
+            faces = tuple(ModuleRep(f.algebra, f.dim, [conj(a) for a in f.action], f.name) for f in obj.faces)
+            moved = obj.with_faces(faces, f"P.{obj.name}.P^-1")
+            want, got = semisimple.is_semisimple(obj), semisimple.is_semisimple(moved)
+            assert (got.verdict, got.radical_dim) == (want.verdict, want.radical_dim), obj.name
+            for other in group:
+                assert len(hom_in_category(moved, other)) == len(hom_in_category(obj, other)), (obj.name, other.name)
+                assert len(hom_in_category(other, moved)) == len(hom_in_category(other, obj)), (obj.name, other.name)
+            checked += 1
+    assert checked >= 40
 
 
 def test_is_morphism_rejects_a_map_of_the_wrong_shape():
@@ -376,6 +456,43 @@ def test_a_cached_verdict_does_not_skip_the_guard_of_another_algebra():
     impostor = ModuleRep(lookup("kdC2/Q").payload, 2, reg.action)
     with pytest.raises(ValueError, match="the unit does not act as I"):
         cached_verdict(impostor, cache)
+
+
+def test_a_verdict_cache_keeps_no_tensor_product_alive(monkeypatch):
+    # the cache keys on each face's algebra and entry text, so once a pair is
+    # decided nothing holds its product's action matrices
+    class Tracked(Matrix):
+        """A ``Matrix`` that takes weak references: it has no ``__slots__``."""
+
+    refs = []
+    real = duality.tensor_in_category
+
+    def tracked(a, b, name=""):
+        product = real(a, b, name)
+        faces = tuple(
+            ModuleRep(f.algebra, f.dim, [Tracked(x.field, x.rows, x.cols, x.entries) for x in f.action], f.name)
+            for f in product.faces
+        )
+        refs.extend(weakref.ref(x) for f in faces for x in f.action)
+        return product.with_faces(faces, product.name)
+
+    monkeypatch.setattr(duality, "tensor_in_category", tracked)
+    cache: dict = {}
+    for m, n in (("kS3/Q/std2", "kS3/Q/perm"), ("kS3/F3/ydconj3", "kS3/F3/ydconj3")):
+        verify_serre(lookup(m).payload, lookup(n).payload, cache)
+    assert len(refs) == 6 + 2 * 6 and len(cache) == 5
+    assert all(ref() is None for ref in refs)
+
+
+def test_verdict_keys_read_the_algebra_object_and_every_entry():
+    reg = lookup("kC2/Q/regular").payload
+    copied = [Matrix.from_rows(QQ, [row[:] for row in a.entries]) for a in reg.action]
+    assert ModuleRep(reg.algebra, 2, copied).verdict_key == reg.verdict_key
+    assert ModuleRep(lookup("kdC2/Q").payload, 2, reg.action).verdict_key != reg.verdict_key
+    changed = [row[:] for row in reg.action[1].entries]
+    changed[1][1] = 2
+    moved = ModuleRep(reg.algebra, 2, [reg.action[0], Matrix.from_rows(QQ, changed)])
+    assert moved.verdict_key != reg.verdict_key
 
 
 def test_serre_hypothesis_taken_from_a_factor_equals_the_products_verdict():
