@@ -8,17 +8,17 @@ Actions on Rings*, 1.6).  Subcomodules, colinear maps, the tensor product and
 the dual are exactly the H*-module ones, so a ``ComoduleRep`` keeps only that
 module (``star_module``), which is its one face: every comodule construction
 is the module construction over ``H.dual_algebra()``.  ``coaction`` is a
-read-only view of the same data in comodule terms.
+read-only view of the same data in comodule terms, and ``laws`` is the
+H*-face's law table under the comodule names counit_law and
+coassociativity, which ``check_comodule_axioms``, the one report function
+of every kind, reads.
 """
 
 from __future__ import annotations
 
-from .hopf import AxiomReport, HopfAlgebraData
+from .hopf import HopfAlgebraData
 from .matrix import Matrix
 from .modules import ModuleRep, check_module_axioms, require_same_hopf
-
-# module axiom over H*  ->  the comodule axiom it is
-_CHECK_NAMES = {"unit_acts_as_identity": "counit_law", "action_multiplicative": "coassociativity"}
 
 
 class ComoduleRep:
@@ -72,18 +72,19 @@ class ComoduleRep:
         mats = [m.entries for m in self.star_module.action]
         return [[[mat[b][a] for mat in mats] for b in range(self.dim)] for a in range(self.dim)]
 
+    @property
+    def laws(self) -> tuple:
+        """counit_law and coassociativity: the unit and multiplicativity laws
+        of the H*-face, read off its table under their comodule names."""
+        (_, counit), (_, coassociativity) = self.star_module.laws
+        return ("counit_law", counit), ("coassociativity", coassociativity)
+
     def __repr__(self):
         return f"<ComoduleRep {self.name or '?'} dim={self.dim} over {self.hopf.name or '?'}>"
 
 
-def check_comodule_axioms(c: ComoduleRep) -> AxiomReport:
-    """Counit law and coassociativity: the unit and multiplicativity laws of
-    the H*-action, under their comodule names."""
-    report = check_module_axioms(c.star_module)
-    report.subject = c.name or "comodule"
-    for check in report.checks:
-        check.name = _CHECK_NAMES[check.name]
-    return report
+# one report for every kind, read off ``ComoduleRep.laws`` here
+check_comodule_axioms = check_module_axioms
 
 
 def trivial_comodule(h: HopfAlgebraData) -> ComoduleRep:

@@ -154,20 +154,31 @@ def module_to_doc(m: ModuleRep) -> dict:
     }
 
 
-def module_from_doc(doc: dict, hopf: HopfAlgebraData) -> ModuleRep:
-    name = _expect(doc, "name", str, "module document")
-    context = f"module document {name!r}"
+def _object_header(doc: dict, kind: str):
+    """The name, the error context and the dim of a ``kind`` document."""
+    name = _expect(doc, "name", str, f"{kind} document")
+    context = f"{kind} document {name!r}"
     dim = _expect(doc, "dim", int, context)
     if dim < 0:
         raise ParseError(f"{context}: dim must be nonnegative")
+    return name, context, dim
+
+
+def _action_in(doc: dict, hopf: HopfAlgebraData, dim: int, context: str) -> list[Matrix]:
     action_doc = _expect(doc, "action", list, context)
     if len(action_doc) != hopf.dim:
         raise ParseError(f"{context}: expected {hopf.dim} action matrices")
-    action = [
-        _matrix_in(hopf.field, mat, dim, dim, f"{context}: action[{i}]")
-        for i, mat in enumerate(action_doc)
-    ]
-    return ModuleRep(hopf, dim, action, name=name)
+    return [_matrix_in(hopf.field, mat, dim, dim, f"{context}: action[{i}]") for i, mat in enumerate(action_doc)]
+
+
+def _coaction_in(doc: dict, hopf: HopfAlgebraData, dim: int, context: str):
+    coaction_doc = _expect(doc, "coaction", list, context)
+    return _tensor_in(hopf.field, coaction_doc, (dim, dim, hopf.dim), f"{context}: coaction")
+
+
+def module_from_doc(doc: dict, hopf: HopfAlgebraData) -> ModuleRep:
+    name, context, dim = _object_header(doc, "module")
+    return ModuleRep(hopf, dim, _action_in(doc, hopf, dim, context), name=name)
 
 
 def comodule_to_doc(c: ComoduleRep) -> dict:
@@ -180,15 +191,8 @@ def comodule_to_doc(c: ComoduleRep) -> dict:
 
 
 def comodule_from_doc(doc: dict, hopf: HopfAlgebraData) -> ComoduleRep:
-    name = _expect(doc, "name", str, "comodule document")
-    context = f"comodule document {name!r}"
-    dim = _expect(doc, "dim", int, context)
-    if dim < 0:
-        raise ParseError(f"{context}: dim must be nonnegative")
-    coaction = _tensor_in(
-        hopf.field, _expect(doc, "coaction", list, context), (dim, dim, hopf.dim), f"{context}: coaction"
-    )
-    return ComoduleRep(hopf, dim, coaction, name=name)
+    name, context, dim = _object_header(doc, "comodule")
+    return ComoduleRep(hopf, dim, _coaction_in(doc, hopf, dim, context), name=name)
 
 
 def yd_to_doc(y: YDModuleRep) -> dict:
@@ -202,15 +206,9 @@ def yd_to_doc(y: YDModuleRep) -> dict:
 
 
 def yd_from_doc(doc: dict, hopf: HopfAlgebraData) -> YDModuleRep:
-    name = _expect(doc, "name", str, "yd document")
-    module = module_from_doc(
-        {"name": name, "hopf": doc.get("hopf", ""), "dim": doc.get("dim"), "action": doc.get("action")},
-        hopf,
-    )
-    comodule = comodule_from_doc(
-        {"name": name, "hopf": doc.get("hopf", ""), "dim": doc.get("dim"), "coaction": doc.get("coaction")},
-        hopf,
-    )
+    name, context, dim = _object_header(doc, "yd")
+    module = ModuleRep(hopf, dim, _action_in(doc, hopf, dim, context), name=name)
+    comodule = ComoduleRep(hopf, dim, _coaction_in(doc, hopf, dim, context), name=name)
     return YDModuleRep(module, comodule, name=name)
 
 

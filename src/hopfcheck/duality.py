@@ -23,15 +23,15 @@ is: there equivariance is colinearity, and H* is involutory exactly when H
 is.
 
 Every object is the tuple of modules in its ``faces``: tensor product,
-dual and Hom space are the module constructions applied face by face, and
-only the axiom checks differ by kind.
+dual and Hom space are the module constructions applied face by face.
+Every object also carries its named law table ``laws``, so one function,
+``axioms_in_category``, reports the axioms of every kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .comodules import check_comodule_axioms
 from .errors import (
     CertificateError,
     NotAMorphismError,
@@ -41,7 +41,6 @@ from .errors import (
     RankNotInvertibleError,
 )
 from .fields import Field
-from .hopf import AxiomReport
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
     check_module_axioms,
@@ -51,7 +50,6 @@ from .modules import (
     tensor_modules,
 )
 from .semisimple import is_semisimple
-from .yd import check_yd_compat
 
 MODULE = "module"
 COMODULE = "comodule"
@@ -162,11 +160,8 @@ def is_morphism(g: Matrix, source, target) -> bool:
     return morphism_violation(g, source, target) is None
 
 
-def axioms_in_category(obj) -> AxiomReport:
-    # the checks really differ: comodule laws are renamed H* checks, and a
-    # YD module adds the compatibility identity
-    check = {MODULE: check_module_axioms, COMODULE: check_comodule_axioms, YD: check_yd_compat}
-    return check[category_of(obj)](obj)
+# every object, a Hopf algebra too, carries its ``laws``: one report for all
+axioms_in_category = check_module_axioms
 
 
 # certificates ----------------------------------------------------------------

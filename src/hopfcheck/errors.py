@@ -6,12 +6,14 @@ class HopfMismatchError(ValueError):
 
 
 class AxiomError(ValueError):
-    """Structure constants failed an axiom check at construction time."""
+    """An object or its Hopf algebra failed its laws: ``report`` is the
+    failing axiom report, and the message names each failing law with its
+    first violation."""
 
     def __init__(self, report):
         self.report = report
-        failed = ", ".join(c.name for c in report.failures())
-        super().__init__(f"axiom check failed: {failed}")
+        failed = ", ".join(f"{c.name} at {c.first_violation}" for c in report.failures())
+        super().__init__(f"axiom check failed on {report.subject}: {failed}")
 
 
 class BoundExceededError(ValueError):

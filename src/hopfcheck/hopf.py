@@ -11,10 +11,12 @@ Conventions, fixed once and used everywhere:
 All axiom checks evaluate exact polynomial identities in the structure
 constants; a failure is data (reported with the first violating index), not
 an exception, unless the object was constructed with checking enabled.
-Each object computes its law table once (``AlgebraData.law_violations``,
-``HopfAlgebraData.hopf_law_violations``): the constructor's check and every
-later report read the same table, so the tables must not be edited after
-construction.
+Every object of the package, an algebra, a Hopf algebra, a module, a
+comodule or a YD module, carries one named law table ``laws`` of (check
+name, first violation or None) pairs, computed once, and one reader,
+``AxiomReport.of``, turns a table into a report: the constructor's check,
+every later report and the decision guard read the same table, so the
+tables must not be edited after construction.
 
 Only H's algebra laws and comult_multiplicative are read off the structure
 constants, the latter as a sparse matrix identity on the n x n matrices of
@@ -23,8 +25,8 @@ statement it is (R the regular module, k the trivial one): the coalgebra
 laws are H*'s algebra laws, comult_unit says k is an H*-module,
 counit_multiplicative and counit_unit that k is an H-module, and the
 antipode laws that ev: R* (x) R -> k and coev: k -> R (x) R* are module
-maps, read off the one vector each map carries by
-``duality.pairing_violation``, the check the campaign and the strong-dual
+maps, read off the one vector each map carries by R's
+``ModuleRep.pairing_violation``, the check the campaign and the strong-dual
 certificates also use, decided once per face and kept with it.  The two
 antipode laws equal the coefficient laws when H is associative and unital
 (R is then faithful); the others equal them outright.
@@ -79,8 +81,11 @@ class AxiomReport:
     subject: str
     checks: list[AxiomCheck] = dc_field(default_factory=list)
 
-    def record(self, name: str, violation: tuple | None):
-        self.checks.append(AxiomCheck(name, violation is None, violation))
+    @classmethod
+    def of(cls, subject: str, laws) -> AxiomReport:
+        """The report of a law table: one check per (name, first violation
+        or None) pair, in table order.  Every report is built here."""
+        return cls(subject, [AxiomCheck(name, violation is None, violation) for name, violation in laws])
 
     @property
     def ok(self) -> bool:
@@ -200,11 +205,16 @@ class AlgebraData:
     # axioms -----------------------------------------------------------------
 
     def check_algebra_axioms(self) -> AxiomReport:
+        """Associativity and the unit law, the first two laws of ``laws``
+        (of a Hopf algebra's too)."""
+        return AxiomReport.of(self.name or "algebra", self.laws[:2])
+
+    @cached_property
+    def laws(self) -> tuple:
+        """The named law table: associativity and unit, each with its first
+        violation or None."""
         unit, associativity = self.law_violations
-        report = AxiomReport(self.name or "algebra")
-        report.record("associativity", associativity)
-        report.record("unit", unit)
-        return report
+        return ("associativity", associativity), ("unit", unit)
 
     @cached_property
     def law_violations(self) -> tuple:
@@ -283,7 +293,6 @@ class HopfAlgebraData(AlgebraData):
         self.counit = counit
         self.antipode = antipode
         self._dual_algebra = None
-        self._involutory = None
         super().__init__(field, dim, mult, unit, name=name, unchecked=True)
         if not unchecked:
             report = self.check_hopf_axioms()
@@ -293,18 +302,15 @@ class HopfAlgebraData(AlgebraData):
     # axioms -----------------------------------------------------------------
 
     def check_hopf_axioms(self) -> AxiomReport:
-        """Every Hopf axiom, each recorded with its first violation; read off
-        ``hopf_law_violations``, so a repeated check costs no arithmetic."""
-        report = AxiomReport(self.name or "hopf")
-        for name, violation in self.hopf_law_violations:
-            report.record(name, violation)
-        return report
+        """Every Hopf axiom, each with its first violation; read off
+        ``laws``, so a repeated check costs no arithmetic."""
+        return AxiomReport.of(self.name or self.kind, self.laws)
 
     @cached_property
-    def hopf_law_violations(self) -> tuple:
+    def laws(self) -> tuple:
         """The ten Hopf laws as (name, first violation or None) pairs, in
         report order, computed once per object for the constructor's check
-        and every later report alike.
+        and every later report alike; the first two are the algebra laws.
 
         Each law beyond H's algebra laws is a module statement (Sweedler,
         *Hopf Algebras*, ch. 1 and 4; see the module docstring), indexed in
@@ -321,26 +327,28 @@ class HopfAlgebraData(AlgebraData):
         * antipode_left, antipode_right -- (i,) for the first b_i that ev,
           resp. coev, fails to intertwine.
         """
-        # modules and duality import this module, so they load only here
-        from .duality import pairing_violation
+        # modules imports this module, so it loads only here
         from .modules import regular_module, trivial_module
 
         dual = self.dual_algebra()
         r = regular_module(self)
+        left = r.pairing_violation(coev=False, dual_first=True)
+        right = r.pairing_violation(coev=True, dual_first=False)
         unit, associativity = self.law_violations
         counit, coassociativity = dual.law_violations
-        counit_unit, counit_multiplicative = trivial_module(self).law_violations
+        (_, counit_unit), (_, counit_multiplicative) = trivial_module(self).laws
+        _, comult_unit = trivial_module(dual).laws[1]
         return (
             ("associativity", associativity),
             ("unit", unit),
             ("coassociativity", coassociativity),
             ("counit", counit),
             ("comult_multiplicative", self._comult_multiplicative_violation()),
-            ("comult_unit", trivial_module(dual).law_violations[1]),
+            ("comult_unit", comult_unit),
             ("counit_multiplicative", counit_multiplicative),
             ("counit_unit", counit_unit),
-            ("antipode_left", pairing_violation(r, coev=False, dual_first=True)),
-            ("antipode_right", pairing_violation(r, coev=True, dual_first=False)),
+            ("antipode_left", None if left is None else (left,)),
+            ("antipode_right", None if right is None else (right,)),
         )
 
     def _comult_multiplicative_violation(self):
@@ -369,11 +377,20 @@ class HopfAlgebraData(AlgebraData):
 
     # derived structure -------------------------------------------------------
 
+    @cached_property
+    def involution_violation(self) -> int | None:
+        """The first i with S^2(b_i) != b_i, or None; computed once per
+        object for ``is_involutory`` and the ``check`` command's witness."""
+        square = (self.antipode * self.antipode).entries
+        one, zero = self.field.one(), self.field.zero()
+        for i in range(self.dim):
+            if any(row[i] != (one if r == i else zero) for r, row in enumerate(square)):
+                return i
+        return None
+
     def is_involutory(self) -> bool:
-        """Whether S^2 = id, computed once per object."""
-        if self._involutory is None:
-            self._involutory = (self.antipode * self.antipode).is_identity()
-        return self._involutory
+        """Whether S^2 = id."""
+        return self.involution_violation is None
 
     def dual_algebra(self) -> HopfAlgebraData:
         """The dual Hopf algebra H* on the dual basis.

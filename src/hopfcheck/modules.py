@@ -8,10 +8,12 @@ dual Hopf algebra, so the tensor product, dual and Hom solver here serve
 comodules and both faces of a Yetter-Drinfel'd module as well.
 
 Every object is a tuple of these modules, its faces, and each face keeps
-what the checks read of it: the sparse and twisted actions, the law
-violations, the four pairing violations of coev and ev and the key its
+what the checks read of it: the sparse and twisted actions, its named law
+table ``laws``, the four pairing violations of coev and ev and the key its
 semisimplicity verdict is cached under.  Catalog faces persist, so a second
-campaign in one process repeats none of these computations.
+campaign in one process repeats none of these computations.  Every kind of
+object carries ``laws``, so ``check_module_axioms`` is the one report
+function for all of them.
 """
 
 from __future__ import annotations
@@ -120,11 +122,12 @@ class ModuleRep:
         return sparse_rows(self.twisted_action)
 
     @cached_property
-    def law_violations(self) -> tuple:
-        """First violations (None where it holds) of the unit law and of
-        A_i A_j = sum_t m_ij^t A_t, for the axiom report and the guard alike.
+    def laws(self) -> tuple:
+        """The named law table: unit_acts_as_identity and
+        action_multiplicative (A_i A_j = sum_t m_ij^t A_t), each with its
+        first violation or None, for the axiom report and the guard alike.
         When the algebra is unital and associative and the unit acts as I,
-        the law is checked on the rows i in the algebra's ``generators``,
+        the second is checked on the rows i in the algebra's ``generators``,
         which decide it and find its first violation (see ``hopf``)."""
         algebra, rows = self.algebra, self.sparse_action
         # sum_i u_i A_i - I, on the sparse rows; no dense matrix is built
@@ -132,7 +135,8 @@ class ModuleRep:
         linear.append((-1, _sparse_identity(self.field, self.dim)))
         unit = (0,) if combination_differs(self.field, self.dim, linear, []) else None
         scan = algebra.generators() if unit is None and algebra.law_violations == (None, None) else None
-        return unit, algebra.multiplicativity_violation(rows, scan)
+        multiplicative = algebra.multiplicativity_violation(rows, scan)
+        return ("unit_acts_as_identity", unit), ("action_multiplicative", multiplicative)
 
     @cached_property
     def verdict_key(self) -> tuple:
@@ -184,14 +188,12 @@ def _pairing_kernel(face: ModuleRep, coev: bool, dual_first: bool):
     return None
 
 
-def check_module_axioms(m: ModuleRep) -> AxiomReport:
-    """Unit and multiplicativity: A_i A_j = sum_t m_ij^t A_t, read off the
-    module's ``law_violations``."""
-    report = AxiomReport(m.name or "module")
-    unit, multiplicative = m.law_violations
-    report.record("unit_acts_as_identity", unit)
-    report.record("action_multiplicative", multiplicative)
-    return report
+def check_module_axioms(obj) -> AxiomReport:
+    """The axiom report of any object: its ``laws``, one check each in table
+    order.  Modules, comodules, YD modules and Hopf algebras all carry
+    ``laws``, so this one function is also ``check_comodule_axioms``,
+    ``check_yd_compat`` and ``duality.axioms_in_category``."""
+    return AxiomReport.of(obj.name or obj.kind, obj.laws)
 
 
 def trivial_module(h: HopfAlgebraData) -> ModuleRep:

@@ -8,11 +8,11 @@ image rho(A) = A/Ann(V), and for finite-dimensional A
 Rad(A/I) = (Rad A + I)/I (Pierce, *Associative Algebras*, 1982), so
 Rad(rho(A)) = rho(Rad A).
 
-One guard comes first, for every kind: an object is refused exactly when
-its axiom report or its Hopf algebra's fails, that is when one of H's ten
-Hopf laws, a face's unit or module law, or a YD object's straightening
-identity fails.  Each is computed once per object and read by the reports
-and the guard alike.  Then the engine takes one of two routes:
+One guard comes first, for every kind: an object is refused with an
+``AxiomError`` carrying the failing report exactly when its axiom report or
+its Hopf algebra's fails.  Both are read off the named law tables ``laws``
+of H and of the object, each computed once per object and read by the
+reports and the guard alike.  Then the engine takes one of two routes:
 
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
   by the operators.  Rad(A) is computed once per algebra object and mapped
@@ -50,11 +50,11 @@ import itertools
 import weakref
 from dataclasses import dataclass
 
-from .errors import BoundExceededError
+from .errors import AxiomError, BoundExceededError
 from .fields import Field, _integral
 from .hopf import AlgebraData
 from .matrix import EchelonSpan, Matrix, combination, kernel_basis
-from .modules import ModuleRep
+from .modules import ModuleRep, check_module_axioms
 
 # largest p^dim the brute force accepts; its line graph has a node for each
 # of the (p^dim - 1)/(p - 1) lines, though only one line per sink component
@@ -233,23 +233,12 @@ def _algebra_radical(algebra: AlgebraData) -> list[list]:
 
 def _require_laws(obj):
     """Refuse an object whose laws fail, exactly when its axiom report or its
-    Hopf algebra's fails: H's ten Hopf laws, each face's unit and module law
-    (``law_violations``, the rows of the algebra's generators deciding the
-    latter once the algebra is unital and associative and the unit acts as
-    I), and for a YD object the straightening identity.  Each is computed
-    once per object, for the reports and this guard alike."""
-    h = obj.hopf
-    for law, violation in h.hopf_law_violations:
-        if violation is not None:
-            raise ValueError(f"{h.name or 'H'} is not a Hopf algebra: {law} fails at {violation}")
-    for face in obj.faces:
-        unit, multiplicative = face.law_violations
-        if unit is not None:
-            raise ValueError("the operators are not a module's action: the unit does not act as I")
-        if multiplicative is not None:
-            raise ValueError(f"the operators are not a module's action: A_i A_j != sum_t m_ij^t A_t at {multiplicative}")
-    if obj.kind == "yd" and obj.straightening_violation is not None:
-        raise ValueError(f"the faces are no YD module: yd_compatibility fails at {obj.straightening_violation}")
+    Hopf algebra's fails: the ``laws`` tables of H and then of the object,
+    each computed once per object for the reports and this guard alike.  The
+    ``AxiomError`` carries the failing report."""
+    for subject in (obj.hopf, obj):
+        if any(violation is not None for _, violation in subject.laws):
+            raise AxiomError(check_module_axioms(subject))
 
 
 def _operator_semisimplicity(
@@ -292,7 +281,7 @@ def is_semisimple(obj) -> SemisimplicityReport:
     """Whether the radical of the acting algebra acts as zero: H for a
     module, H* for a comodule, D(H) for a Yetter-Drinfel'd module; the
     stable subspaces are exactly the subobjects in each category.  An
-    object whose laws fail is refused with a ``ValueError``.  An object
+    object whose laws fail is refused with an ``AxiomError``.  An object
     with one face is a module over that face's algebra A, and since
     Rad(A/Ann V) = (Rad A + Ann V)/Ann V its radical is Rad(A) mapped
     through the face; a YD object's image is spanned by its operators."""

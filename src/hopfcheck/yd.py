@@ -12,9 +12,11 @@ law into one straightening identity of operators per (i, t):
 
 that is, the relations of the Drinfel'd double D(H) that move H* past H
 (Kassel, *Quantum Groups*, ch. IX), so a YD module is a D(H)-module.
-``YDModuleRep.straightening_violation`` checks it once per object with
-``hopf.combination_differs``, the sparse kernel behind H's own laws, and
-``check_yd_compat`` and the decision guard of ``semisimple`` both read it.
+It is checked with ``hopf.combination_differs``, the sparse kernel behind
+H's own laws, as the last entry of the object's ``laws``, after the
+H-face's module laws and the comodule laws; the table is computed once per
+object, and ``check_yd_compat``, the one report function of every kind,
+and the decision guard of ``semisimple`` both read it.
 Once H's laws, both faces' module laws and this identity hold, V is a
 D(H)-module and the products B_t A_j are the action of the basis f_t h_j of
 D(H), so they span its image in End(V), an algebra closed under products.
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .comodules import ComoduleRep, check_comodule_axioms, trivial_comodule
-from .hopf import AxiomReport, HopfAlgebraData, combination_differs
+from .comodules import ComoduleRep, trivial_comodule
+from .hopf import HopfAlgebraData, combination_differs
 from .matrix import Matrix
 from .modules import ModuleRep, check_module_axioms, require_same_hopf, trivial_module
 
@@ -81,10 +83,15 @@ class YDModuleRep:
         return f"<YDModuleRep {self.name or '?'} dim={self.dim} over {self.hopf.name or '?'}>"
 
     @cached_property
-    def straightening_violation(self):
+    def laws(self) -> tuple:
+        """The H-face's module laws, the comodule laws, then
+        yd_compatibility, computed once per object for the axiom report and
+        the guard alike."""
+        return self.module.laws + self.comodule.laws + (("yd_compatibility", self._straightening_violation()),)
+
+    def _straightening_violation(self):
         """First (i, t) at which the straightening identity of the module
-        docstring fails, or None: one sparse combination per (i, t),
-        computed once per object for the axiom report and the guard alike."""
+        docstring fails, or None: one sparse combination per (i, t)."""
         h, n = self.hopf, self.hopf.dim
         a_rows = self.module.sparse_action
         b_rows = self.comodule.star_module.sparse_action
@@ -101,13 +108,8 @@ class YDModuleRep:
         return None
 
 
-def check_yd_compat(y: YDModuleRep) -> AxiomReport:
-    """Module and comodule axioms plus the compatibility law."""
-    report = AxiomReport(y.name or "yd")
-    report.checks += check_module_axioms(y.module).checks
-    report.checks += check_comodule_axioms(y.comodule).checks
-    report.record("yd_compatibility", y.straightening_violation)
-    return report
+# one report for every kind, read off ``YDModuleRep.laws`` here
+check_yd_compat = check_module_axioms
 
 
 def trivial_yd(h: HopfAlgebraData) -> YDModuleRep:

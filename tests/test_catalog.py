@@ -8,8 +8,9 @@ from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import HOPF_IDS, catalog_entries, hopf_entries, lookup, objects_over
 from hopfcheck.comodules import check_comodule_axioms
 from hopfcheck.documents import canonical_json, object_to_doc
+from hopfcheck.duality import axioms_in_category
 from hopfcheck.fields import GF, QQ
-from hopfcheck.hopf import HopfAlgebraData
+from hopfcheck.hopf import AlgebraData, HopfAlgebraData
 from hopfcheck.modules import check_module_axioms
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
 from hopfcheck.yd import check_yd_compat
@@ -54,6 +55,35 @@ def test_every_object_passes_or_is_tagged():
             assert report.ok, entry.id
         else:
             assert entry.expected_failure in {c.name for c in report.failures()}, entry.id
+
+
+_MODULE_LAWS = ["unit_acts_as_identity", "action_multiplicative"]
+_COMODULE_LAWS = ["counit_law", "coassociativity"]
+_LAW_NAMES = {
+    "module": _MODULE_LAWS,
+    "comodule": _COMODULE_LAWS,
+    "yd": _MODULE_LAWS + _COMODULE_LAWS + ["yd_compatibility"],
+    "hopf": [
+        "associativity", "unit", "coassociativity", "counit", "comult_multiplicative",
+        "comult_unit", "counit_multiplicative", "counit_unit", "antipode_left", "antipode_right",
+    ],
+}
+
+
+def test_each_kind_reports_its_one_law_table_in_order():
+    # one report function for every kind, Hopf entries and negative fixtures
+    # included, reading the kind's named table in its order
+    assert check_module_axioms is check_comodule_axioms is check_yd_compat is axioms_in_category
+    for entry in catalog_entries():
+        obj = entry.payload
+        report = axioms_in_category(obj)
+        assert [name for name, _ in obj.laws] == [c.name for c in report.checks] == _LAW_NAMES[entry.kind], entry.id
+        assert report.subject == obj.name and report.ok == (entry.expected_failure is None), entry.id
+        if entry.kind == "hopf":
+            assert [c.name for c in obj.check_algebra_axioms().checks] == ["associativity", "unit"], entry.id
+            assert obj.check_hopf_axioms() == report, entry.id
+    h = lookup("kS3/F3").payload
+    assert [name for name, _ in AlgebraData(h.field, h.dim, h.mult, h.unit).laws] == ["associativity", "unit"]
 
 
 def test_exactly_one_yd_negative_fixture():
@@ -256,7 +286,7 @@ def test_each_derived_dual_group_table_equals_a_computed_one():
     assert len(derived) == 15
     for h in derived:
         copy = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, h.comult, h.counit, h.antipode, unchecked=True)
-        assert h.hopf_law_violations == copy.hopf_law_violations, h.name
+        assert h.laws == copy.laws, h.name
         assert h.law_violations == copy.law_violations, h.name
 
 

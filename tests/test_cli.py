@@ -20,7 +20,8 @@ def test_check_catalog_hopf(capsys):
 def test_check_reports_non_involutory(capsys):
     code, out, _ = run(capsys, "check", "H4/Q")
     assert code == 0
-    assert "involutory: NO" in out
+    # the witness is the first b_i with S^2(b_i) != b_i: S^2(x) = -x
+    assert out == "hopf axioms: PASS, involutory: NO (S^2 != id on basis element 2)\n"
 
 
 def test_check_module(capsys):

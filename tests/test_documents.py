@@ -97,6 +97,24 @@ def test_parse_errors_name_the_offending_field():
         hopf_from_doc(broken)
 
 
+def test_yd_parse_errors_name_the_yd_document():
+    # the action and coaction are read as a YD document's fields, not as a
+    # module's or a comodule's
+    hopf = _resolve("kC2/Q")
+    doc = json.loads(canonical_json(yd_to_doc(lookup("kC2/Q/ydline_g_sign").payload)))
+    doc["name"] = "y"
+    missing_dim = {k: v for k, v in doc.items() if k != "dim"}
+    with pytest.raises(ParseError, match="^yd document 'y': missing field 'dim'$"):
+        yd_from_doc(missing_dim, hopf)
+    one_matrix = dict(doc, action=doc["action"][:1])
+    with pytest.raises(ParseError, match="^yd document 'y': expected 2 action matrices$"):
+        yd_from_doc(one_matrix, hopf)
+    short = json.loads(canonical_json(doc))
+    short["coaction"][0][0] = short["coaction"][0][0][:1]
+    with pytest.raises(ParseError, match="^yd document 'y': coaction\\[0\\]\\[0\\]: expected 2 entries$"):
+        yd_from_doc(short, hopf)
+
+
 def test_scalar_parse_error_is_diagnosed():
     doc = json.loads(canonical_json(module_to_doc(lookup("kC2/F2/regular").payload)))
     doc["action"][0][0][0] = "1/2"  # rationals are not F2 residues

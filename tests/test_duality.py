@@ -454,7 +454,7 @@ def test_a_cached_verdict_does_not_skip_the_guard_of_another_algebra():
     cache: dict = {}
     assert cached_verdict(reg, cache)
     impostor = ModuleRep(lookup("kdC2/Q").payload, 2, reg.action)
-    with pytest.raises(ValueError, match="the unit does not act as I"):
+    with pytest.raises(ValueError, match="unit_acts_as_identity at \\(0,\\)"):
         cached_verdict(impostor, cache)
 
 

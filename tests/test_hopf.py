@@ -117,6 +117,8 @@ def test_involutory_flags():
     assert lookup("kS3/Q").payload.is_involutory()
     assert lookup("kdC3/Q").payload.is_involutory()
     assert not lookup("H4/Q").payload.is_involutory()
+    # on H4, S^2 fixes 1 and g and sends x (index 2) and gx to -x and -gx
+    assert [lookup(h).payload.involution_violation for h in ("kS3/Q", "H4/Q", "H4/F5")] == [None, 2, 2]
 
 
 def test_sweedler_antipode_squares_to_minus_one_on_x():
