@@ -310,11 +310,12 @@ class SerreVerdict:
 def cached_verdict(obj, cache: dict) -> bool:
     """The semisimplicity verdict of ``obj``, memoized in ``cache`` under
     what a verdict and its guard depend on: each face's ``verdict_key``, its
-    algebra object and the text of its action entries.  N and N (x) trivial
-    share one decision; the same matrices over another algebra, which may be
-    no action, do not.  The key holds no matrix, so ``cache`` keeps no
-    tensor product alive, and no collected object's id returns a stale
-    verdict."""
+    algebra object and the flat tuple of its action entries.  N and
+    N (x) trivial share one decision, as do equal actions written with an
+    integral ``Fraction`` or its ``int``; the same matrices over another
+    algebra, which may be no action, do not.  The key holds no matrix, so
+    ``cache`` keeps no tensor product alive, and no collected object's id
+    returns a stale verdict."""
     key = tuple(face.verdict_key for face in obj.faces)
     verdict = cache.get(key)
     if verdict is None:

@@ -19,6 +19,7 @@ function for all of them.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .errors import HopfMismatchError
 from .hopf import AlgebraData, AxiomReport, HopfAlgebraData, combination_differs, sparse_rows
@@ -141,11 +142,11 @@ class ModuleRep:
     @cached_property
     def verdict_key(self) -> tuple:
         """What a semisimplicity verdict on this face depends on: its algebra
-        object and the text of its action entries.  Built once; the text
-        keeps no matrix alive, and a ``str`` caches its hash.  Equal texts
-        mean equal actions; an integral ``Fraction`` reads apart from its
-        ``int``, which costs at most a repeated decision."""
-        return self.algebra, repr([a.entries for a in self.action])
+        object and the flat tuple of its action entries, whose length fixes
+        dim.  Built once; the tuple keeps no matrix alive.  Equal tuples mean
+        equal actions, so an integral ``Fraction`` and its ``int`` share a
+        key, as their actions are equal."""
+        return self.algebra, tuple(chain.from_iterable(row for a in self.action for row in a.entries))
 
     def pairing_violation(self, coev: bool, dual_first: bool):
         """The first i at which coev: k -> square (``coev``) or ev: square -> k

@@ -39,14 +39,14 @@ its span in End(V), as a certificate; every element is checked to be
 nilpotent before the report is returned.  A brute-force oracle over a
 small finite field provides the independent cross-check: it builds the
 graph of the lines of F_p^dim under a generating set of the operators,
-spins one line per sink component, and compares the socle (the sum of the
-simple submodules) with the whole space.  The graph has a node for every
-line, so the oracle refuses a p^dim above its cap.
+by linearity, spins one line per sink component along the graph's edges,
+and compares the socle (the sum of the simple submodules) with the whole
+space.  The graph has a node for every line, so the oracle refuses a p^dim
+above its cap.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -368,20 +368,54 @@ def _line_code(v: list[int], p: int, inverse: list[int]) -> int:
     return code
 
 
+def _vector(code: int, dim: int, p: int) -> list[int]:
+    """The vector whose base-p digits are ``code``, inverse to ``_line_code``
+    on a line's own code."""
+    v = [0] * dim
+    for i in range(dim - 1, -1, -1):
+        code, v[i] = divmod(code, p)
+    return v
+
+
 def _line_graph(generators: list[list[list[int]]], dim: int, p: int) -> tuple[list[int], list[list[int]]]:
     """The codes of the (p^dim - 1)/(p - 1) lines and, for each generator,
     the flat list mapping a line's code to the code of its image's line (0
-    where the image is zero)."""
+    where the image is zero).
+
+    A line is a vector whose first nonzero coordinate, at ``lead``, is 1.
+    Taken by lead, and then in ``itertools.product`` order of their
+    w = dim - lead - 1 trailing digits, the idx-th line has code p^w + idx.
+    The images are built by linearity, the digits walked like an odometer:
+    the next line raises the digit at some coordinate k by one and zeroes
+    the digits after it, each p - 1, so g(v) moves by
+        g(e_k) - (p - 1) * sum_{m > k} g(e_m) = sum_{m >= k} g(e_m)  (mod p),
+    the same step for every lead.  That is one vector add per line and
+    generator; no generator is applied to a vector."""
     inverse = [0] + [pow(a, p - 2, p) for a in range(1, p)]
     lines: list[int] = []
-    images = [[0] * p**dim for _ in generators]
     for lead in range(dim):
-        for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            v = (0,) * lead + (1,) + tail
-            code = _line_code(v, p, inverse)
-            lines.append(code)
-            for rows, image in zip(generators, images):
-                image[code] = _line_code(_apply(rows, v, p), p, inverse)
+        lines.extend(range(p ** (dim - lead - 1), 2 * p ** (dim - lead - 1)))
+    # raised[idx]: the coordinate k the step to the idx-th line of a lead
+    # raises, the last digit before the trailing zeros of idx
+    raised = [dim - 1] * (p**dim // p)
+    for j in range(1, dim - 1):
+        for idx in range(p**j, len(raised), p**j):
+            raised[idx] = dim - 1 - j
+    images = []
+    for rows in generators:
+        columns = [list(column) for column in zip(*rows)]  # g(e_m)
+        steps = columns[:]  # steps[k]: sum_{m >= k} g(e_m)
+        for k in range(dim - 2, -1, -1):
+            steps[k] = [(a + b) % p for a, b in zip(columns[k], steps[k + 1])]
+        image = [0] * p**dim
+        for lead in range(dim):
+            first = p ** (dim - lead - 1)  # the code of e_lead
+            v = columns[lead]
+            image[first] = _line_code(v, p, inverse)
+            for idx in range(1, first):
+                v = [(a + b) % p for a, b in zip(v, steps[raised[idx]])]
+                image[first + idx] = _line_code(v, p, inverse)
+        images.append(image)
     return lines, images
 
 
@@ -435,19 +469,21 @@ def _sink_lines(lines: list[int], images: list[list[int]], size: int) -> list[in
     return [v for c, v in enumerate(roots, 1) if sink[c]]
 
 
-def _spin(generators: list[list[list[int]]], seed: list[int], p: int) -> list[tuple[int, list[int]]]:
-    """The smallest invariant subspace containing ``seed``."""
+def _spin(images: list[list[int]], code: int, dim: int, p: int) -> list[tuple[int, list[int]]]:
+    """The smallest invariant subspace containing the line ``code``: the
+    span of the lines the graph ``images`` reaches from it.  Each line met
+    is decoded and added to the span, and followed only when it extends
+    the span; the image of a multiple of v is a multiple of g(v), and a
+    multiple extends the span exactly as the vector does, with the same
+    row, so no generator is applied to a vector."""
     span: list[tuple[int, list[int]]] = []
-    _extend(span, seed, p)
-    work = [seed]
-    idx = 0
-    while idx < len(work):
-        v = work[idx]
-        idx += 1
-        for rows in generators:
-            image = _apply(rows, v, p)
-            if _extend(span, image, p):
-                work.append(image)
+    _extend(span, _vector(code, dim, p), p)
+    work = [code]
+    for line in work:  # work grows while it is walked
+        for image in images:
+            target = image[line]
+            if target and _extend(span, _vector(target, dim, p), p):
+                work.append(target)
     return span
 
 
@@ -458,8 +494,13 @@ def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     The operators are first cut down to generators of the same unital
     algebra.  The line graph has the (p^dim - 1)/(p - 1) lines of F_p^dim
     as nodes and an edge from the line of v to the line of each nonzero g*v,
-    g a generator; the spin of v, the smallest invariant subspace containing
-    it, is the span of the lines reachable from v.  So two lines in one
+    g a generator.  Its edges are built by linearity: walking the lines
+    with one lead in code order like an odometer, each step moves g(v) by
+    g(e_k) - (p - 1) * sum_{m > k} g(e_m) = sum_{m >= k} g(e_m) mod p, k
+    the coordinate the step raises, so one vector add per line and
+    generator.  The spin of v, the smallest invariant subspace containing
+    it, is the span of the lines reachable from v, and is read off the
+    graph without applying a generator again.  So two lines in one
     strongly connected component spin the same subspace.  A simple submodule
     S is the spin of any of its nonzero vectors; from a line of S the graph
     never leaves S and reaches a sink component, so S is the spin of a line
@@ -478,13 +519,7 @@ def brute_force_semisimple(obj, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
         raise BoundExceededError(f"{p}^{dim} exceeds the oracle bound {bound}")
     generators = _generators([op.entries for op in obj.operators], dim, p)
     lines, images = _line_graph(generators, dim, p)
-    spins = []
-    for code in _sink_lines(lines, images, p**dim):
-        seed = []
-        for _ in range(dim):
-            code, digit = divmod(code, p)
-            seed.append(digit)
-        spins.append(_spin(generators, seed[::-1], p))
+    spins = [_spin(images, code, dim, p) for code in _sink_lines(lines, images, p**dim)]
     socle: list[tuple[int, list[int]]] = []
     for span in sorted(spins, key=len):
         grown = list(socle)

@@ -19,6 +19,10 @@ neither.
 spins every line, keeps the distinct cyclic subspaces and compares the sum
 of the simple ones with the whole space.  The engine's oracle spins one line
 per sink component of the line graph and is pinned to it.
+``line_graph_by_products`` builds that graph as the oracle once did, by
+applying every generator to every line, and ``spin_by_products`` spins a
+vector by applying the generators to it; the oracle builds its graph by
+linearity and reads its spins off the graph, and is pinned to both.
 ``semisimple_by_complements`` decides by the splitting definition instead:
 ``invariant_subspaces_reference`` spins every nonzero vector and closes the
 subspaces under sums, and each of them must have an invariant complement.
@@ -31,7 +35,7 @@ from hopfcheck.fields import Field
 from hopfcheck.hopf import AlgebraData
 from hopfcheck.matrix import EchelonSpan, Matrix
 from hopfcheck.modules import ModuleRep, require_same_hopf
-from hopfcheck.semisimple import _image_basis
+from hopfcheck.semisimple import _extend, _image_basis
 
 
 def image_module(field: Field, dim: int, operators: list[Matrix]) -> ModuleRep:
@@ -109,6 +113,51 @@ def spin_vector_space(field: Field, dim: int, operator_rows: list[list], seed) -
         for rows in operator_rows:
             image = [sum(a * b for a, b in zip(row, v) if a) % p for row in rows]
             if span.add(image):
+                work.append(image)
+    return span
+
+
+def _apply(rows: list[list[int]], v, p: int) -> list[int]:
+    return [sum(a * b for a, b in zip(row, v)) % p for row in rows]
+
+
+def line_code(v, p: int) -> int:
+    """The base-p digits of the multiple of ``v`` whose first nonzero
+    coordinate is 1; 0 for the zero vector."""
+    lead = next((a for a in v if a), 0)
+    scale = pow(lead, p - 2, p) if lead else 0
+    code = 0
+    for a in v:
+        code = code * p + a * scale % p
+    return code
+
+
+def line_graph_by_products(generators: list[list[list[int]]], dim: int, p: int):
+    """The oracle's ``(lines, images)``, each image the product of a
+    generator with the line's own vector: the lines with first nonzero
+    coordinate at ``lead``, tails in ``itertools.product`` order."""
+    lines: list[int] = []
+    images = [[0] * p**dim for _ in generators]
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            v = (0,) * lead + (1,) + tail
+            code = line_code(v, p)
+            lines.append(code)
+            for rows, image in zip(generators, images):
+                image[code] = line_code(_apply(rows, v, p), p)
+    return lines, images
+
+
+def spin_by_products(generators: list[list[list[int]]], seed: list[int], p: int) -> list[tuple[int, list]]:
+    """The oracle's spin of ``seed``, each vector met multiplied by every
+    generator, as the oracle's semi-echelon (pivot, row) list."""
+    span: list[tuple[int, list[int]]] = []
+    _extend(span, seed, p)
+    work = [seed]
+    for v in work:
+        for rows in generators:
+            image = _apply(rows, v, p)
+            if _extend(span, image, p):
                 work.append(image)
     return span
 

@@ -488,6 +488,10 @@ def test_verdict_keys_read_the_algebra_object_and_every_entry():
     reg = lookup("kC2/Q/regular").payload
     copied = [Matrix.from_rows(QQ, [row[:] for row in a.entries]) for a in reg.action]
     assert ModuleRep(reg.algebra, 2, copied).verdict_key == reg.verdict_key
+    # an integral Fraction and its int are equal entries, so one key
+    fractions = [Matrix.from_rows(QQ, [[Fraction(x) for x in row] for row in a.entries]) for a in reg.action]
+    assert all(type(x) is Fraction for a in fractions for row in a.entries for x in row)
+    assert ModuleRep(reg.algebra, 2, fractions).verdict_key == reg.verdict_key
     assert ModuleRep(lookup("kdC2/Q").payload, 2, reg.action).verdict_key != reg.verdict_key
     changed = [row[:] for row in reg.action[1].entries]
     changed[1][1] = 2

@@ -4,7 +4,9 @@
 graph, over a generating set of the operators; ``line_by_line_semisimple``
 spins every line with every distinct nonzero operator.  Their verdicts must
 agree everywhere both run, and the work saved is counted here by wrapping
-the spin functions, with no hook in the package.
+the spin functions, with no hook in the package.  The graph, built by
+linearity, and the spins read off it must equal the ones built by applying
+the generators to vectors.
 """
 
 from itertools import combinations_with_replacement
@@ -14,7 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semisimple_reference
-from semisimple_reference import line_by_line_semisimple, spin_algebra
+from semisimple_reference import (
+    line_by_line_semisimple,
+    line_graph_by_products,
+    spin_algebra,
+    spin_by_products,
+)
 from hopfcheck import semisimple
 from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup, objects_over
@@ -118,6 +125,52 @@ def operator_sets(draw):
 @example(SimpleNamespace(field=GF(5), dim=0, operators=[]))
 def test_oracle_matches_the_reference_on_drawn_operator_sets(obj):
     assert brute_force_semisimple(obj) == line_by_line_semisimple(obj)
+
+
+# the line graph and its spins ----------------------------------------------
+
+
+_SHIFT = [[int(c == r + 1) for c in range(4)] for r in range(4)]
+_TRANSVECTION = [[int(r == c) + int((r, c) == (0, 3)) for c in range(4)] for r in range(4)]
+
+
+@st.composite
+def generator_sets(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(1, {2: 7, 3: 5, 5: 3, 7: 3}[p]))
+    row = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    generators = draw(st.lists(st.lists(row, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    return generators, dim, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets())
+@example(([[[3]], [[0]]], 1, 7))  # dim 1: every tail is empty
+@example(([[[1] * 7 for _ in range(7)]], 7, 2))  # six carries deep over F2
+@example(([_SHIFT, _TRANSVECTION], 4, 3))  # two generators over F3
+def test_the_line_graph_built_by_linearity_equals_the_one_built_by_products(drawn):
+    generators, dim, p = drawn
+    assert semisimple._line_graph(generators, dim, p) == line_graph_by_products(generators, dim, p)
+
+
+def _digits(code, dim, p):
+    return [code // p ** (dim - 1 - i) % p for i in range(dim)]
+
+
+def test_spins_read_off_the_graph_equal_the_spins_by_products_on_every_catalog_object():
+    objects = [e.payload for e in _fp_objects() if e.expected_failure is None and _within_cap(e.payload)]
+    assert len(objects) == 214
+    sinks = 0
+    for obj in objects:
+        dim, p = obj.dim, obj.field.characteristic
+        generators = semisimple._generators([op.entries for op in obj.operators], dim, p)
+        lines, images = semisimple._line_graph(generators, dim, p)
+        assert (lines, images) == line_graph_by_products(generators, dim, p), obj.name
+        for code in semisimple._sink_lines(lines, images, p**dim):
+            reference = spin_by_products(generators, _digits(code, dim, p), p)
+            assert semisimple._spin(images, code, dim, p) == reference, obj.name
+            sinks += 1
+    assert sinks == 751
 
 
 # the work saved ------------------------------------------------------------
