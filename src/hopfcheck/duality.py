@@ -25,7 +25,8 @@ is.
 Every object is the tuple of modules in its ``faces``: tensor product,
 dual and Hom space are the module constructions applied face by face.
 Every object also carries its named law table ``laws``, so one function,
-``axioms_in_category``, reports the axioms of every kind.
+``axioms_in_category``, reports the axioms of every kind; a product of
+lawful objects gets its table by construction (``tensor_in_category``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .modules import (
     check_module_axioms,
     dual_module,
     joint_hom_space,
+    laws_hold,
     require_same_hopf,
     tensor_modules,
 )
@@ -101,10 +103,58 @@ def _common_category(a, b, mismatch: str) -> str:
 
 
 def tensor_in_category(a, b, name: str = ""):
-    _common_category(a, b, "cannot tensor objects of different kinds")
-    require_same_hopf(a.hopf, b.hopf)  # a mismatch names H, not a face's H*
+    """M (x) N, the module tensor product taken face by face.
+
+    When the laws of H, M and N all hold, each product face gets its
+    factor's table, all-pass and with the names and order of a computed
+    one, and so does a YD product over a commutative or cocommutative H:
+    by the theorems below its laws hold.  Any other product computes its
+    table when first read.  With A_j, A'_j the H-actions and B_t, B'_t the
+    H*-actions of M and N:
+
+    * Module law.  b_i acts by sum_jt Delta_i^jt A_j (x) A'_t, that is,
+      h acts by (rho_M (x) rho_N)(Delta h).  Delta is multiplicative
+      (comult_multiplicative) and so are rho_M and rho_N, hence
+      rho(x) rho(y) = (rho_M (x) rho_N)(Delta(x) Delta(y)) = rho(xy); and
+      Delta(1) = 1 (x) 1 (comult_unit), hence rho(1) = I (x) I = I.
+    * Comodule laws.  They are the module laws of the H*-face over H*,
+      whose Delta*(f)(x (x) y) = f(xy) is multiplicative and unital exactly
+      when Delta and eps are (comult_multiplicative, counit_multiplicative):
+      the module law over H*.
+    * Straightening identity.  f_t acts on the H*-face by
+      sum_js m_js^t B_j (x) B'_s, so the product's coaction is
+      m (x) n -> m_<0> (x) n_<0> (x) m_<1> n_<1>, M's leg first, and the two
+      sides of the law of ``yd`` for M (x) N are
+
+          h_(1) m_<0> (x) h_(2) n_<0> (x) h_(3) m_<1> n_<1>
+          (h_(2) m)_<0> (x) (h_(3) n)_<0> (x) (h_(2) m)_<1> (h_(3) n)_<1> h_(1).
+
+      By coassociativity a factor's law applies to any two adjacent legs.
+      H cocommutative: permute the legs to (h_(3) m)_<0> (x) (h_(2) n)_<0>
+      (x) (h_(3) m)_<1> (h_(2) n)_<1> h_(1), apply N's law to (h_(1), h_(2))
+      and M's to (h_(2), h_(3)), which gives h_(2) m_<0> (x) h_(1) n_<0> (x)
+      h_(3) m_<1> n_<1>, and swap h_(1) and h_(2).  H commutative: write the
+      second side's last leg as (h_(3) n)_<1> (h_(2) m)_<1> h_(1), apply M's
+      law to (h_(1), h_(2)) and N's to (h_(2), h_(3)), which gives
+      h_(1) m_<0> (x) h_(2) n_<0> (x) h_(3) n_<1> m_<1>, and commute the two
+      coaction legs.  Over other H the law can fail in this order (the one
+      that always holds is n_<1> m_<1>): over H4, H coacting by Delta with
+      h.a = h_(2) a S^-1(h_(1)), and the line of degree g on which g acts
+      by -1, are YD modules whose product is not.  So such a product
+      computes its straightening law; its faces' tables still come by
+      construction.
+    """
+    kind = _common_category(a, b, "cannot tensor objects of different kinds")
+    h = a.hopf
+    require_same_hopf(h, b.hopf)  # a mismatch names H, not a face's H*
     label = name or f"({a.name})(x)({b.name})"
-    return a.with_faces(tuple(tensor_modules(x, y, name=label) for x, y in zip(a.faces, b.faces)), label)
+    product = a.with_faces(tuple(tensor_modules(x, y, name=label) for x, y in zip(a.faces, b.faces)), label)
+    if laws_hold(h) and laws_hold(a) and laws_hold(b):
+        for face, lawful in zip(product.faces, a.faces):
+            face.laws = lawful.laws
+        if kind == YD and h.commutative_or_cocommutative:
+            product.laws = a.laws
+    return product
 
 
 def dual_in_category(obj, name: str = ""):

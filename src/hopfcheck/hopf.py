@@ -392,6 +392,16 @@ class HopfAlgebraData(AlgebraData):
         """Whether S^2 = id."""
         return self.involution_violation is None
 
+    @cached_property
+    def commutative_or_cocommutative(self) -> bool:
+        """Whether b_i b_j = b_j b_i for all i, j, or Delta_i^jt = Delta_i^tj
+        for all i, j, t: the hypothesis under which a tensor product of YD
+        modules keeps the straightening law (``duality.tensor_in_category``)."""
+        n = range(self.dim)
+        return all(self.mult[i][j] == self.mult[j][i] for i in n for j in n) or all(
+            self.comult[i][j][t] == self.comult[i][t][j] for i in n for j in n for t in n
+        )
+
     def dual_algebra(self) -> HopfAlgebraData:
         """The dual Hopf algebra H* on the dual basis.
 

@@ -197,6 +197,11 @@ def check_module_axioms(obj) -> AxiomReport:
     return AxiomReport.of(obj.name or obj.kind, obj.laws)
 
 
+def laws_hold(subject) -> bool:
+    """Whether every law in the ``laws`` table of ``subject`` holds."""
+    return all(violation is None for _, violation in subject.laws)
+
+
 def trivial_module(h: HopfAlgebraData) -> ModuleRep:
     """The base field with the counit action."""
     action = [Matrix(h.field, 1, 1, [[h.counit[i]]]) for i in range(h.dim)]

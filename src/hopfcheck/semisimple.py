@@ -11,8 +11,10 @@ Rad(rho(A)) = rho(Rad A).
 One guard comes first, for every kind: an object is refused with an
 ``AxiomError`` carrying the failing report exactly when its axiom report or
 its Hopf algebra's fails.  Both are read off the named law tables ``laws``
-of H and of the object, each computed once per object and read by the
-reports and the guard alike.  Then the engine takes one of two routes:
+of H and of the object, each computed once per object, or handed to a
+tensor product of lawful objects by ``duality.tensor_in_category``, and
+read by the reports and the guard alike.  Then the engine takes one of two
+routes:
 
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
   by the operators.  Rad(A) is computed once per algebra object and mapped
@@ -54,7 +56,7 @@ from .errors import AxiomError, BoundExceededError
 from .fields import Field, _integral
 from .hopf import AlgebraData
 from .matrix import EchelonSpan, Matrix, combination, kernel_basis
-from .modules import ModuleRep, check_module_axioms
+from .modules import ModuleRep, check_module_axioms, laws_hold
 
 # largest p^dim the brute force accepts; its line graph has a node for each
 # of the (p^dim - 1)/(p - 1) lines, though only one line per sink component
@@ -237,7 +239,7 @@ def _require_laws(obj):
     each computed once per object for the reports and this guard alike.  The
     ``AxiomError`` carries the failing report."""
     for subject in (obj.hopf, obj):
-        if any(violation is not None for _, violation in subject.laws):
+        if not laws_hold(subject):
             raise AxiomError(check_module_axioms(subject))
 
 
@@ -336,21 +338,22 @@ def _generators(operators: list[list[list[int]]], dim: int, p: int) -> list[list
     algebra: list[tuple[int, list[int]]] = []
     _extend(algebra, sum(identity, []), p)
     # words spans the algebra and is closed under right multiplication by
-    # every kept operator: a word times an operator is again in its span
-    words, kept = [identity], []
+    # every kept operator: a word times an operator is again in its span;
+    # columns[k] is the k-th kept operator's transpose, built once
+    words, kept, columns = [identity], [], []
     for op in operators:
         if not _extend(algebra, sum(op, []), p):
             continue
         closed = len(words)
         kept.append(op)
+        columns.append(list(zip(*op)))
         words.append(op)
         idx = 0
         while idx < len(words):
             x = words[idx]
             # the words before ``closed`` are closed under the earlier operators
-            for g in kept if idx >= closed else (op,):
-                columns = list(zip(*g))
-                prod = [_apply(columns, row, p) for row in x]
+            for g in columns if idx >= closed else columns[-1:]:
+                prod = [_apply(g, row, p) for row in x]
                 if _extend(algebra, sum(prod, []), p):
                     words.append(prod)
             idx += 1

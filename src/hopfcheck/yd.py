@@ -15,7 +15,8 @@ that is, the relations of the Drinfel'd double D(H) that move H* past H
 It is checked with ``hopf.combination_differs``, the sparse kernel behind
 H's own laws, as the last entry of the object's ``laws``, after the
 H-face's module laws and the comodule laws; the table is computed once per
-object, and ``check_yd_compat``, the one report function of every kind,
+object, unless ``duality.tensor_in_category`` hands it to a product, and
+``check_yd_compat``, the one report function of every kind,
 and the decision guard of ``semisimple`` both read it.
 Once H's laws, both faces' module laws and this identity hold, V is a
 D(H)-module and the products B_t A_j are the action of the basis f_t h_j of

@@ -9,11 +9,21 @@ The engine decides coev and ev on the one vector each carries
 (``duality.pairing_violation``).  ``unit_in_category`` builds the tensor
 unit k, so that tests can check the same maps on built squares k -> N (x) N*
 and back.
+
+A product of lawful objects is handed its law table by construction
+(``duality.tensor_in_category``); ``on_fresh_faces`` rebuilds an object on
+new faces with the same actions, whose tables are computed when read, so
+tests can hold a table against the computed one.
 """
 
 from hopfcheck.duality import category_of, hom_in_category
 from hopfcheck.matrix import Matrix, NoSolutionError, solve_linear
-from hopfcheck.modules import trivial_module
+from hopfcheck.modules import ModuleRep, trivial_module
+
+
+def on_fresh_faces(obj):
+    """``obj`` on new faces with the same actions, which have kept nothing."""
+    return obj.with_faces(tuple(ModuleRep(f.algebra, f.dim, f.action, f.name) for f in obj.faces), obj.name)
 
 
 def unit_in_category(obj):

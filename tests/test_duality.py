@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from duality_reference import in_hom_span, unit_in_category
+from duality_reference import in_hom_span, on_fresh_faces, unit_in_category
 from semisimple_reference import direct_sum_modules
+from yd_reference import compat_violation_reference, sweedler_adjoint_yd
 from hopfcheck import duality, modules, semisimple
 from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import (
@@ -16,10 +17,12 @@ from hopfcheck.catalog import (
     s3_permutation_module,
     s3_sign_module,
     s3_standard_module,
+    yd_group_line,
 )
 from hopfcheck.comodules import trivial_comodule
 from hopfcheck.documents import object_to_doc
 from hopfcheck.duality import (
+    axioms_in_category,
     build_strong_dual_certificates,
     cached_verdict,
     coevaluation,
@@ -35,6 +38,7 @@ from hopfcheck.duality import (
     verify_serre,
 )
 from hopfcheck.errors import (
+    AxiomError,
     CertificateError,
     NotAMorphismError,
     NotInjectiveError,
@@ -44,10 +48,10 @@ from hopfcheck.errors import (
 )
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix, solve_linear
-from hopfcheck.hopf import HopfAlgebraData
-from hopfcheck.modules import ModuleRep, dual_module, regular_module, tensor_modules, trivial_module
+from hopfcheck.hopf import AlgebraData, HopfAlgebraData
+from hopfcheck.modules import ModuleRep, dual_module, laws_hold, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
-from hopfcheck.yd import trivial_yd
+from hopfcheck.yd import YDModuleRep, trivial_yd
 
 
 def test_hs_rank_values():
@@ -194,11 +198,6 @@ def test_is_morphism_agrees_with_hom_span_on_canonical_maps():
     assert rejected == {("right", "ev"): h4, ("left", "coev"): h4}
 
 
-def _on_fresh_faces(obj):
-    """``obj`` on new faces with the same actions, which have kept nothing."""
-    return obj.with_faces(tuple(ModuleRep(f.algebra, f.dim, f.action, f.name) for f in obj.faces), obj.name)
-
-
 @pytest.fixture
 def pairing_kernel_runs(monkeypatch):
     """Runs of the per-face pairing kernel, counted by face id."""
@@ -218,7 +217,7 @@ def test_each_face_decides_each_pairing_map_once(pairing_kernel_runs):
     # orders for all four maps: four kernel runs per face, asked twice
     for entry_id in ("kS3/Q/std2", "kS3/Q/coregular", "kS3/Q/ydconj3", "kC2/F3/regular"):
         pairing_kernel_runs.clear()
-        obj = _on_fresh_faces(lookup(entry_id).payload)
+        obj = on_fresh_faces(lookup(entry_id).payload)
         for _ in range(2):
             assert pairing_violation(obj, True, False) is None
             assert pairing_violation(obj, False, False) is None
@@ -232,6 +231,93 @@ def test_a_second_campaign_runs_no_pairing_kernel(pairing_kernel_runs):
     pairing_kernel_runs.clear()
     assert run_campaign().ok
     assert not pairing_kernel_runs
+
+
+def _same_kind_catalog_pairs():
+    """Every pair (a, b) of catalog entries of one kind over one Hopf
+    algebra, in both orders, ydbadline's included."""
+    groups = {}
+    for entry in catalog_entries():
+        if entry.kind != "hopf":
+            groups.setdefault((entry.id.rsplit("/", 1)[0], entry.kind), []).append(entry)
+    return [(a, b) for group in groups.values() for a in group for b in group]
+
+
+def test_a_product_is_handed_the_law_table_it_would_compute():
+    """On every same-kind catalog product in both orders, the product's law
+    table equals the one computed on fresh faces with the same actions.  A
+    product of lawful objects over a lawful H is handed each face's table,
+    and a YD product its own too when H is commutative or cocommutative:
+    829 products get their faces' tables, 827 their whole table.  Of the
+    other products, ydbadline's seven compute theirs, and the six with
+    another factor are still refused; the trivial YD squares over H4 compute
+    only the straightening law."""
+    faces_handed = whole_handed = refused = 0
+    pairs = _same_kind_catalog_pairs()
+    for a, b in pairs:
+        product = tensor_in_category(a.payload, b.payload)
+        handed = all(face.laws is factor.laws for face, factor in zip(product.faces, a.payload.faces))
+        faces_handed += handed
+        whole_handed += handed and (product.kind != "yd" or product.laws is a.payload.laws)
+        report = axioms_in_category(product)
+        assert report == axioms_in_category(on_fresh_faces(product)), (a.id, b.id)
+        refused += not report.ok
+    assert (len(pairs), faces_handed, whole_handed, refused) == (836, 829, 827, 6)
+    product = tensor_in_category(lookup("kS3/Q/ydbadline").payload, lookup("kS3/Q/ydconj3").payload)
+    with pytest.raises(AxiomError, match="yd_compatibility at"):
+        is_semisimple(product)
+
+
+def test_a_yd_product_over_h4_computes_its_straightening_law():
+    """H4 is neither commutative nor cocommutative, and the product of two
+    of its lawful YD modules can break the straightening law: it is computed
+    there, not handed out, and the guard refuses the product."""
+    h = lookup("H4/Q").payload
+    adjoint, line = sweedler_adjoint_yd(h), yd_group_line(h, 1, [1, -1, 0, 0], "ydline_g_sign")
+    assert laws_hold(h) and laws_hold(adjoint) and laws_hold(line)
+    assert not h.commutative_or_cocommutative
+    for a, b in ((adjoint, line), (line, adjoint), (adjoint, adjoint)):
+        product = tensor_in_category(a, b)
+        assert compat_violation_reference(product) is not None
+        with pytest.raises(AxiomError, match="yd_compatibility at"):
+            is_semisimple(product)
+
+
+def test_a_product_over_a_lawless_h_computes_its_table():
+    """Adding b_0 (x) b_0 to Delta(g) in kC2 breaks H's laws but no law of a
+    kC2-module, which reads only H's product; the product of two lawful
+    modules then breaks the module law, and its table, computed, says so."""
+    h = lookup("kC2/Q").payload
+    comult = [[list(row) for row in slab] for slab in h.comult]
+    comult[1][0][0] += 1
+    broken = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, comult, h.counit, h.antipode, unchecked=True)
+    regular = regular_module(broken)
+    assert laws_hold(regular) and not laws_hold(broken)
+    product = tensor_in_category(regular, regular)
+    report = axioms_in_category(product)
+    assert report == axioms_in_category(on_fresh_faces(product))
+    assert [c.name for c in report.failures()] == ["action_multiplicative"]
+
+
+def test_a_second_campaign_runs_no_law_kernel(monkeypatch):
+    """Catalog objects keep their law tables and every product the campaign
+    decides is handed its table, so a second campaign in one process runs
+    neither the module-law kernel nor the straightening kernel, and the
+    first runs at most 464 and 79 of them (722 and 112 when every product
+    computed its table)."""
+    runs = Counter()
+    for owner, kernel in ((AlgebraData, "multiplicativity_violation"), (YDModuleRep, "_straightening_violation")):
+
+        def counted(*args, _run=getattr(owner, kernel), _kernel=kernel):
+            runs[_kernel] += 1
+            return _run(*args)
+
+        monkeypatch.setattr(owner, kernel, counted)
+    run_campaign()
+    assert runs["multiplicativity_violation"] <= 464 and runs["_straightening_violation"] <= 79, runs
+    runs.clear()
+    assert run_campaign().ok
+    assert not runs
 
 
 def _conjugator(field, dim):

@@ -9,7 +9,39 @@ both sides of
 into their coefficients on e_r (x) b_u and compares them, reading the
 action and the coaction straight off their tables.  It shares no code
 with the straightening identity the engine checks.
+
+``sweedler_adjoint_yd`` is a YD module over H4, which is neither
+commutative nor cocommutative: there the tensor product, whose coaction
+multiplies the factors' H-legs in the order m_<1> n_<1>, can break the law.
 """
+
+from hopfcheck.comodules import regular_comodule
+from hopfcheck.matrix import Matrix
+from hopfcheck.modules import ModuleRep
+from hopfcheck.yd import YDModuleRep
+
+
+def sweedler_adjoint_yd(h):
+    """H4 coacting on itself by Delta, with b_i acting on b_a by
+    sum_js Delta_i^js b_s b_a S^-1(b_j), that is h.a = h_(2) a S^-1(h_(1))."""
+    n = h.dim
+    s_inv = (h.antipode * h.antipode * h.antipode).entries  # S has order four on H4
+
+    def times(u, v):
+        return [sum(u[i] * v[j] * h.mult[i][j][t] for i in range(n) for j in range(n)) for t in range(n)]
+
+    basis = [[int(r == k) for r in range(n)] for k in range(n)]
+    action = []
+    for i in range(n):
+        images = [[0] * n for _ in range(n)]  # images[a]: b_i acting on b_a
+        for j, row in enumerate(h.comult[i]):
+            for s, c in enumerate(row):
+                if c:
+                    for a in range(n):
+                        term = times(times(basis[s], basis[a]), [s_inv[r][j] for r in range(n)])
+                        images[a] = [x + c * y for x, y in zip(images[a], term)]
+        action.append(Matrix(h.field, n, n, [[images[a][t] for a in range(n)] for t in range(n)]))
+    return YDModuleRep(ModuleRep(h, n, action, "ydadjoint"), regular_comodule(h), name="ydadjoint")
 
 
 def compat_violation_reference(y):
