@@ -16,6 +16,8 @@ of every kind, reads.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .hopf import HopfAlgebraData
 from .matrix import Matrix
 from .modules import ModuleRep, check_module_axioms, require_same_hopf
@@ -72,7 +74,7 @@ class ComoduleRep:
         mats = [m.entries for m in self.star_module.action]
         return [[[mat[b][a] for mat in mats] for b in range(self.dim)] for a in range(self.dim)]
 
-    @property
+    @cached_property
     def laws(self) -> tuple:
         """counit_law and coassociativity: the unit and multiplicativity laws
         of the H*-face, read off its table under their comodule names."""

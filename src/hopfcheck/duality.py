@@ -24,6 +24,8 @@ is.
 
 Every object is the tuple of modules in its ``faces``: tensor product,
 dual and Hom space are the module constructions applied face by face.
+A YD object's H*-face is an (H^op)*-module (``yd``), so its product
+coaction is n_<1> m_<1> and its dual goes through S^-1 over every H.
 Every object also carries its named law table ``laws``, so one function,
 ``axioms_in_category``, reports the axioms of every kind; a product of
 lawful objects gets its table by construction (``tensor_in_category``).
@@ -52,11 +54,6 @@ from .modules import (
     tensor_modules,
 )
 from .semisimple import is_semisimple
-
-MODULE = "module"
-COMODULE = "comodule"
-YD = "yd"
-
 
 @dataclass
 class HSRank:
@@ -90,7 +87,7 @@ def evaluation(obj) -> Matrix:
 
 def category_of(obj) -> str:
     kind = getattr(obj, "kind", None)
-    if kind not in (MODULE, COMODULE, YD):
+    if kind not in ("module", "comodule", "yd"):
         raise TypeError(f"not a module, comodule or YD module: {obj!r}")
     return kind
 
@@ -105,46 +102,37 @@ def _common_category(a, b, mismatch: str) -> str:
 def tensor_in_category(a, b, name: str = ""):
     """M (x) N, the module tensor product taken face by face.
 
-    When the laws of H, M and N all hold, each product face gets its
-    factor's table, all-pass and with the names and order of a computed
-    one, and so does a YD product over a commutative or cocommutative H:
-    by the theorems below its laws hold.  Any other product computes its
-    table when first read.  With A_j, A'_j the H-actions and B_t, B'_t the
-    H*-actions of M and N:
+    When the laws of H, M and N all hold, the product gets M's table, and
+    each product face its factor's, all-pass and with the names and order
+    of a computed one, since by the theorems below its laws hold.  Any
+    other product computes its table when first read.  With A_j, A'_j the
+    H-actions and B_t, B'_t the actions of f_t on the H*-faces of M and N:
 
     * Module law.  b_i acts by sum_jt Delta_i^jt A_j (x) A'_t, that is,
       h acts by (rho_M (x) rho_N)(Delta h).  Delta is multiplicative
       (comult_multiplicative) and so are rho_M and rho_N, hence
       rho(x) rho(y) = (rho_M (x) rho_N)(Delta(x) Delta(y)) = rho(xy); and
       Delta(1) = 1 (x) 1 (comult_unit), hence rho(1) = I (x) I = I.
-    * Comodule laws.  They are the module laws of the H*-face over H*,
-      whose Delta*(f)(x (x) y) = f(xy) is multiplicative and unital exactly
-      when Delta and eps are (comult_multiplicative, counit_multiplicative):
-      the module law over H*.
-    * Straightening identity.  f_t acts on the H*-face by
-      sum_js m_js^t B_j (x) B'_s, so the product's coaction is
-      m (x) n -> m_<0> (x) n_<0> (x) m_<1> n_<1>, M's leg first, and the two
-      sides of the law of ``yd`` for M (x) N are
+    * Comodule laws.  They are the module laws of the H*-face over H*, or
+      over (H^op)* for a YD object, whose coproduct (dual to H's product or
+      its opposite) is multiplicative and unital exactly when Delta and eps
+      are (comult_multiplicative, counit_multiplicative).
+    * Straightening identity.  f_t acts on the (H^op)*-face by
+      sum_js m_sj^t B_j (x) B'_s, so the product's coaction is
+      m (x) n -> m_<0> (x) n_<0> (x) n_<1> m_<1>, and the two sides of the
+      law of ``yd`` for M (x) N are
 
-          h_(1) m_<0> (x) h_(2) n_<0> (x) h_(3) m_<1> n_<1>
-          (h_(2) m)_<0> (x) (h_(3) n)_<0> (x) (h_(2) m)_<1> (h_(3) n)_<1> h_(1).
+          h_(1) m_<0> (x) h_(2) n_<0> (x) h_(3) n_<1> m_<1>
+          (h_(2) m)_<0> (x) (h_(3) n)_<0> (x) (h_(3) n)_<1> (h_(2) m)_<1> h_(1).
 
-      By coassociativity a factor's law applies to any two adjacent legs.
-      H cocommutative: permute the legs to (h_(3) m)_<0> (x) (h_(2) n)_<0>
-      (x) (h_(3) m)_<1> (h_(2) n)_<1> h_(1), apply N's law to (h_(1), h_(2))
-      and M's to (h_(2), h_(3)), which gives h_(2) m_<0> (x) h_(1) n_<0> (x)
-      h_(3) m_<1> n_<1>, and swap h_(1) and h_(2).  H commutative: write the
-      second side's last leg as (h_(3) n)_<1> (h_(2) m)_<1> h_(1), apply M's
-      law to (h_(1), h_(2)) and N's to (h_(2), h_(3)), which gives
-      h_(1) m_<0> (x) h_(2) n_<0> (x) h_(3) n_<1> m_<1>, and commute the two
-      coaction legs.  Over other H the law can fail in this order (the one
-      that always holds is n_<1> m_<1>): over H4, H coacting by Delta with
-      h.a = h_(2) a S^-1(h_(1)), and the line of degree g on which g acts
-      by -1, are YD modules whose product is not.  So such a product
-      computes its straightening law; its faces' tables still come by
-      construction.
+      By coassociativity a factor's law applies to any two adjacent legs:
+      M's law on (h_(1), h_(2)) turns (h_(2) m)_<0> (x) (h_(2) m)_<1> h_(1)
+      into h_(1) m_<0> (x) h_(2) m_<1>, which gives
+      h_(1) m_<0> (x) (h_(3) n)_<0> (x) (h_(3) n)_<1> h_(2) m_<1>, and N's
+      law on (h_(2), h_(3)) then gives the first side.  No hypothesis on H
+      is used, so this holds over every H.
     """
-    kind = _common_category(a, b, "cannot tensor objects of different kinds")
+    _common_category(a, b, "cannot tensor objects of different kinds")
     h = a.hopf
     require_same_hopf(h, b.hopf)  # a mismatch names H, not a face's H*
     label = name or f"({a.name})(x)({b.name})"
@@ -152,8 +140,7 @@ def tensor_in_category(a, b, name: str = ""):
     if laws_hold(h) and laws_hold(a) and laws_hold(b):
         for face, lawful in zip(product.faces, a.faces):
             face.laws = lawful.laws
-        if kind == YD and h.commutative_or_cocommutative:
-            product.laws = a.laws
+        product.laws = a.laws
     return product
 
 

@@ -61,7 +61,7 @@ from math import lcm
 
 from .errors import AxiomError
 from .fields import Field
-from .matrix import EchelonSpan, Matrix
+from .matrix import EchelonSpan, Matrix, NoSolutionError, solve_linear
 
 
 @dataclass
@@ -254,21 +254,16 @@ class AlgebraData:
         return None
 
     def _unit_violation(self):
-        field = self.field
-        for j in range(self.dim):
-            for t in range(self.dim):
-                want = field.one() if j == t else field.zero()
-                left = field.zero()
-                right = field.zero()
-                for i, u in enumerate(self.unit):
-                    if not u:
-                        continue
-                    left = field.add(left, field.mul(u, self.mult[i][j][t]))
-                    right = field.add(right, field.mul(u, self.mult[j][i][t]))
-                if left != want:
-                    return ("left", j, t)
-                if right != want:
-                    return ("right", j, t)
+        """First (side, j, t) with 1 b_j or b_j 1 != b_j at b_t, or None."""
+        p, n = self.field.characteristic, range(self.dim)
+        units = [(i, u) for i, u in enumerate(self.unit) if u]
+        for j in n:
+            for t in n:
+                left = sum(u * self.mult[i][j][t] for i, u in units) - (j == t)
+                right = sum(u * self.mult[j][i][t] for i, u in units) - (j == t)
+                for side, x in (("left", left), ("right", right)):
+                    if x % p if p else x:
+                        return (side, j, t)
         return None
 
 
@@ -381,26 +376,13 @@ class HopfAlgebraData(AlgebraData):
     def involution_violation(self) -> int | None:
         """The first i with S^2(b_i) != b_i, or None; computed once per
         object for ``is_involutory`` and the ``check`` command's witness."""
-        square = (self.antipode * self.antipode).entries
-        one, zero = self.field.one(), self.field.zero()
-        for i in range(self.dim):
-            if any(row[i] != (one if r == i else zero) for r, row in enumerate(square)):
-                return i
-        return None
+        columns = (self.antipode * self.antipode).transpose().entries
+        identity = Matrix.identity(self.field, self.dim).entries
+        return next((i for i in range(self.dim) if columns[i] != identity[i]), None)
 
     def is_involutory(self) -> bool:
         """Whether S^2 = id."""
         return self.involution_violation is None
-
-    @cached_property
-    def commutative_or_cocommutative(self) -> bool:
-        """Whether b_i b_j = b_j b_i for all i, j, or Delta_i^jt = Delta_i^tj
-        for all i, j, t: the hypothesis under which a tensor product of YD
-        modules keeps the straightening law (``duality.tensor_in_category``)."""
-        n = range(self.dim)
-        return all(self.mult[i][j] == self.mult[j][i] for i in n for j in n) or all(
-            self.comult[i][j][t] == self.comult[i][t][j] for i in n for j in n for t in n
-        )
 
     def dual_algebra(self) -> HopfAlgebraData:
         """The dual Hopf algebra H* on the dual basis.
@@ -422,3 +404,17 @@ class HopfAlgebraData(AlgebraData):
             )
         return self._dual_algebra
 
+    @cached_property
+    def op_dual_algebra(self) -> HopfAlgebraData:
+        """(H^op)* = (H*)^cop, over which a YD object's H*-face is a module
+        (``yd``): H*'s product and unit, the opposite coproduct and the
+        antipode (S^-1)^T.  Built unchecked on first use; S is singular only
+        when H's laws fail, and then the ``AxiomError`` naming them is raised."""
+        try:
+            s_inv = solve_linear(self.antipode, Matrix.identity(self.field, self.dim))
+        except NoSolutionError:
+            raise AxiomError(self.check_hopf_axioms()) from None
+        d, n = self.dual_algebra(), range(self.dim)
+        comult = [[[d.comult[i][t][j] for t in n] for j in n] for i in n]
+        antipode = s_inv.transpose()
+        return HopfAlgebraData(self.field, self.dim, d.mult, d.unit, comult, d.counit, antipode, name=f"{self.name}^op*", unchecked=True)

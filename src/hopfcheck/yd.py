@@ -22,8 +22,11 @@ Once H's laws, both faces' module laws and this identity hold, V is a
 D(H)-module and the products B_t A_j are the action of the basis f_t h_j of
 D(H), so they span its image in End(V), an algebra closed under products.
 
-Its faces are the H-module and the H*-module of the comodule: the tensor
-product, dual and Hom space are the module ones taken on both faces.
+Its faces are the H-module and ``star_face``, the comodule's action as a
+module over (H^op)* (``HopfAlgebraData.op_dual_algebra``), so the face-wise
+product's coaction is n_<1> m_<1> and the dual goes through S^-1: the
+left-right YD constructions (Caenepeel, Militaru and Zhu, LNM 1787; Kassel
+IX.4), over every H.  ``comodule`` stays the plain H-comodule.
 """
 
 from __future__ import annotations
@@ -61,15 +64,27 @@ class YDModuleRep:
 
     @property
     def faces(self) -> tuple:
-        return (self.module, self.comodule.star_module)
+        return (self.module, self.star_face)
+
+    @cached_property
+    def star_face(self) -> ModuleRep:
+        """The comodule's action as an (H^op)*-module, sharing its action, sparse rows and laws."""
+        star = self.comodule.star_module
+        face = ModuleRep(self.hopf.op_dual_algebra, self.dim, star.action, name=self.name)
+        face.laws, face.sparse_action = star.laws, star.sparse_action
+        return face
 
     @property
     def operators(self) -> list[Matrix]:
         return self.double_action
 
     def with_faces(self, faces, name: str) -> YDModuleRep:
-        module, star_module = faces
-        return YDModuleRep(module, ComoduleRep.over_dual(self.hopf, star_module, name), name=name)
+        module, star_face = faces
+        require_same_hopf(star_face.algebra, self.hopf.op_dual_algebra)
+        star = ModuleRep(self.hopf.dual_algebra(), star_face.dim, star_face.action, name=name)
+        y = YDModuleRep(module, ComoduleRep.over_dual(self.hopf, star, name), name=name)
+        y.star_face = star_face
+        return y
 
     @property
     def double_action(self) -> list[Matrix]:

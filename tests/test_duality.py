@@ -6,7 +6,7 @@ import pytest
 
 from duality_reference import in_hom_span, on_fresh_faces, unit_in_category
 from semisimple_reference import direct_sum_modules
-from yd_reference import compat_violation_reference, sweedler_adjoint_yd
+from yd_reference import adjoint_yd, compat_violation_reference, e2_algebra
 from hopfcheck import duality, modules, semisimple
 from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import (
@@ -246,41 +246,59 @@ def _same_kind_catalog_pairs():
 def test_a_product_is_handed_the_law_table_it_would_compute():
     """On every same-kind catalog product in both orders, the product's law
     table equals the one computed on fresh faces with the same actions.  A
-    product of lawful objects over a lawful H is handed each face's table,
-    and a YD product its own too when H is commutative or cocommutative:
-    829 products get their faces' tables, 827 their whole table.  Of the
-    other products, ydbadline's seven compute theirs, and the six with
-    another factor are still refused; the trivial YD squares over H4 compute
-    only the straightening law."""
+    product of lawful objects over a lawful H is handed each face's table
+    and its whole table, over every H: 829 products.  Of the other
+    products, ydbadline's seven compute theirs, and the six with another
+    factor are still refused."""
     faces_handed = whole_handed = refused = 0
     pairs = _same_kind_catalog_pairs()
     for a, b in pairs:
         product = tensor_in_category(a.payload, b.payload)
         handed = all(face.laws is factor.laws for face, factor in zip(product.faces, a.payload.faces))
         faces_handed += handed
-        whole_handed += handed and (product.kind != "yd" or product.laws is a.payload.laws)
+        whole_handed += handed and product.laws is a.payload.laws
         report = axioms_in_category(product)
         assert report == axioms_in_category(on_fresh_faces(product)), (a.id, b.id)
         refused += not report.ok
-    assert (len(pairs), faces_handed, whole_handed, refused) == (836, 829, 827, 6)
+    assert (len(pairs), faces_handed, whole_handed, refused) == (836, 829, 829, 6)
     product = tensor_in_category(lookup("kS3/Q/ydbadline").payload, lookup("kS3/Q/ydconj3").payload)
     with pytest.raises(AxiomError, match="yd_compatibility at"):
         is_semisimple(product)
 
 
-def test_a_yd_product_over_h4_computes_its_straightening_law():
-    """H4 is neither commutative nor cocommutative, and the product of two
-    of its lawful YD modules can break the straightening law: it is computed
-    there, not handed out, and the guard refuses the product."""
-    h = lookup("H4/Q").payload
-    adjoint, line = sweedler_adjoint_yd(h), yd_group_line(h, 1, [1, -1, 0, 0], "ydline_g_sign")
-    assert laws_hold(h) and laws_hold(adjoint) and laws_hold(line)
-    assert not h.commutative_or_cocommutative
-    for a, b in ((adjoint, line), (line, adjoint), (adjoint, adjoint)):
-        product = tensor_in_category(a, b)
-        assert compat_violation_reference(product) is not None
-        with pytest.raises(AxiomError, match="yd_compatibility at"):
-            is_semisimple(product)
+def test_yd_products_and_duals_over_a_non_involutory_h_are_yd_modules():
+    """Over H4 and E(2), where S^2 != id and H is neither commutative nor
+    cocommutative, the four products of the adjoint YD module and the sign
+    line of degree c (g in H4), and both duals, pass their laws on fresh
+    faces and the coefficient loop, and are decided: the H*-face over
+    (H^op)* gives the left-right coaction n_<1> m_<1> and the dual through
+    S^-1 over every H."""
+    algebras = [lookup("H4/Q").payload, lookup("H4/F5").payload] + [e2_algebra(f) for f in (QQ, GF(3), GF(5))]
+    for h in algebras:
+        adjoint = adjoint_yd(h)
+        line = yd_group_line(h, 1, [1, -1] + [0] * (h.dim - 2), "ydline_c_sign")
+        assert laws_hold(h) and not h.is_involutory() and laws_hold(adjoint) and laws_hold(line)
+        products = [tensor_in_category(a, b) for a, b in ((adjoint, line), (line, adjoint), (adjoint, adjoint), (line, line))]
+        for obj in products + [dual_in_category(adjoint), dual_in_category(line)]:
+            assert axioms_in_category(on_fresh_faces(obj)).ok, (h.name, obj.name)
+            assert compat_violation_reference(obj) is None, (h.name, obj.name)
+            is_semisimple(obj)
+
+
+def test_a_yd_object_over_a_singular_antipode_reports_its_laws_and_refuses_constructions():
+    """S is invertible over every H whose laws hold, so a singular S is a
+    law failure of H: a YD object over kC2 with S = 0 still reports its own
+    laws, and its tensor product and dual, which need S^-1 for the
+    (H^op)*-face, raise the ``AxiomError`` naming H's failing law."""
+    h = lookup("kC2/Q").payload
+    broken = HopfAlgebraData(
+        h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.zeros(h.field, h.dim, h.dim), unchecked=True
+    )
+    y = trivial_yd(broken)
+    assert axioms_in_category(y).ok
+    for build in (lambda: tensor_in_category(y, y), lambda: dual_in_category(y)):
+        with pytest.raises(AxiomError, match="antipode_left at"):
+            build()
 
 
 def test_a_product_over_a_lawless_h_computes_its_table():

@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement
 import comodule_reference as ref
 from duality_reference import on_fresh_faces
 from semisimple_reference import acting_algebra, spin_algebra
+from yd_reference import yd_dual_coaction, yd_tensor_coaction
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup, objects_over, yd_group_line
 from hopfcheck.comodules import ComoduleRep, check_comodule_axioms
 from hopfcheck.duality import (
@@ -135,11 +136,11 @@ def test_yd_constructions_match_the_coaction_reference():
         yds = _valid_objects(hopf_entry.id, "yd")
         for entry in yds:
             y = entry.payload
-            assert dual_in_category(y).comodule.coaction == ref.dual_coaction(y.hopf, y.comodule.coaction), entry.id
+            assert dual_in_category(y).comodule.coaction == yd_dual_coaction(y.hopf, y.comodule.coaction), entry.id
         for em, en in combinations_with_replacement(yds, 2):
             a, b = em.payload.comodule, en.payload.comodule
             got = tensor_in_category(em.payload, en.payload).comodule.coaction
-            assert got == ref.tensor_coaction(a.hopf, a.coaction, b.coaction), (em.id, en.id)
+            assert got == yd_tensor_coaction(a.hopf, a.coaction, b.coaction), (em.id, en.id)
 
 
 def test_rank_one_yd_lines_match_the_conjugation_criterion():

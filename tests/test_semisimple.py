@@ -379,7 +379,7 @@ def test_the_guard_refuses_exactly_the_objects_whose_laws_fail():
         tensor_in_category(a, b) for group in groups.values() for a in group for b in group if a.dim * b.dim <= 36
     ]
     y = lookup("kS3/Q/ydconj3").payload
-    star = y.comodule.star_module
+    star = y.star_face
     corrupted = [
         YDModuleRep(ModuleRep(y.hopf, y.dim, _changed(y.module.action, 1)), y.comodule, name="bad H-face"),
         y.with_faces((y.module, ModuleRep(star.algebra, y.dim, _changed(star.action, 1))), "bad H*-face"),
