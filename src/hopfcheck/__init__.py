@@ -17,7 +17,6 @@ from .modules import (
     ModuleRep,
     check_module_axioms,
     dual_module,
-    hom_space,
     regular_module,
     tensor_modules,
     trivial_module,

@@ -17,7 +17,8 @@ a Hopf entry too, has its axiom report read off its ``laws`` when its group
 is first built; entries tagged with ``expected_failure`` must fail exactly
 that check.
 
-Identifiers follow <hopf>/<field>[/<object>], e.g. "kS3/F3/regular".
+Identifiers follow <hopf>/<field>[/<object>], e.g. "kS3/F3/regular",
+where <object> is the object's own name.
 """
 
 from __future__ import annotations
@@ -288,8 +289,10 @@ def yd_incompatible_line(h: HopfAlgebraData) -> YDModuleRep:
 # catalog assembly -----------------------------------------------------------------
 
 
-def _register(entries, entry: CatalogEntry):
-    entries[entry.id] = entry
+def _register(entries, hid: str, payload, note: str, expected_failure: str | None = None):
+    """Register ``payload`` under its id: ``hid``, or ``hid``/its name for an object."""
+    eid = hid if payload.kind == "hopf" else f"{hid}/{payload.name}"
+    entries[eid] = CatalogEntry(eid, payload, note, expected_failure)
 
 
 def _check_entry(entry: CatalogEntry):
@@ -312,9 +315,8 @@ def _register_standard(entries, hid: str, h: HopfAlgebraData, notes):
     """Register H and its trivial and regular module, comodule and YD
     object, with the family's provenance ``notes`` in that order."""
     objects = (h, trivial_module(h), regular_module(h), trivial_comodule(h), regular_comodule(h), trivial_yd(h))
-    suffixes = ("", "/trivial", "/regular", "/cotrivial", "/coregular", "/ydtrivial")
-    for suffix, payload, note in zip(suffixes, objects, notes, strict=True):
-        _register(entries, CatalogEntry(hid + suffix, payload, note))
+    for payload, note in zip(objects, notes, strict=True):
+        _register(entries, hid, payload, note)
 
 
 def _group_algebra_entries(entries, hid: str, group: str, fname: str):
@@ -328,35 +330,35 @@ def _group_algebra_entries(entries, hid: str, group: str, fname: str):
         "trivial action and trivial grading",
     ))
     if group != "S3":
-        _register(entries, CatalogEntry(f"{hid}/coline_g", group_line_comodule(h, 1, "coline_g"), "line graded by the generator"))
+        _register(entries, hid, group_line_comodule(h, 1, "coline_g"), "line graded by the generator")
     if group == "C2":
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", yd_group_line(h, 1, [1, 1], "ydline_g_triv"), "degree g, trivial action; abelian so compatible"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_sign", yd_group_line(h, 1, [1, -1], "ydline_g_sign"), "degree g, sign action"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", yd_group_line(h, 0, [1, -1], "ydline_e_sign"), "degree e, sign action"))
+        _register(entries, hid, yd_group_line(h, 1, [1, 1], "ydline_g_triv"), "degree g, trivial action; abelian so compatible")
+        _register(entries, hid, yd_group_line(h, 1, [1, -1], "ydline_g_sign"), "degree g, sign action")
+        _register(entries, hid, yd_group_line(h, 0, [1, -1], "ydline_e_sign"), "degree e, sign action")
     if group == "C3":
-        _register(entries, CatalogEntry(f"{hid}/rot2", cyclic_rotation_module(h), "generator acts by the companion matrix of x^2+x+1"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", yd_group_line(h, 1, [1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
+        _register(entries, hid, cyclic_rotation_module(h), "generator acts by the companion matrix of x^2+x+1")
+        _register(entries, hid, yd_group_line(h, 1, [1, 1, 1], "ydline_g_triv"), "degree g, trivial action")
     if group == "C4":
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_triv", yd_group_line(h, 1, [1, 1, 1, 1], "ydline_g_triv"), "degree g, trivial action"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_g_chi2", yd_group_line(h, 1, [1, -1, 1, -1], "ydline_g_chi2"), "degree g, order-two character"))
+        _register(entries, hid, yd_group_line(h, 1, [1, 1, 1, 1], "ydline_g_triv"), "degree g, trivial action")
+        _register(entries, hid, yd_group_line(h, 1, [1, -1, 1, -1], "ydline_g_chi2"), "degree g, order-two character")
     if group == "S3":
-        _register(entries, CatalogEntry(f"{hid}/perm", s3_permutation_module(h), "permutation matrices on three points"))
-        _register(entries, CatalogEntry(f"{hid}/sign", s3_sign_module(h), "sign character"))
-        _register(entries, CatalogEntry(f"{hid}/std2", s3_standard_module(h), "sum-zero plane of the permutation module, integral basis"))
-        _register(entries, CatalogEntry(f"{hid}/coline_t", group_line_comodule(h, _S3_TRANSPOSITIONS[0], "coline_t"), "line graded by a transposition"))
-        _register(entries, CatalogEntry(f"{hid}/coline_c", group_line_comodule(h, _S3_THREE_CYCLE, "coline_c"), "line graded by a three-cycle"))
-        _register(entries, CatalogEntry(f"{hid}/ydline_e_sign", yd_group_line(h, 0, _S3_SIGNS, "ydline_e_sign"), "degree e, sign action; central degree"))
-        _register(entries, CatalogEntry(f"{hid}/ydconj3", yd_s3_conjugation(h), "transposition class graded by itself with conjugation action"))
+        _register(entries, hid, s3_permutation_module(h), "permutation matrices on three points")
+        _register(entries, hid, s3_sign_module(h), "sign character")
+        _register(entries, hid, s3_standard_module(h), "sum-zero plane of the permutation module, integral basis")
+        _register(entries, hid, group_line_comodule(h, _S3_TRANSPOSITIONS[0], "coline_t"), "line graded by a transposition")
+        _register(entries, hid, group_line_comodule(h, _S3_THREE_CYCLE, "coline_c"), "line graded by a three-cycle")
+        _register(entries, hid, yd_group_line(h, 0, _S3_SIGNS, "ydline_e_sign"), "degree e, sign action; central degree")
+        _register(entries, hid, yd_s3_conjugation(h), "transposition class graded by itself with conjugation action")
     if group == "C2" and fname == "F2":
-        _register(entries, CatalogEntry(f"{hid}/unipotent2", cyclic_unipotent_module(h, 2), "Jordan block for the generator, char 2"))
-        _register(entries, CatalogEntry(f"{hid}/ydnonsplit2", yd_unipotent_nonsplit(h), "unipotent module, trivial grading; no stable complement"))
+        _register(entries, hid, cyclic_unipotent_module(h, 2), "Jordan block for the generator, char 2")
+        _register(entries, hid, yd_unipotent_nonsplit(h), "unipotent module, trivial grading; no stable complement")
     if group == "C3" and fname == "F3":
-        _register(entries, CatalogEntry(f"{hid}/unipotent2", cyclic_unipotent_module(h, 3), "Jordan block for the generator, char 3"))
+        _register(entries, hid, cyclic_unipotent_module(h, 3), "Jordan block for the generator, char 3")
     if group == "S3" and fname == "Q":
-        _register(entries, CatalogEntry(
-            f"{hid}/ydbadline", yd_incompatible_line(h),
+        _register(
+            entries, hid, yd_incompatible_line(h),
             "line graded by a transposition with trivial action; grading not conjugation-equivariant",
-            expected_failure="yd_compatibility"))
+            expected_failure="yd_compatibility")
 
 
 def _dual_group_entries(entries, hid: str, group: str, fname: str):
@@ -370,13 +372,13 @@ def _dual_group_entries(entries, hid: str, group: str, fname: str):
         "trivial action and trivial coaction",
     ))
     if group == "C2" and fname == "F2":
-        _register(entries, CatalogEntry(
-            f"{hid}/cononsplit2", comodule_from_group_action(h, [[[1, 0], [0, 1]], [[1, 1], [0, 1]]], "cononsplit2"),
-            "unipotent two-dimensional representation of C2 in char 2, written as a coaction"))
+        _register(
+            entries, hid, comodule_from_group_action(h, [[[1, 0], [0, 1]], [[1, 1], [0, 1]]], "cononsplit2"),
+            "unipotent two-dimensional representation of C2 in char 2, written as a coaction")
     if group == "C3":
-        _register(entries, CatalogEntry(
-            f"{hid}/corot2", comodule_from_group_action(h, ROT2_MATRICES, "corot2"),
-            "order-three rotation plane written as a coaction; loses cosemisimplicity in char 3"))
+        _register(
+            entries, hid, comodule_from_group_action(h, ROT2_MATRICES, "corot2"),
+            "order-three rotation plane written as a coaction; loses cosemisimplicity in char 3")
 
 
 def _sweedler_entries(entries, hid: str, fname: str):
@@ -389,7 +391,7 @@ def _sweedler_entries(entries, hid: str, fname: str):
         "the coproduct read as a coaction",
         "trivial action and coaction",
     ))
-    _register(entries, CatalogEntry(f"{hid}/h4mod2", sweedler_two_dim_module(h), "g diagonal, x a lowering operator; contains a line without complement"))
+    _register(entries, hid, sweedler_two_dim_module(h), "g diagonal, x a lowering operator; contains a line without complement")
 
 
 # Hopf id -> the builder of its group and the builder's arguments

@@ -1,11 +1,15 @@
 """JSON document format for structure-constant data.
 
-One document per object:
+One document per object, with exactly the keys of its kind (``KEYS``; a
+document with any other key is refused):
 
 * Hopf algebra: ``{name, field, dim, mult, comult, unit, counit, antipode}``
 * module:       ``{name, hopf, dim, action}``   (hopf is a name reference)
 * comodule:     ``{name, hopf, dim, coaction}``
 * YD module:    ``{name, hopf, dim, action, coaction}``
+
+Every structure-constant array is read by ``_table_in`` and written by
+``Field.table_to_doc``.
 
 Rationals are encoded as strings "a/b" or "a"; prime-field residues as
 integers in [0, p); the field itself as "Q" or {"Fp": p}.  Emission is
@@ -31,6 +35,14 @@ from .yd import YDModuleRep
 # measured budget sets a new one
 MAX_HOPF_DIM = 16
 
+# every key of each kind of document; all are required and no other is read
+KEYS = {
+    "hopf": ("name", "field", "dim", "mult", "comult", "unit", "counit", "antipode"),
+    "module": ("name", "hopf", "dim", "action"),
+    "comodule": ("name", "hopf", "dim", "coaction"),
+    "yd": ("name", "hopf", "dim", "action", "coaction"),
+}
+
 
 def _expect(doc: dict, key: str, kind, context: str):
     if key not in doc:
@@ -45,86 +57,62 @@ def _expect(doc: dict, key: str, kind, context: str):
     return value
 
 
-def _scalar_out(field: Field, x):
-    return field.scalar_to_doc(x)
+# a table's levels named from the innermost out, for its length errors
+_LEVELS = ("entries", "rows", "slabs")
 
 
-def _scalar_in(field: Field, value, context: str):
+def _table_in(field: Field, value, shape: tuple[int, ...], context: str) -> list:
+    """The nested array ``value`` of the given shape, as scalars of ``field``.
+
+    Every level is checked for being an array of the right length, and an
+    error names the level and its index path, e.g. ``mult[1][0]: expected 2
+    entries``; a bad scalar is reported on the path of its innermost array.
+    """
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ParseError(f"{context}: expected {shape[0]} {_LEVELS[len(shape) - 1]}")
+    if len(shape) > 1:
+        return [_table_in(field, v, shape[1:], f"{context}[{i}]") for i, v in enumerate(value)]
     try:
-        return field.scalar_from_doc(value)
+        return [field.scalar_from_doc(x) for x in value]
     except ValueError as exc:
         raise ParseError(f"{context}: {exc}") from None
 
 
-def _tensor_out(field: Field, tensor):
-    return [[[_scalar_out(field, x) for x in row] for row in slab] for slab in tensor]
+def _table(doc: dict, key: str, field: Field, shape: tuple[int, ...], context: str) -> list:
+    """The array under ``key``, read by ``_table_in``."""
+    return _table_in(field, _expect(doc, key, list, context), shape, f"{context}: {key}")
 
 
-def _tensor_in(field: Field, value, dims: tuple[int, int, int], context: str):
-    d0, d1, d2 = dims
-    if len(value) != d0:
-        raise ParseError(f"{context}: expected {d0} slabs, found {len(value)}")
-    out = []
-    for i, slab in enumerate(value):
-        if not isinstance(slab, list) or len(slab) != d1:
-            raise ParseError(f"{context}[{i}]: expected {d1} rows")
-        rows = []
-        for j, row in enumerate(slab):
-            if not isinstance(row, list) or len(row) != d2:
-                raise ParseError(f"{context}[{i}][{j}]: expected {d2} entries")
-            rows.append([_scalar_in(field, x, f"{context}[{i}][{j}]") for x in row])
-        out.append(rows)
-    return out
-
-
-def _matrix_out(m: Matrix):
-    return [[_scalar_out(m.field, x) for x in row] for row in m.entries]
-
-
-def _matrix_in(field: Field, value, rows: int, cols: int, context: str) -> Matrix:
-    if not isinstance(value, list) or len(value) != rows:
-        raise ParseError(f"{context}: expected {rows} rows")
-    data = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"{context}[{i}]: expected {cols} entries")
-        data.append([_scalar_in(field, x, f"{context}[{i}]") for x in row])
-    return Matrix(field, rows, cols, data)
-
-
-def _vector_out(field: Field, v):
-    return [_scalar_out(field, x) for x in v]
-
-
-def _vector_in(field: Field, value, length: int, context: str):
-    if not isinstance(value, list) or len(value) != length:
-        raise ParseError(f"{context}: expected {length} entries")
-    return [_scalar_in(field, x, context) for x in value]
+def _refuse_unknown_keys(doc: dict, kind: str, context: str):
+    unknown = next((key for key in doc if key not in KEYS[kind]), None)
+    if unknown is not None:
+        raise ParseError(f"{context}: unknown field {unknown!r}")
 
 
 # Hopf documents ---------------------------------------------------------------
 
 
 def hopf_to_doc(h: HopfAlgebraData) -> dict:
+    out = h.field.table_to_doc
     return {
         "name": h.name,
         "field": h.field.spec_to_doc(),
         "dim": h.dim,
-        "mult": _tensor_out(h.field, h.mult),
-        "comult": _tensor_out(h.field, h.comult),
-        "unit": _vector_out(h.field, h.unit),
-        "counit": _vector_out(h.field, h.counit),
-        "antipode": _matrix_out(h.antipode),
+        "mult": out(h.mult),
+        "comult": out(h.comult),
+        "unit": out(h.unit),
+        "counit": out(h.counit),
+        "antipode": out(h.antipode.entries),
     }
 
 
 def hopf_from_doc(doc: dict, unchecked: bool = False) -> HopfAlgebraData:
     name = _expect(doc, "name", str, "hopf document")
     context = f"hopf document {name!r}"
-    if "field" not in doc:
-        raise ParseError(f"{context}: missing field 'field'")
+    _refuse_unknown_keys(doc, "hopf", context)
+    spec = _expect(doc, "field", None, context)
     try:
-        field = field_from_doc(doc["field"])
+        field = field_from_doc(spec)
     except ValueError as exc:
         raise ParseError(f"{context}: {exc}") from None
     dim = _expect(doc, "dim", int, context)
@@ -132,11 +120,11 @@ def hopf_from_doc(doc: dict, unchecked: bool = False) -> HopfAlgebraData:
         raise ParseError(f"{context}: dim must be at least 1")
     if dim > MAX_HOPF_DIM:
         raise ParseError(f"{context}: dim {dim} exceeds the limit of {MAX_HOPF_DIM}")
-    mult = _tensor_in(field, _expect(doc, "mult", list, context), (dim, dim, dim), f"{context}: mult")
-    comult = _tensor_in(field, _expect(doc, "comult", list, context), (dim, dim, dim), f"{context}: comult")
-    unit = _vector_in(field, _expect(doc, "unit", list, context), dim, f"{context}: unit")
-    counit = _vector_in(field, _expect(doc, "counit", list, context), dim, f"{context}: counit")
-    antipode = _matrix_in(field, _expect(doc, "antipode", list, context), dim, dim, f"{context}: antipode")
+    mult = _table(doc, "mult", field, (dim, dim, dim), context)
+    comult = _table(doc, "comult", field, (dim, dim, dim), context)
+    unit = _table(doc, "unit", field, (dim,), context)
+    counit = _table(doc, "counit", field, (dim,), context)
+    antipode = Matrix(field, dim, dim, _table(doc, "antipode", field, (dim, dim), context))
     return HopfAlgebraData(
         field, dim, mult, unit, comult, counit, antipode, name=name, unchecked=unchecked
     )
@@ -146,18 +134,15 @@ def hopf_from_doc(doc: dict, unchecked: bool = False) -> HopfAlgebraData:
 
 
 def module_to_doc(m: ModuleRep) -> dict:
-    return {
-        "name": m.name,
-        "hopf": m.algebra.name,
-        "dim": m.dim,
-        "action": [_matrix_out(a) for a in m.action],
-    }
+    action = m.field.table_to_doc([a.entries for a in m.action])
+    return {"name": m.name, "hopf": m.algebra.name, "dim": m.dim, "action": action}
 
 
 def _object_header(doc: dict, kind: str):
     """The name, the error context and the dim of a ``kind`` document."""
     name = _expect(doc, "name", str, f"{kind} document")
     context = f"{kind} document {name!r}"
+    _refuse_unknown_keys(doc, kind, context)
     dim = _expect(doc, "dim", int, context)
     if dim < 0:
         raise ParseError(f"{context}: dim must be nonnegative")
@@ -168,12 +153,12 @@ def _action_in(doc: dict, hopf: HopfAlgebraData, dim: int, context: str) -> list
     action_doc = _expect(doc, "action", list, context)
     if len(action_doc) != hopf.dim:
         raise ParseError(f"{context}: expected {hopf.dim} action matrices")
-    return [_matrix_in(hopf.field, mat, dim, dim, f"{context}: action[{i}]") for i, mat in enumerate(action_doc)]
+    action = _table_in(hopf.field, action_doc, (hopf.dim, dim, dim), f"{context}: action")
+    return [Matrix(hopf.field, dim, dim, a) for a in action]
 
 
-def _coaction_in(doc: dict, hopf: HopfAlgebraData, dim: int, context: str):
-    coaction_doc = _expect(doc, "coaction", list, context)
-    return _tensor_in(hopf.field, coaction_doc, (dim, dim, hopf.dim), f"{context}: coaction")
+def _coaction_in(doc: dict, hopf: HopfAlgebraData, dim: int, context: str) -> list:
+    return _table(doc, "coaction", hopf.field, (dim, dim, hopf.dim), context)
 
 
 def module_from_doc(doc: dict, hopf: HopfAlgebraData) -> ModuleRep:
@@ -182,12 +167,7 @@ def module_from_doc(doc: dict, hopf: HopfAlgebraData) -> ModuleRep:
 
 
 def comodule_to_doc(c: ComoduleRep) -> dict:
-    return {
-        "name": c.name,
-        "hopf": c.hopf.name,
-        "dim": c.dim,
-        "coaction": _tensor_out(c.field, c.coaction),
-    }
+    return {"name": c.name, "hopf": c.hopf.name, "dim": c.dim, "coaction": c.field.table_to_doc(c.coaction)}
 
 
 def comodule_from_doc(doc: dict, hopf: HopfAlgebraData) -> ComoduleRep:
@@ -196,13 +176,8 @@ def comodule_from_doc(doc: dict, hopf: HopfAlgebraData) -> ComoduleRep:
 
 
 def yd_to_doc(y: YDModuleRep) -> dict:
-    return {
-        "name": y.name,
-        "hopf": y.hopf.name,
-        "dim": y.dim,
-        "action": [_matrix_out(a) for a in y.module.action],
-        "coaction": _tensor_out(y.field, y.comodule.coaction),
-    }
+    """The module's document under the YD object's name, with the coaction."""
+    return dict(module_to_doc(y.module), name=y.name, coaction=y.field.table_to_doc(y.comodule.coaction))
 
 
 def yd_from_doc(doc: dict, hopf: HopfAlgebraData) -> YDModuleRep:

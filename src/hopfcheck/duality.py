@@ -221,14 +221,12 @@ class SplitMonoCertificate:
         )
 
     def to_doc(self):
-        field = self.mono.field
+        out = self.mono.field.table_to_doc
         return {
             "category": self.category,
             "context": self.context,
-            "mono": [[field.scalar_to_doc(x) for x in row] for row in self.mono.entries],
-            "retraction": [
-                [field.scalar_to_doc(x) for x in row] for row in self.retraction.entries
-            ],
+            "mono": out(self.mono.entries),
+            "retraction": out(self.retraction.entries),
         }
 
 

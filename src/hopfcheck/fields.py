@@ -80,6 +80,18 @@ class Field:
     def scalar_from_doc(self, value):
         raise NotImplementedError
 
+    def table_to_doc(self, table: list) -> list:
+        """A nested list of scalars (a vector, a matrix's rows, a tensor) as
+        the same nesting of document scalars.  A matrix is written by one
+        comprehension: most tables are many small matrices, and a call per
+        row would cost more than its scalars."""
+        scalar = self.scalar_to_doc
+        if not table or not isinstance(table[0], list):
+            return [scalar(x) for x in table]
+        if table[0] and isinstance(table[0][0], list):
+            return [self.table_to_doc(t) for t in table]
+        return [[scalar(x) for x in row] for row in table]
+
     def spec_to_doc(self):
         raise NotImplementedError
 

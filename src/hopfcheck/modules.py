@@ -254,11 +254,6 @@ def dual_module(n: ModuleRep, name: str = "") -> ModuleRep:
     return ModuleRep(n.hopf, n.dim, action, name=name or f"({n.name})*")
 
 
-def hom_space(m: ModuleRep, n: ModuleRep) -> list[Matrix]:
-    """Canonical basis of the intertwiners g with g.A_i^M = A_i^N.g."""
-    return joint_hom_space([(m, n)])
-
-
 def joint_hom_space(pairs) -> list[Matrix]:
     """Canonical basis of the maps g that intertwine every (source, target)
     pair of modules at once; all sources share one space, all targets another."""

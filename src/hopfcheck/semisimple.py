@@ -76,10 +76,7 @@ class SemisimplicityReport:
             "verdict": self.verdict,
             "radical_dim": self.radical_dim,
             "method": self.method,
-            "radical_basis": [
-                [[m.field.scalar_to_doc(x) for x in row] for row in m.entries]
-                for m in self.radical_basis
-            ],
+            "radical_basis": [m.field.table_to_doc(m.entries) for m in self.radical_basis],
         }
 
 

@@ -330,3 +330,15 @@ def test_division_by_zero_literal_is_a_parse_error(tmp_path, capsys):
         code, out, err = run(capsys, command, str(path))
         assert code == 2, command
         assert "parse error" in err and "'1/0'" in err, command
+
+
+def test_a_document_with_an_unknown_key_exits_two(tmp_path, capsys):
+    # a misspelled coaction must not turn a YD document into a module document
+    doc = object_to_doc(lookup("kC2/F3/ydline_g_triv").payload)
+    doc["coacton"] = doc.pop("coaction")
+    path = tmp_path / "coacton.json"
+    path.write_text(canonical_json(doc))
+    for command in ("check", "semisimple", "dual"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == "", command
+        assert "unknown field 'coacton'" in err, command

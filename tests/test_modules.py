@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from hopfcheck.catalog import catalog_entries, hopf_entries, lookup, objects_over
-from hopfcheck.duality import tensor_in_category
+from hopfcheck.duality import hom_in_category, tensor_in_category
 from hopfcheck.errors import HopfMismatchError
 from hopfcheck.fields import QQ
 from hopfcheck.matrix import Matrix
@@ -13,7 +13,6 @@ from hopfcheck.modules import (
     ModuleRep,
     check_module_axioms,
     dual_module,
-    hom_space,
     tensor_modules,
     trivial_module,
 )
@@ -221,13 +220,13 @@ def test_action_of_vector_equals_the_matrix_sum():
 
 def test_hom_trivial_to_trivial_is_one_dimensional():
     triv = lookup("kC2/Q/trivial").payload
-    assert len(hom_space(triv, triv)) == 1
+    assert len(hom_in_category(triv, triv)) == 1
 
 
 def test_hom_regular_to_trivial_is_augmentation():
     reg = lookup("kC2/Q/regular").payload
     triv = lookup("kC2/Q/trivial").payload
-    basis = hom_space(reg, triv)
+    basis = hom_in_category(reg, triv)
     assert len(basis) == 1
     assert basis[0].entries == [[Fraction(1), Fraction(1)]]
 
@@ -235,13 +234,13 @@ def test_hom_regular_to_trivial_is_augmentation():
 def test_hom_sign_to_trivial_is_zero():
     sign = lookup("kS3/Q/sign").payload
     triv = lookup("kS3/Q/trivial").payload
-    assert hom_space(sign, triv) == []
+    assert hom_in_category(sign, triv) == []
 
 
 def test_hom_intertwines():
     perm = lookup("kS3/Q/perm").payload
     std = lookup("kS3/Q/std2").payload
-    for g in hom_space(perm, std):
+    for g in hom_in_category(perm, std):
         for i in range(perm.algebra.dim):
             assert g * perm.action[i] == std.action[i] * g
 
@@ -254,4 +253,4 @@ def test_zero_dimensional_module_through_the_operations():
     t = tensor_modules(zero_mod, reg)
     assert t.dim == 0 and check_module_axioms(t).ok
     assert dual_module(zero_mod).dim == 0
-    assert hom_space(reg, zero_mod) == []
+    assert hom_in_category(reg, zero_mod) == []

@@ -24,7 +24,7 @@ from hopfcheck.duality import (
 )
 from hopfcheck.hopf import HopfAlgebraData
 from hopfcheck.matrix import Matrix
-from hopfcheck.modules import ModuleRep, check_module_axioms, dual_module, hom_space, tensor_modules
+from hopfcheck.modules import ModuleRep, check_module_axioms, dual_module, tensor_modules
 from hopfcheck.semisimple import _image_basis, is_semisimple
 from hopfcheck.yd import YDModuleRep, check_yd_compat
 
@@ -74,11 +74,11 @@ def test_conversion_preserves_hom_dimensions_for_all_pairs():
         for em, en in combinations_with_replacement(comodules, 2):
             h = em.payload.hopf
             direct = len(ref.colinear_hom(h, em.payload.coaction, en.payload.coaction))
-            converted = len(hom_space(em.payload.star_module, en.payload.star_module))
+            converted = len(hom_in_category(em.payload.star_module, en.payload.star_module))
             assert direct == converted, (em.id, en.id)
             # Hom dimension is direction-sensitive in general; check both
             direct_rev = len(ref.colinear_hom(h, en.payload.coaction, em.payload.coaction))
-            converted_rev = len(hom_space(en.payload.star_module, em.payload.star_module))
+            converted_rev = len(hom_in_category(en.payload.star_module, em.payload.star_module))
             assert direct_rev == converted_rev, (en.id, em.id)
 
 
