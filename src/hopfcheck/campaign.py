@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field, fields as dataclass_fields
 from itertools import combinations_with_replacement
 
 from . import __version__
-from .catalog import HOPF_IDS, hopf_entries, objects_over
+from .catalog import CATEGORIES, HOPF_IDS, hopf_entries, objects_over
 from .duality import (
     SerreVerdict,
     axioms_in_category,
@@ -30,11 +30,9 @@ from .duality import (
     pairing_violation,
     verify_serre,
 )
-from .errors import BoundExceededError, CertificateError, NotInvolutoryError, RankNotInvertibleError
+from .errors import DEFAULT_ORACLE_BOUND, BoundExceededError, CertificateError, NotInvolutoryError, RankNotInvertibleError
 from .fields import field_by_name
-from .semisimple import DEFAULT_ORACLE_BOUND, brute_force_semisimple
-
-CATEGORIES = ("module", "comodule", "yd")
+from .semisimple import brute_force_semisimple
 
 
 @dataclass

@@ -23,28 +23,28 @@ where <object> is the object's own name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations
 
 from .comodules import ComoduleRep, regular_comodule, trivial_comodule
-from .duality import axioms_in_category
 from .fields import Field, field_by_name, field_name
 from .hopf import HopfAlgebraData
 from .matrix import Matrix
-from .modules import ModuleRep, regular_module, trivial_module
+from .modules import ModuleRep, axioms_in_category, regular_module, trivial_module
 from .yd import YDModuleRep, trivial_yd
 
 HOPF_FIELDS = ("Q", "F2", "F3", "F5", "F7")
 SWEEDLER_FIELDS = ("Q", "F5")  # needs -1 != 1
+# the kinds of object over a Hopf entry
+CATEGORIES = ("module", "comodule", "yd")
 
 
-@dataclass
-class CatalogEntry:
-    id: str
-    payload: object
-    provenance_note: str
-    expected_failure: str | None = None
+class CatalogEntry(namedtuple("CatalogEntry", "id payload provenance_note expected_failure", defaults=(None,))):
+    """One id, its payload object, a note on where it comes from, and the law
+    a negative fixture must fail (None for a valid entry)."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:

@@ -4,23 +4,24 @@ Exit codes: 0 = all checks consistent, 1 = axiom or theorem failure,
 2 = usage or parse error.
 
 The machine-readable report is the contract; the table is a view of it.
+
+Each command imports the modules that only it runs (``documents``,
+``semisimple``, ``duality``, ``campaign``) when it is called, so a request
+compiles and loads no more: ``check`` of a catalog id loads neither the
+document codec nor any decision code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
-from .campaign import CATEGORIES, run_campaign
-from .catalog import catalog_entries, lookup
-from .documents import MAX_HOPF_DIM, canonical_json, load_document, object_from_doc, object_to_doc
-from .duality import axioms_in_category, category_of, dual_in_category, tensor_in_category
-from .errors import AxiomError, BoundExceededError, HopfMismatchError, ParseError
+from .catalog import CATEGORIES, catalog_entries, lookup
+from .errors import DEFAULT_ORACLE_BOUND, MAX_HOPF_DIM, AxiomError, BoundExceededError, HopfMismatchError, ParseError
 from .fields import field_by_name, field_name
 from .hopf import HopfAlgebraData
-from .semisimple import DEFAULT_ORACLE_BOUND, brute_force_semisimple, is_semisimple
+from .modules import axioms_in_category
 
 # the largest product ``tensor`` builds: its action holds (dim M dim N)^2
 # entries per basis element of H, so memory grows as the fourth power of the
@@ -41,6 +42,8 @@ def _load_target(target: str, unchecked: bool = False):
     object failing its axioms, a tagged negative fixture among them, is
     refused with an ``AxiomError``."""
     if target.endswith(".json"):
+        from .documents import load_document, object_from_doc
+
         obj, entry = object_from_doc(load_document(target), _resolve_hopf, unchecked=unchecked), None
     else:
         try:
@@ -59,10 +62,20 @@ def _load_target(target: str, unchecked: bool = False):
 
 def _write_or_print(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # a usage error, not a failed law: exit status 2
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
+
+
+def _write_document(obj, out: str | None):
+    from .documents import canonical_json, object_to_doc
+
+    _write_or_print(canonical_json(object_to_doc(obj)), out)
 
 
 def _cmd_check(args) -> int:
@@ -88,6 +101,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_semisimple(args) -> int:
+    from .duality import category_of
+    from .semisimple import brute_force_semisimple, is_semisimple
+
     obj, _ = _load_target(args.target)
     category_of(obj)  # a Hopf algebra is not an object to decide
     report = is_semisimple(obj)
@@ -106,25 +122,27 @@ def _cmd_semisimple(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from .duality import dual_in_category
+
     obj, _ = _load_target(args.target)
-    built = dual_in_category(obj)
-    _write_or_print(canonical_json(object_to_doc(built)), args.out)
+    _write_document(dual_in_category(obj), args.out)
     return 0
 
 
 def _cmd_tensor(args) -> int:
+    from .duality import tensor_in_category
+
     a, _ = _load_target(args.left)
     b, _ = _load_target(args.right)
     if a.dim * b.dim > MAX_TENSOR_DIM:
         raise ValueError(f"a tensor product of dimension {a.dim} x {b.dim} exceeds the limit of {MAX_TENSOR_DIM}")
-    built = tensor_in_category(a, b)
-    _write_or_print(canonical_json(object_to_doc(built)), args.out)
+    _write_document(tensor_in_category(a, b), args.out)
     return 0
 
 
 def _cmd_export(args) -> int:
     obj, _ = _load_target(args.target)
-    _write_or_print(canonical_json(object_to_doc(obj)), args.out)
+    _write_document(obj, args.out)
     return 0
 
 
@@ -178,6 +196,9 @@ def _render_table(report) -> str:
 
 
 def _cmd_campaign(args) -> int:
+    from .campaign import run_campaign
+    from .documents import canonical_json
+
     categories = CATEGORIES if args.category == "all" else (args.category,)
     fields = None
     if args.field:
@@ -245,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("list", help="list catalog entries")
-    p.add_argument("--kind", choices=("hopf", "module", "comodule", "yd"))
+    p.add_argument("--kind", choices=("hopf",) + CATEGORIES)
     p.set_defaults(func=_cmd_list)
 
     p = sub.add_parser("campaign", help="run the full verification campaign")

@@ -22,18 +22,12 @@ from __future__ import annotations
 import json
 
 from .comodules import ComoduleRep
-from .errors import ParseError
+from .errors import MAX_HOPF_DIM, ParseError
 from .fields import Field, field_from_doc
 from .hopf import HopfAlgebraData
 from .matrix import Matrix
 from .modules import ModuleRep
 from .yd import YDModuleRep
-
-# the largest Hopf document accepted; its check builds no R (x) R any more:
-# kC16 checks in about 0.04 s and 18 MiB, kC27 in about 0.2 s and 21 MiB
-# (Python 3.11, process time and peak RSS), and the cap stays until a
-# measured budget sets a new one
-MAX_HOPF_DIM = 16
 
 # every key of each kind of document; all are required and no other is read
 KEYS = {

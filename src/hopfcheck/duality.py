@@ -33,7 +33,8 @@ lawful objects gets its table by construction (``tensor_in_category``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
+from functools import lru_cache
 
 from .errors import (
     CertificateError,
@@ -46,7 +47,7 @@ from .errors import (
 from .fields import Field
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
-    check_module_axioms,
+    axioms_in_category,
     dual_module,
     joint_hom_space,
     laws_hold,
@@ -55,12 +56,17 @@ from .modules import (
 )
 from .semisimple import is_semisimple
 
-@dataclass
-class HSRank:
-    value: object
-    invertible: bool
+
+class HSRank(namedtuple("HSRank", "value invertible")):
+    """dim(N) * 1_k and whether it is a unit."""
+
+    __slots__ = ()
 
 
+# a rank depends on (dim, field) only and the record is immutable, so one
+# record serves every object and pair of that dimension: a campaign asks
+# 1660 times for a few dozen ranks
+@lru_cache(maxsize=None)
 def hs_rank(dim: int, field: Field) -> HSRank:
     """dim(N) * 1_k together with its invertibility in the base field."""
     value = field.from_int(dim)
@@ -197,19 +203,13 @@ def is_morphism(g: Matrix, source, target) -> bool:
     return morphism_violation(g, source, target) is None
 
 
-# every object, a Hopf algebra too, carries its ``laws``: one report for all
-axioms_in_category = check_module_axioms
-
-
 # certificates ----------------------------------------------------------------
 
 
-@dataclass
-class SplitMonoCertificate:
-    category: str
-    mono: Matrix
-    retraction: Matrix
-    context: str
+class SplitMonoCertificate(namedtuple("SplitMonoCertificate", "category mono retraction context")):
+    """A mono and a retraction of it, both matrices, in one category."""
+
+    __slots__ = ()
 
     def verify(self, source, target) -> bool:
         """Re-check the certificate from scratch: retraction . mono is the
@@ -307,24 +307,23 @@ def split_retraction(mono: Matrix, sub, ambient) -> SplitMonoCertificate:
 # Serre verdicts ----------------------------------------------------------------
 
 
-@dataclass
-class SerreVerdict:
-    category: str
-    m_name: str
-    n_name: str
-    hopf_name: str
-    involutory: bool
-    hypothesis_holds: bool
-    rank_invertible_m: bool
-    rank_invertible_n: bool
-    conclusion_m: bool
-    conclusion_n: bool
-    consistent: bool = dc_field(init=False)
+class SerreVerdict(
+    namedtuple(
+        "SerreVerdict",
+        "category m_name n_name hopf_name involutory hypothesis_holds"
+        " rank_invertible_m rank_invertible_n conclusion_m conclusion_n",
+    )
+):
+    """One pair's verdicts; ``consistent`` is read off them, so a verdict
+    made with ``_replace`` recomputes it."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    @property
+    def consistent(self) -> bool:
         bad_m = self.hypothesis_holds and self.rank_invertible_n and not self.conclusion_m
         bad_n = self.hypothesis_holds and self.rank_invertible_m and not self.conclusion_n
-        self.consistent = not bad_m and not bad_n
+        return not bad_m and not bad_n
 
     def to_doc(self):
         return {

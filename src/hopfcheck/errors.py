@@ -1,4 +1,16 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the size limits that raise
+them: every CLI request loads this module, so its parser reads them here."""
+
+# largest p^dim the brute force accepts; its line graph has a node for each
+# of the (p^dim - 1)/(p - 1) lines, though only one line per sink component
+# is spun, and the cap is stated on p^dim
+DEFAULT_ORACLE_BOUND = 6561
+
+# the largest Hopf document accepted; its check builds no R (x) R any more:
+# kC16 checks in about 0.04 s and 18 MiB, kC27 in about 0.2 s and 21 MiB
+# (Python 3.11, process time and peak RSS), and the cap stays until a
+# measured budget sets a new one
+MAX_HOPF_DIM = 16
 
 
 class HopfMismatchError(ValueError):

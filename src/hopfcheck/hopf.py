@@ -55,7 +55,7 @@ first failing row is in G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from functools import cached_property
 from math import lcm
 
@@ -64,11 +64,11 @@ from .fields import Field
 from .matrix import EchelonSpan, Matrix, NoSolutionError, solve_linear
 
 
-@dataclass
-class AxiomCheck:
-    name: str
-    passed: bool
-    first_violation: tuple | None = None
+class AxiomCheck(namedtuple("AxiomCheck", "name passed first_violation", defaults=(None,))):
+    """One law: its name, whether it holds, and its first violation (a tuple
+    of indices) or None."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.passed:
@@ -76,10 +76,10 @@ class AxiomCheck:
         return f"{self.name}: FAIL at {self.first_violation}"
 
 
-@dataclass
-class AxiomReport:
-    subject: str
-    checks: list[AxiomCheck] = dc_field(default_factory=list)
+class AxiomReport(namedtuple("AxiomReport", "subject checks")):
+    """The checks of one subject's laws, a list of ``AxiomCheck`` in table order."""
+
+    __slots__ = ()
 
     @classmethod
     def of(cls, subject: str, laws) -> AxiomReport:

@@ -193,8 +193,12 @@ def check_module_axioms(obj) -> AxiomReport:
     """The axiom report of any object: its ``laws``, one check each in table
     order.  Modules, comodules, YD modules and Hopf algebras all carry
     ``laws``, so this one function is also ``check_comodule_axioms``,
-    ``check_yd_compat`` and ``duality.axioms_in_category``."""
+    ``check_yd_compat`` and ``axioms_in_category``."""
     return AxiomReport.of(obj.name or obj.kind, obj.laws)
+
+
+# every object, a Hopf algebra too, carries its ``laws``: one report for all
+axioms_in_category = check_module_axioms
 
 
 def laws_hold(subject) -> bool:

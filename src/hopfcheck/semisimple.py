@@ -50,26 +50,20 @@ above its cap.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import AxiomError, BoundExceededError
+from .errors import DEFAULT_ORACLE_BOUND, AxiomError, BoundExceededError
 from .fields import Field, _integral
 from .hopf import AlgebraData
 from .matrix import EchelonSpan, Matrix, combination, kernel_basis
 from .modules import ModuleRep, check_module_axioms, laws_hold
 
-# largest p^dim the brute force accepts; its line graph has a node for each
-# of the (p^dim - 1)/(p - 1) lines, though only one line per sink component
-# is spun, and the cap is stated on p^dim
-DEFAULT_ORACLE_BOUND = 6561
 
+class SemisimplicityReport(namedtuple("SemisimplicityReport", "verdict radical_dim radical_basis method")):
+    """verdict, the radical's dimension, its reduced echelon basis in End(V)
+    (a list of matrices) and the method's name."""
 
-@dataclass
-class SemisimplicityReport:
-    verdict: bool
-    radical_dim: int
-    radical_basis: list[Matrix]
-    method: str
+    __slots__ = ()
 
     def to_doc(self):
         return {

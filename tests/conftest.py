@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import hopfcheck.campaign
@@ -20,7 +18,7 @@ def serre_fault(monkeypatch):
     def faulty(m, n, cache=None):
         verdict = real(m, n, cache=cache)
         if not injected and verdict.involutory and verdict.hypothesis_holds and verdict.rank_invertible_n:
-            verdict = dataclasses.replace(verdict, conclusion_m=False)
+            verdict = verdict._replace(conclusion_m=False)
             injected.append(verdict)
         return verdict
 

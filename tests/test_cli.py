@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import hopfcheck
 from hopfcheck.cli import main
 from hopfcheck.documents import canonical_json, hopf_to_doc, object_to_doc
 from hopfcheck.catalog import lookup
@@ -342,3 +349,79 @@ def test_a_document_with_an_unknown_key_exits_two(tmp_path, capsys):
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == "", command
         assert "unknown field 'coacton'" in err, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "kS3/F3/std2"],
+        ["dual", "kS3/F3/std2"],
+        ["campaign", "--category", "module", "--field", "F2"],
+    ],
+)
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
+    # exit status 1 is kept for failed laws and theorem checks, which a CI gate
+    # reads as a counterexample
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+_LOADED = """
+import contextlib, io, json, sys
+from hopfcheck.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hopfcheck.") or m == "dataclasses")]))
+"""
+
+
+def _fresh(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports this hopfcheck."""
+    src = str(Path(hopfcheck.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path}
+    )
+
+
+def test_each_command_imports_only_what_it_runs():
+    # a fresh interpreter per request: pytest itself has imported dataclasses
+    requests = [
+        ["check", "kS3/F3/std2"],
+        ["export", "kS3/F3/std2"],
+        ["semisimple", "kS3/Q/std2"],
+        ["dual", "kdS3/F3/coregular"],
+        ["tensor", "kS3/F3/ydconj3", "kS3/F3/ydline_e_sign"],
+        ["list"],
+        ["campaign", "--category", "module", "--field", "F2"],
+    ]
+    loaded = {}
+    for argv in requests:
+        code, modules = json.loads(_fresh("-c", _LOADED, *argv).stdout)
+        assert code == 0, argv
+        loaded[argv[0]] = set(modules)
+    decision = {"hopfcheck.campaign", "hopfcheck.semisimple", "hopfcheck.duality"}
+    for command in ("check", "export", "list"):
+        assert not loaded[command] & decision, command
+    for command, modules in loaded.items():
+        if command != "campaign":
+            assert not modules & {"hopfcheck.campaign", "dataclasses"}, command
+    assert "hopfcheck.documents" not in loaded["check"]
+    assert {"hopfcheck.campaign", "dataclasses"} <= loaded["campaign"]
+
+
+def test_a_bare_import_loads_no_submodule():
+    script = (
+        "import json, sys, hopfcheck\n"
+        "before = sorted(m for m in sys.modules if m.startswith('hopfcheck.'))\n"
+        "hopfcheck.verify_serre\n"
+        "after = sorted(m for m in sys.modules if m.startswith('hopfcheck.'))\n"
+        "print(json.dumps([before, 'verify_serre' in vars(hopfcheck), 'hopfcheck.duality' in after]))"
+    )
+    before, bound, duality = json.loads(_fresh("-c", script).stdout)
+    assert before == []
+    # the first access imports the defining module and binds the name
+    assert bound and duality
