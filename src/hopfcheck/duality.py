@@ -54,7 +54,7 @@ from .modules import (
     require_same_hopf,
     tensor_modules,
 )
-from .semisimple import is_semisimple
+from .semisimple import is_semisimple, tensor_semisimplicity
 
 
 class HSRank(namedtuple("HSRank", "value invertible")):
@@ -73,19 +73,26 @@ def hs_rank(dim: int, field: Field) -> HSRank:
     return HSRank(value, not field.is_zero(value))
 
 
-def coevaluation(obj) -> Matrix:
-    """Column vector of the canonical element in the tensor-square basis."""
-    field, dim = obj.field, obj.dim
+# like a rank, coev and ev depend on (dim, field) only, and a Matrix is not
+# edited after construction, so one pair serves every object of that dimension
+@lru_cache(maxsize=None)
+def _pairing_vectors(dim: int, field: Field) -> tuple[Matrix, Matrix]:
     zero, one = field.zero(), field.one()
     col = [zero] * (dim * dim)
     for i in range(dim):
         col[i * dim + i] = one
-    return Matrix.column(field, col)
+    coev = Matrix.column(field, col)
+    return coev, coev.transpose()
+
+
+def coevaluation(obj) -> Matrix:
+    """Column vector of the canonical element in the tensor-square basis."""
+    return _pairing_vectors(obj.dim, obj.field)[0]
 
 
 def evaluation(obj) -> Matrix:
     """Row vector realizing the pairing in the tensor-square basis."""
-    return coevaluation(obj).transpose()
+    return _pairing_vectors(obj.dim, obj.field)[1]
 
 
 # categorical dispatch: every kind is its tuple of module faces --------------
@@ -344,12 +351,14 @@ class SerreVerdict(
 def cached_verdict(obj, cache: dict) -> bool:
     """The semisimplicity verdict of ``obj``, memoized in ``cache`` under
     what a verdict and its guard depend on: each face's ``verdict_key``, its
-    algebra object and the flat tuple of its action entries.  N and
-    N (x) trivial share one decision, as do equal actions written with an
-    integral ``Fraction`` or its ``int``; the same matrices over another
-    algebra, which may be no action, do not.  The key holds no matrix, so
-    ``cache`` keeps no tensor product alive, and no collected object's id
-    returns a stale verdict."""
+    algebra object and the flat tuple of its action entries.  Equal actions
+    written with an integral ``Fraction`` or its ``int`` share one decision;
+    the same matrices over another algebra, which may be no action, do not.
+    ``verify_serre`` decides each factor here, and the product only of two
+    YD objects, where N (x) trivial is N and sign (x) N and N (x) sign carry
+    the same matrices: a product of modules or comodules is decided from its
+    factors, unbuilt.  The key holds no matrix, so ``cache`` keeps no tensor
+    product alive, and no collected object's id returns a stale verdict."""
     key = tuple(face.verdict_key for face in obj.faces)
     verdict = cache.get(key)
     if verdict is None:
@@ -363,9 +372,13 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     ``consistent`` is false exactly when the tensor product is semisimple,
     one factor has invertible rank, and the other factor fails to be
     semisimple; over an involutory Hopf algebra that would contradict the
-    theorem under test and must abort any campaign loudly.  The three
-    verdicts share ``cache``, or one of this pair alone, so a product that
-    carries a factor's faces is not decided again.
+    theorem under test and must abort any campaign loudly.  Each factor's
+    verdict comes first, through ``cache``, or one of this pair alone, so
+    an unlawful factor is refused with its own ``AxiomError``.  The verdict
+    on a product of two modules or two comodules is Rad(A) pushed through
+    Delta onto the factors (``tensor_semisimplicity``), with no M (x) N
+    built or cached; a YD product is built and decided through ``cache``,
+    so one that carries a factor's faces is not decided again.
     """
     kind = _common_category(m, n, "cannot compare objects of different kinds")
     h = m.hopf
@@ -374,13 +387,17 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
         cache = {}
     conclusion_m = cached_verdict(m, cache)
     conclusion_n = cached_verdict(n, cache)
+    if kind == "yd":
+        hypothesis = cached_verdict(tensor_in_category(m, n), cache)
+    else:
+        hypothesis = tensor_semisimplicity(m, n).verdict
     return SerreVerdict(
         category=kind,
         m_name=getattr(m, "name", "?"),
         n_name=getattr(n, "name", "?"),
         hopf_name=h.name,
         involutory=h.is_involutory(),
-        hypothesis_holds=cached_verdict(tensor_in_category(m, n), cache),
+        hypothesis_holds=hypothesis,
         rank_invertible_m=hs_rank(m.dim, h.field).invertible,
         rank_invertible_n=hs_rank(n.dim, h.field).invertible,
         conclusion_m=conclusion_m,

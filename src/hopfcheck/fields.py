@@ -182,6 +182,8 @@ class PrimeField(Field):
             raise ValueError(f"prime {p} out of the supported machine-word range")
         self.p = p
         self.characteristic = p
+        # hashed on every memoized (dim, field) lookup, so computed once
+        self._hash = hash(("Fp", p))
 
     def zero(self):
         return 0
@@ -231,7 +233,7 @@ class PrimeField(Field):
         return isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self):
-        return hash(("Fp", self.p))
+        return self._hash
 
 
 QQ = Rationals()

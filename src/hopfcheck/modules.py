@@ -217,39 +217,44 @@ def regular_module(algebra: AlgebraData) -> ModuleRep:
     return ModuleRep(algebra, algebra.dim, algebra.regular_action_matrices(), name="regular")
 
 
-def tensor_modules(m: ModuleRep, n: ModuleRep, name: str = "") -> ModuleRep:
-    """Diagonal action through the coproduct on the Kronecker-ordered basis.
+def tensor_operator(m: ModuleRep, n: ModuleRep, coefficients) -> Matrix:
+    """sum_jt c^jt A_j (x) A'_t on the Kronecker-ordered basis, with A_j and
+    A'_t the actions of M and N and ``coefficients[j][t]`` = c^jt: the action
+    of b_i on M (x) N for the table Delta_i, and of any z for Delta(z).
 
-    Each nonzero coproduct term c * b_j (x) b_t adds c * A_j (x) A_t into the
-    accumulator of b_i entry by entry; no intermediate matrices are built.
+    Each nonzero term c * b_j (x) b_t adds c * A_j (x) A'_t into one
+    accumulator entry by entry; no intermediate matrices are built.
     """
-    require_same_hopf(m.algebra, n.algebra)
-    h = require_hopf(m.algebra)
-    field = h.field
+    field = m.field
     p = field.characteristic
-    zero = field.zero()
     nd = n.dim
     dim = m.dim * nd
     m_rows, n_rows = m.sparse_action, n.sparse_action
-    action = []
-    for i in range(h.dim):
-        acc = [[zero] * dim for _ in range(dim)]
-        for j, row in enumerate(h.comult[i]):
-            for t, c in enumerate(row):
-                if not c:
-                    continue
-                right = n_rows[t]
-                for a, m_row in enumerate(m_rows[j]):
-                    for b, x in m_row:
-                        cx = c * x
-                        for r, n_row in enumerate(right):
-                            out = acc[a * nd + r]
-                            for s, y in n_row:
-                                out[b * nd + s] += cx * y
-        if p:
-            acc = [[x % p for x in row] for row in acc]
-        action.append(Matrix(field, dim, dim, acc))
-    return ModuleRep(h, dim, action, name=name or f"({m.name})(x)({n.name})")
+    acc = [[field.zero()] * dim for _ in range(dim)]
+    for j, row in enumerate(coefficients):
+        for t, c in enumerate(row):
+            if not c:
+                continue
+            right = n_rows[t]
+            for a, m_row in enumerate(m_rows[j]):
+                for b, x in m_row:
+                    cx = c * x
+                    for r, n_row in enumerate(right):
+                        out = acc[a * nd + r]
+                        for s, y in n_row:
+                            out[b * nd + s] += cx * y
+    if p:
+        acc = [[x % p for x in row] for row in acc]
+    return Matrix(field, dim, dim, acc)
+
+
+def tensor_modules(m: ModuleRep, n: ModuleRep, name: str = "") -> ModuleRep:
+    """Diagonal action through the coproduct on the Kronecker-ordered basis:
+    b_i acts by ``tensor_operator`` of Delta_i."""
+    require_same_hopf(m.algebra, n.algebra)
+    h = require_hopf(m.algebra)
+    action = [tensor_operator(m, n, coefficients) for coefficients in h.comult]
+    return ModuleRep(h, m.dim * n.dim, action, name=name or f"({m.name})(x)({n.name})")
 
 
 def dual_module(n: ModuleRep, name: str = "") -> ModuleRep:

@@ -18,7 +18,11 @@ routes:
 
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
   by the operators.  Rad(A) is computed once per algebra object and mapped
-  through the face; no image algebra is built;
+  through the face; no image algebra is built.  The product M (x) N of two
+  such objects is not built either (``tensor_semisimplicity``): z acts on it
+  by sum_jt Delta(z)^jt A_j (x) A'_t, so Rad(A) is pushed through Delta,
+  once per algebra object, and onto the factors, one operator per radical
+  basis vector and none when Rad(A) = 0;
 * a YD module's image is that of D(H), whose table is not built.  Once the
   laws hold, V is a D(H)-module (Kassel, *Quantum Groups*, ch. IX) and the
   operators B_t A_j are the action of the basis f_t h_j of D(H), so their
@@ -54,9 +58,9 @@ from collections import namedtuple
 
 from .errors import DEFAULT_ORACLE_BOUND, AxiomError, BoundExceededError
 from .fields import Field, _integral
-from .hopf import AlgebraData
+from .hopf import AlgebraData, HopfAlgebraData
 from .matrix import EchelonSpan, Matrix, combination, kernel_basis
-from .modules import ModuleRep, check_module_axioms, laws_hold
+from .modules import ModuleRep, check_module_axioms, laws_hold, require_same_hopf, tensor_operator
 
 
 class SemisimplicityReport(namedtuple("SemisimplicityReport", "verdict radical_dim radical_basis method")):
@@ -224,6 +228,22 @@ def _algebra_radical(algebra: AlgebraData) -> list[list]:
     return radical
 
 
+# Delta(z) for each z in the basis of Rad(A), kept beside it per algebra object
+_COPRODUCT_RADICALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _coproduct_radical(algebra: HopfAlgebraData) -> list[list[list]]:
+    """The tables Delta(z)^jt = sum_i z_i Delta_i^jt, one per basis vector z
+    of ``_algebra_radical``, in the shape of a coproduct slab."""
+    tables = _COPRODUCT_RADICALS.get(algebra)
+    if tables is None:
+        field, d = algebra.field, algebra.dim
+        slabs = [Matrix(field, d, d, slab) for slab in algebra.comult]
+        tables = [combination(field, d, z, slabs).entries for z in _algebra_radical(algebra)]
+        _COPRODUCT_RADICALS[algebra] = tables
+    return tables
+
+
 def _require_laws(obj):
     """Refuse an object whose laws fail, exactly when its axiom report or its
     Hopf algebra's fails: the ``laws`` tables of H and then of the object,
@@ -232,6 +252,24 @@ def _require_laws(obj):
     for subject in (obj.hopf, obj):
         if not laws_hold(subject):
             raise AxiomError(check_module_axioms(subject))
+
+
+def _radical_report(field: Field, dim: int, images: list[Matrix]) -> SemisimplicityReport:
+    """The report certified by ``images``, the radical of an acting algebra
+    mapped into End(F^dim): their reduced echelon basis, which does not
+    depend on the basis the radical was computed in, each element checked
+    to be nilpotent."""
+    method = "TraceForm" if field.characteristic == 0 else "IteratedTraceForm"
+    rows = _echelon(field, [image.flatten() for image in images])
+    radical = [Matrix.from_flat(field, dim, dim, row) for row in rows]
+    for z in radical:
+        # z is nilpotent exactly when z^(2^k) = 0 for the least 2^k >= dim
+        power, exponent = z, 1
+        while exponent < dim and not power.is_zero():
+            power, exponent = power * power, 2 * exponent
+        if not power.is_zero():
+            raise AssertionError("radical certificate failed nilpotency check")
+    return SemisimplicityReport(not radical, len(radical), radical, method)
 
 
 def _operator_semisimplicity(
@@ -248,7 +286,6 @@ def _operator_semisimplicity(
     F^dim, where its radical is computed.  The operators are not checked
     here: ``is_semisimple`` guards them.
     """
-    method = "TraceForm" if field.characteristic == 0 else "IteratedTraceForm"
     if face is None:
         # V is a faithful module over the image, and smaller than the image's
         # regular representation when dim A > dim V
@@ -256,18 +293,29 @@ def _operator_semisimplicity(
         coordinates = _radical_coordinates(field, basis)
     else:
         basis, coordinates = face.action, _algebra_radical(face.algebra)
-    # the reduced echelon basis of the radical's span in End(F^dim) does not
-    # depend on the basis it was computed in
-    rows = _echelon(field, [combination(field, dim, z, basis).flatten() for z in coordinates])
-    radical = [Matrix.from_flat(field, dim, dim, row) for row in rows]
-    for z in radical:
-        # z is nilpotent exactly when z^(2^k) = 0 for the least 2^k >= dim
-        power, exponent = z, 1
-        while exponent < dim and not power.is_zero():
-            power, exponent = power * power, 2 * exponent
-        if not power.is_zero():
-            raise AssertionError("radical certificate failed nilpotency check")
-    return SemisimplicityReport(not radical, len(radical), radical, method)
+    return _radical_report(field, dim, [combination(field, dim, z, basis) for z in coordinates])
+
+
+def tensor_semisimplicity(m, n) -> SemisimplicityReport:
+    """``is_semisimple(tensor_in_category(m, n))`` for two modules or two
+    comodules, without building M (x) N.
+
+    Both objects pass the guard of ``is_semisimple`` first, so an unlawful
+    factor is refused with its own ``AxiomError``; the product of lawful
+    objects is lawful (``duality.tensor_in_category``).  M (x) N is then a
+    module over the algebra A of the factors' faces, where z acts by
+    rho(z) = sum_jt Delta(z)^jt A_j (x) A'_t, so Rad(A) pushed through Delta
+    (``_coproduct_radical``) and onto the factors (``tensor_operator``) is
+    the product's radical image, one operator per radical basis vector, and
+    none when Rad(A) = 0."""
+    if m.kind != n.kind or len(m.faces) != 1:
+        raise TypeError("an unbuilt product needs two modules or two comodules")
+    _require_laws(m)
+    _require_laws(n)
+    (face,), (other,) = m.faces, n.faces
+    require_same_hopf(face.algebra, other.algebra)
+    images = [tensor_operator(face, other, delta) for delta in _coproduct_radical(face.algebra)]
+    return _radical_report(m.field, m.dim * n.dim, images)
 
 
 def is_semisimple(obj) -> SemisimplicityReport:

@@ -1,6 +1,7 @@
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -18,8 +19,9 @@ from hopfcheck.catalog import (
     s3_sign_module,
     s3_standard_module,
     yd_group_line,
+    yd_s3_conjugation,
 )
-from hopfcheck.comodules import trivial_comodule
+from hopfcheck.comodules import ComoduleRep, trivial_comodule
 from hopfcheck.documents import object_to_doc
 from hopfcheck.duality import (
     axioms_in_category,
@@ -50,7 +52,7 @@ from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix, solve_linear
 from hopfcheck.hopf import AlgebraData, HopfAlgebraData
 from hopfcheck.modules import ModuleRep, dual_module, laws_hold, regular_module, tensor_modules, trivial_module
-from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
+from hopfcheck.semisimple import brute_force_semisimple, is_semisimple, tensor_semisimplicity
 from hopfcheck.yd import YDModuleRep, trivial_yd
 
 
@@ -523,10 +525,10 @@ def test_serre_cache_is_not_fooled_by_transient_objects():
 
 
 def test_serre_decides_each_distinct_face_key_once(monkeypatch):
-    # with one shared cache, every same-kind pair of kS3/F3 modules decides
-    # each (face algebras, actions) key once: N (x) trivial is N, and
-    # sign (x) N and N (x) sign carry the same matrices.  H is built here so
-    # that no earlier test has cached its verdicts
+    # with one shared cache, every pair of kS3/F3 YD objects decides each
+    # (face algebras, actions) key once: N (x) ydtrivial is N, and the sign
+    # line of degree e on either side of N carries the same matrices.  The
+    # module pairs decide only their factors, and build no product
     h = group_algebra(GF(3), "S3", "kS3/F3")
     modules = [
         regular_module(h),
@@ -535,20 +537,68 @@ def test_serre_decides_each_distinct_face_key_once(monkeypatch):
         s3_sign_module(h),
         s3_standard_module(h),
     ]
-    decided = []
-    decide = semisimple._operator_semisimplicity
+    signs = [a.entries[0][0] for a in s3_sign_module(h).action]
+    yd_objects = [trivial_yd(h), yd_group_line(h, 0, signs, "ydline_e_sign"), yd_s3_conjugation(h)]
+    decided, built = [], []
+    decide, tensor = semisimple._operator_semisimplicity, duality.tensor_modules
 
     def counted(field, dim, operators, face=None):
         decided.append(tuple(operators))
         return decide(field, dim, operators, face)
 
+    def counted_tensor(m, n, name=""):
+        built.append((m, n))
+        return tensor(m, n, name)
+
     monkeypatch.setattr(semisimple, "_operator_semisimplicity", counted)
+    monkeypatch.setattr(duality, "tensor_modules", counted_tensor)
     cache: dict = {}
     for m in modules:
         for n in modules:
             verify_serre(m, n, cache=cache)
-    objects = modules + [tensor_modules(m, n) for m in modules for n in modules]
-    assert len(decided) == len(set(decided)) == len({tuple(o.action) for o in objects}) < len(objects)
+    assert not built
+    assert len(decided) == len(set(decided)) == len(modules)
+    decided.clear()
+    for m in yd_objects:
+        for n in yd_objects:
+            verify_serre(m, n, cache=cache)
+    assert len(built) == 2 * len(yd_objects) ** 2
+    objects = yd_objects + [tensor_in_category(m, n) for m in yd_objects for n in yd_objects]
+    assert len(decided) == len(set(decided)) == len({tuple(o.operators) for o in objects}) < len(objects)
+
+
+def test_a_warm_campaign_builds_and_keys_yd_products_only(monkeypatch):
+    # a module or comodule pair is decided from its factors: a warm campaign
+    # builds one product per YD pair, two faces each, and computes a verdict
+    # key on those faces only; every catalog face kept its key
+    run_campaign()
+    kinds, faces, keyed = [], [], []
+    product, tensor = duality.tensor_in_category, duality.tensor_modules
+    key = ModuleRep.__dict__["verdict_key"]
+
+    def counted_product(a, b, name=""):
+        kinds.append(a.kind)
+        return product(a, b, name)
+
+    def counted_tensor(m, n, name=""):
+        faces.append(tensor(m, n, name))
+        return faces[-1]
+
+    def counted_key(face):
+        keyed.append(face)
+        return key.func(face)
+
+    counted = cached_property(counted_key)
+    counted.__set_name__(ModuleRep, "verdict_key")
+    monkeypatch.setattr(duality, "tensor_in_category", counted_product)
+    monkeypatch.setattr(duality, "tensor_modules", counted_tensor)
+    monkeypatch.setattr(ModuleRep, "verdict_key", counted)
+    report = run_campaign()
+    yd_pairs = sum(v.category == "yd" for v in report.serre_verdicts)
+    assert yd_pairs == 147 and kinds == ["yd"] * yd_pairs
+    assert len(faces) == 2 * yd_pairs
+    built = {id(face) for face in faces}
+    assert keyed and all(id(face) in built for face in keyed)
 
 
 def test_a_cached_verdict_does_not_skip_the_guard_of_another_algebra():
@@ -584,7 +634,8 @@ def test_a_verdict_cache_keeps_no_tensor_product_alive(monkeypatch):
     cache: dict = {}
     for m, n in (("kS3/Q/std2", "kS3/Q/perm"), ("kS3/F3/ydconj3", "kS3/F3/ydconj3")):
         verify_serre(lookup(m).payload, lookup(n).payload, cache)
-    assert len(refs) == 6 + 2 * 6 and len(cache) == 5
+    # the module pair builds no product; the YD pair one of two faces
+    assert len(refs) == 2 * 6 and len(cache) == 4
     assert all(ref() is None for ref in refs)
 
 
@@ -620,6 +671,73 @@ def test_serre_hypothesis_taken_from_a_factor_equals_the_products_verdict():
                 assert verify_serre(m, n).hypothesis_holds == is_semisimple(product).verdict, (m, n)
                 reused += product.operators in (m.operators, n.operators)
     assert reused > 0
+
+
+def _unbuilt_matches_built(m, n):
+    want = is_semisimple(tensor_in_category(m, n))
+    got = tensor_semisimplicity(m, n)
+    assert (got.verdict, got.radical_dim, got.radical_basis) == (want.verdict, want.radical_dim, want.radical_basis)
+    return got
+
+
+def test_an_unbuilt_product_has_the_built_products_report():
+    # every ordered same-kind module and comodule pair over all five fields
+    groups: dict = {}
+    for entry in catalog_entries():
+        if entry.kind in ("module", "comodule") and laws_hold(entry.payload) and laws_hold(entry.payload.hopf):
+            groups.setdefault((entry.id.rsplit("/", 1)[0], entry.kind), []).append(entry.payload)
+    pairs = not_semisimple = 0
+    for objects in groups.values():
+        for m in objects:
+            for n in objects:
+                not_semisimple += not _unbuilt_matches_built(m, n).verdict
+                pairs += 1
+    assert (pairs, not_semisimple) == (613, 104)
+
+
+def test_an_unbuilt_product_of_conjugated_rational_faces_has_the_built_products_report():
+    # std2 in the basis P = [[2, 1], [0, 1]] (rational entries), and H4/Q,
+    # whose products have a nonzero radical over Q, conjugated alike
+    p = Matrix.from_rows(QQ, [[2, 1], [0, 1]])
+    pinv = solve_linear(p, Matrix.identity(QQ, 2))
+    radicals = 0
+    for hopf_name, name in (("kS3/Q", "std2"), ("H4/Q", "h4mod2")):
+        obj = lookup(f"{hopf_name}/{name}").payload
+        moved = ModuleRep(obj.algebra, 2, [p * a * pinv for a in obj.action], f"P.{name}.P^-1")
+        assert any(type(x) is Fraction for a in moved.action for row in a.entries for x in row)
+        others = [e.payload for e in catalog_entries() if e.kind == "module" and e.id.startswith(hopf_name + "/")]
+        for other in others + [moved]:
+            radicals += _unbuilt_matches_built(moved, other).radical_dim
+            radicals += _unbuilt_matches_built(other, moved).radical_dim
+    assert radicals > 0
+
+
+def test_an_unbuilt_product_refuses_an_unlawful_factor_as_before():
+    # the factor is decided first, so the pair raises the factor's own
+    # AxiomError, whichever side it is on
+    std2 = lookup("kS3/Q/std2").payload
+    broken = [Matrix.from_rows(QQ, [row[:] for row in a.entries]) for a in std2.action]
+    broken[1].entries[0][0] += 1
+    bad = ModuleRep(std2.algebra, 2, broken, "bad")
+    h = std2.hopf
+    # every f_t acting by 2 fails the counit law
+    star = ModuleRep(h.dual_algebra(), 1, [Matrix.from_rows(QQ, [[2]])] * h.dim, "badco")
+    bad_comodule = ComoduleRep.over_dual(h, star, "badco")
+    cotrivial = lookup("kS3/Q/cotrivial").payload
+    for unlawful, lawful in ((bad, std2), (bad_comodule, cotrivial)):
+        with pytest.raises(AxiomError) as alone:
+            is_semisimple(unlawful)
+        for m, n in ((unlawful, lawful), (lawful, unlawful)):
+            for decide in (verify_serre, tensor_semisimplicity):
+                with pytest.raises(AxiomError) as raised:
+                    decide(m, n)
+                assert str(raised.value) == str(alone.value)
+                assert raised.value.report == alone.value.report
+    # a YD product, or one across kinds, is not decided unbuilt
+    ydconj3 = lookup("kS3/F3/ydconj3").payload
+    for m, n in ((ydconj3, ydconj3), (std2, cotrivial)):
+        with pytest.raises(TypeError):
+            tensor_semisimplicity(m, n)
 
 
 def test_serre_verdict_involutory_flag():
