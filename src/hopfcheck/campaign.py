@@ -23,7 +23,6 @@ from .duality import (
     SerreVerdict,
     axioms_in_category,
     build_strong_dual_certificates,
-    cached_verdict,
     coevaluation,
     evaluation,
     hs_rank,
@@ -32,7 +31,7 @@ from .duality import (
 )
 from .errors import DEFAULT_ORACLE_BOUND, BoundExceededError, CertificateError, NotInvolutoryError, RankNotInvertibleError
 from .fields import field_by_name
-from .semisimple import brute_force_semisimple
+from .semisimple import brute_force_semisimple, cached_verdict
 
 
 @dataclass

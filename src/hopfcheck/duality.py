@@ -27,8 +27,12 @@ dual and Hom space are the module constructions applied face by face.
 A YD object's H*-face is an (H^op)*-module (``yd``), so its product
 coaction is n_<1> m_<1> and its dual goes through S^-1 over every H.
 Every object also carries its named law table ``laws``, so one function,
-``axioms_in_category``, reports the axioms of every kind; a product of
-lawful objects gets its table by construction (``tensor_in_category``).
+``axioms_in_category``, reports the axioms of every kind, and one guard,
+``modules.require_laws``, refuses an unlawful object before any verdict or
+certificate.  A product of lawful objects is lawful (``tensor_in_category``),
+so the engine decides a product behind its factors' guard alone
+(``semisimple.tensor_semisimplicity``).  ``verify_serre`` imports the engine
+when it runs, so building a dual or a product loads none of it.
 """
 
 from __future__ import annotations
@@ -50,11 +54,10 @@ from .modules import (
     axioms_in_category,
     dual_module,
     joint_hom_space,
-    laws_hold,
+    require_laws,
     require_same_hopf,
     tensor_modules,
 )
-from .semisimple import is_semisimple, tensor_semisimplicity
 
 
 class HSRank(namedtuple("HSRank", "value invertible")):
@@ -115,11 +118,11 @@ def _common_category(a, b, mismatch: str) -> str:
 def tensor_in_category(a, b, name: str = ""):
     """M (x) N, the module tensor product taken face by face.
 
-    When the laws of H, M and N all hold, the product gets M's table, and
-    each product face its factor's, all-pass and with the names and order
-    of a computed one, since by the theorems below its laws hold.  Any
-    other product computes its table when first read.  With A_j, A'_j the
-    H-actions and B_t, B'_t the actions of f_t on the H*-faces of M and N:
+    The product computes its law table when first read.  When the laws of
+    H, M and N all hold, its laws hold by the theorems below, so
+    ``semisimple.tensor_semisimplicity`` decides it behind the factors'
+    guard alone.  With A_j, A'_j the H-actions and B_t, B'_t the actions of
+    f_t on the H*-faces of M and N:
 
     * Module law.  b_i acts by sum_jt Delta_i^jt A_j (x) A'_t, that is,
       h acts by (rho_M (x) rho_N)(Delta h).  Delta is multiplicative
@@ -146,15 +149,9 @@ def tensor_in_category(a, b, name: str = ""):
       is used, so this holds over every H.
     """
     _common_category(a, b, "cannot tensor objects of different kinds")
-    h = a.hopf
-    require_same_hopf(h, b.hopf)  # a mismatch names H, not a face's H*
+    require_same_hopf(a.hopf, b.hopf)  # a mismatch names H, not a face's H*
     label = name or f"({a.name})(x)({b.name})"
-    product = a.with_faces(tuple(tensor_modules(x, y, name=label) for x, y in zip(a.faces, b.faces)), label)
-    if laws_hold(h) and laws_hold(a) and laws_hold(b):
-        for face, lawful in zip(product.faces, a.faces):
-            face.laws = lawful.laws
-        product.laws = a.laws
-    return product
+    return a.with_faces(tuple(tensor_modules(x, y, name=label) for x, y in zip(a.faces, b.faces)), label)
 
 
 def dual_in_category(obj, name: str = ""):
@@ -241,9 +238,11 @@ def build_strong_dual_certificates(obj) -> tuple[SplitMonoCertificate, SplitMono
     """Split-mono witnesses for both tensor orders of an object with its dual.
 
     Preconditions mirror the hypotheses of the underlying statement: the
-    Hopf algebra must be involutory and dim(N)*1_k must be invertible.
+    laws of the object and of its Hopf algebra must hold (``require_laws``),
+    the Hopf algebra must be involutory and dim(N)*1_k must be invertible.
     """
     kind = category_of(obj)
+    require_laws(obj)
     h = obj.hopf
     if not h.is_involutory():
         raise NotInvolutoryError(f"{h.name or 'the Hopf algebra'} has S^2 != id")
@@ -273,10 +272,12 @@ def split_retraction(mono: Matrix, sub, ambient) -> SplitMonoCertificate:
 
     The retraction is the canonical echelon solution of the stacked system
     {g in Hom(ambient, sub), g . mono = id}, so certificates are stable
-    across runs.
+    across runs.  Both objects pass ``require_laws`` first.
     """
     kind = _common_category(sub, ambient, "sub and ambient live in different categories")
     require_same_hopf(sub.hopf, ambient.hopf)
+    require_laws(sub)
+    require_laws(ambient)
     if mono.rows != ambient.dim or mono.cols != sub.dim:
         raise ValueError("mono has the wrong shape for these objects")
     if not is_morphism(mono, sub, ambient):
@@ -348,24 +349,6 @@ class SerreVerdict(
         }
 
 
-def cached_verdict(obj, cache: dict) -> bool:
-    """The semisimplicity verdict of ``obj``, memoized in ``cache`` under
-    what a verdict and its guard depend on: each face's ``verdict_key``, its
-    algebra object and the flat tuple of its action entries.  Equal actions
-    written with an integral ``Fraction`` or its ``int`` share one decision;
-    the same matrices over another algebra, which may be no action, do not.
-    ``verify_serre`` decides each factor here, and the product only of two
-    YD objects, where N (x) trivial is N and sign (x) N and N (x) sign carry
-    the same matrices: a product of modules or comodules is decided from its
-    factors, unbuilt.  The key holds no matrix, so ``cache`` keeps no tensor
-    product alive, and no collected object's id returns a stale verdict."""
-    key = tuple(face.verdict_key for face in obj.faces)
-    verdict = cache.get(key)
-    if verdict is None:
-        verdict = cache[key] = is_semisimple(obj).verdict
-    return verdict
-
-
 def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     """Check one tensor-pair instance of the semisimplicity implication.
 
@@ -374,12 +357,12 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     semisimple; over an involutory Hopf algebra that would contradict the
     theorem under test and must abort any campaign loudly.  Each factor's
     verdict comes first, through ``cache``, or one of this pair alone, so
-    an unlawful factor is refused with its own ``AxiomError``.  The verdict
-    on a product of two modules or two comodules is Rad(A) pushed through
-    Delta onto the factors (``tensor_semisimplicity``), with no M (x) N
-    built or cached; a YD product is built and decided through ``cache``,
-    so one that carries a factor's faces is not decided again.
+    an unlawful factor is refused with its own ``AxiomError``.  The
+    product's verdict is ``semisimple.tensor_semisimplicity`` in the same
+    cache, for every kind.
     """
+    from .semisimple import cached_verdict, tensor_semisimplicity
+
     kind = _common_category(m, n, "cannot compare objects of different kinds")
     h = m.hopf
     require_same_hopf(h, n.hopf)
@@ -387,10 +370,7 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
         cache = {}
     conclusion_m = cached_verdict(m, cache)
     conclusion_n = cached_verdict(n, cache)
-    if kind == "yd":
-        hypothesis = cached_verdict(tensor_in_category(m, n), cache)
-    else:
-        hypothesis = tensor_semisimplicity(m, n).verdict
+    hypothesis = tensor_semisimplicity(m, n, cache).verdict
     return SerreVerdict(
         category=kind,
         m_name=getattr(m, "name", "?"),

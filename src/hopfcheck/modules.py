@@ -13,7 +13,8 @@ table ``laws``, the four pairing violations of coev and ev and the key its
 semisimplicity verdict is cached under.  Catalog faces persist, so a second
 campaign in one process repeats none of these computations.  Every kind of
 object carries ``laws``, so ``check_module_axioms`` is the one report
-function for all of them.
+function for all of them, and ``require_laws`` the one guard that every
+decision and certificate passes first.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 
-from .errors import HopfMismatchError
+from .errors import AxiomError, HopfMismatchError
 from .hopf import AlgebraData, AxiomReport, HopfAlgebraData, combination_differs, sparse_rows
 from .matrix import Matrix, combination, kernel_basis
 
@@ -204,6 +205,17 @@ axioms_in_category = check_module_axioms
 def laws_hold(subject) -> bool:
     """Whether every law in the ``laws`` table of ``subject`` holds."""
     return all(violation is None for _, violation in subject.laws)
+
+
+def require_laws(obj):
+    """The one guard of every decision and certificate: refuse an object
+    whose laws fail, exactly when its axiom report or its Hopf algebra's
+    fails.  It reads the ``laws`` tables of H and then of the object, each
+    computed once per object for the reports and this guard alike, and the
+    ``AxiomError`` carries the failing report."""
+    for subject in (obj.hopf, obj):
+        if not laws_hold(subject):
+            raise AxiomError(check_module_axioms(subject))
 
 
 def trivial_module(h: HopfAlgebraData) -> ModuleRep:

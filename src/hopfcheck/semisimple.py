@@ -8,13 +8,14 @@ image rho(A) = A/Ann(V), and for finite-dimensional A
 Rad(A/I) = (Rad A + I)/I (Pierce, *Associative Algebras*, 1982), so
 Rad(rho(A)) = rho(Rad A).
 
-One guard comes first, for every kind: an object is refused with an
-``AxiomError`` carrying the failing report exactly when its axiom report or
-its Hopf algebra's fails.  Both are read off the named law tables ``laws``
-of H and of the object, each computed once per object, or handed to a
-tensor product of lawful objects by ``duality.tensor_in_category``, and
-read by the reports and the guard alike.  Then the engine takes one of two
-routes:
+One guard comes first, for every kind: ``modules.require_laws`` refuses an
+object with an ``AxiomError`` carrying the failing report exactly when its
+axiom report or its Hopf algebra's fails.  It reads the named law tables
+``laws`` of H and of the object, each computed once per object for the
+reports and the guard alike.  A product of lawful objects is lawful
+(``duality.tensor_in_category``), so ``tensor_semisimplicity`` decides
+M (x) N behind its factors' guard, never the product's own.  Then the
+engine takes one of two routes:
 
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
   by the operators.  Rad(A) is computed once per algebra object and mapped
@@ -27,7 +28,9 @@ routes:
   laws hold, V is a D(H)-module (Kassel, *Quantum Groups*, ch. IX) and the
   operators B_t A_j are the action of the basis f_t h_j of D(H), so their
   span is the image of D(H), closed under products without a check.  Its
-  reduced echelon basis is all the route uses.
+  reduced echelon basis is all the route uses.  The product of two YD
+  objects is built, and decided once per face key in the verdict cache
+  that ``cached_verdict`` fills.
 
 A radical is computed in a faithful representation of the algebra on F^n:
 the regular one (n = dim A) for H and H*, and V itself (n = dim V) for a
@@ -56,11 +59,12 @@ from __future__ import annotations
 import weakref
 from collections import namedtuple
 
-from .errors import DEFAULT_ORACLE_BOUND, AxiomError, BoundExceededError
+from .duality import _common_category, tensor_in_category
+from .errors import DEFAULT_ORACLE_BOUND, BoundExceededError
 from .fields import Field, _integral
 from .hopf import AlgebraData, HopfAlgebraData
 from .matrix import EchelonSpan, Matrix, combination, kernel_basis
-from .modules import ModuleRep, check_module_axioms, laws_hold, require_same_hopf, tensor_operator
+from .modules import ModuleRep, require_laws, require_same_hopf, tensor_operator
 
 
 class SemisimplicityReport(namedtuple("SemisimplicityReport", "verdict radical_dim radical_basis method")):
@@ -168,7 +172,7 @@ def _echelon(field: Field, vectors: list[list]) -> list[list]:
 def _image_basis(field: Field, dim: int, operators: list[Matrix]) -> list[Matrix]:
     """The reduced echelon basis of span(I, operators) in End(F^dim): the
     image of the acting algebra when the operators span it, as those of an
-    object that passed ``_require_laws`` do."""
+    object that passed ``require_laws`` do."""
     identity = Matrix.identity(field, dim).flatten()
     rows = _echelon(field, [identity] + [m.flatten() for m in operators])
     return [Matrix.from_flat(field, dim, dim, row) for row in rows]
@@ -244,16 +248,6 @@ def _coproduct_radical(algebra: HopfAlgebraData) -> list[list[list]]:
     return tables
 
 
-def _require_laws(obj):
-    """Refuse an object whose laws fail, exactly when its axiom report or its
-    Hopf algebra's fails: the ``laws`` tables of H and then of the object,
-    each computed once per object for the reports and this guard alike.  The
-    ``AxiomError`` carries the failing report."""
-    for subject in (obj.hopf, obj):
-        if not laws_hold(subject):
-            raise AxiomError(check_module_axioms(subject))
-
-
 def _radical_report(field: Field, dim: int, images: list[Matrix]) -> SemisimplicityReport:
     """The report certified by ``images``, the radical of an acting algebra
     mapped into End(F^dim): their reduced echelon basis, which does not
@@ -284,7 +278,7 @@ def _operator_semisimplicity(
     mapped through it.  Without a face the operators span the image (a YD
     object's products), whose reduced echelon basis acts faithfully on
     F^dim, where its radical is computed.  The operators are not checked
-    here: ``is_semisimple`` guards them.
+    here: ``is_semisimple`` and ``tensor_semisimplicity`` guard them.
     """
     if face is None:
         # V is a faithful module over the image, and smaller than the image's
@@ -296,26 +290,46 @@ def _operator_semisimplicity(
     return _radical_report(field, dim, [combination(field, dim, z, basis) for z in coordinates])
 
 
-def tensor_semisimplicity(m, n) -> SemisimplicityReport:
-    """``is_semisimple(tensor_in_category(m, n))`` for two modules or two
-    comodules, without building M (x) N.
+def _cached_report(obj, cache: dict, decide) -> SemisimplicityReport:
+    """``decide(obj)``, memoized in ``cache`` under each face's
+    ``verdict_key`` (see ``cached_verdict``)."""
+    key = tuple(face.verdict_key for face in obj.faces)
+    report = cache.get(key)
+    if report is None:
+        report = cache[key] = decide(obj)
+    return report
 
-    Both objects pass the guard of ``is_semisimple`` first, so an unlawful
-    factor is refused with its own ``AxiomError``; the product of lawful
-    objects is lawful (``duality.tensor_in_category``).  M (x) N is then a
-    module over the algebra A of the factors' faces, where z acts by
+
+def _lawful_semisimplicity(obj) -> SemisimplicityReport:
+    """``is_semisimple`` of an object whose laws hold, unguarded."""
+    faces = obj.faces
+    face = faces[0] if len(faces) == 1 else None
+    return _operator_semisimplicity(obj.field, obj.dim, obj.operators, face)
+
+
+def tensor_semisimplicity(m, n, cache: dict | None = None) -> SemisimplicityReport:
+    """``is_semisimple(tensor_in_category(m, n))`` for two objects of one
+    kind.
+
+    Both objects pass the guard first, so an unlawful factor is refused with
+    its own ``AxiomError``; the product of lawful objects is lawful
+    (``duality.tensor_in_category``), so it is decided with no guard of its
+    own.  A module or comodule pair is not built: M (x) N is a module over
+    the algebra A of the factors' faces, where z acts by
     rho(z) = sum_jt Delta(z)^jt A_j (x) A'_t, so Rad(A) pushed through Delta
     (``_coproduct_radical``) and onto the factors (``tensor_operator``) is
     the product's radical image, one operator per radical basis vector, and
-    none when Rad(A) = 0."""
-    if m.kind != n.kind or len(m.faces) != 1:
-        raise TypeError("an unbuilt product needs two modules or two comodules")
-    _require_laws(m)
-    _require_laws(n)
-    (face,), (other,) = m.faces, n.faces
-    require_same_hopf(face.algebra, other.algebra)
-    images = [tensor_operator(face, other, delta) for delta in _coproduct_radical(face.algebra)]
-    return _radical_report(m.field, m.dim * n.dim, images)
+    none when Rad(A) = 0.  A YD pair is built and its image decided, once
+    per face key in ``cache`` (see ``cached_verdict``)."""
+    _common_category(m, n, "cannot tensor objects of different kinds")
+    require_laws(m)
+    require_laws(n)
+    if len(m.faces) == 1:
+        (face,), (other,) = m.faces, n.faces
+        require_same_hopf(face.algebra, other.algebra)
+        images = [tensor_operator(face, other, delta) for delta in _coproduct_radical(face.algebra)]
+        return _radical_report(m.field, m.dim * n.dim, images)
+    return _cached_report(tensor_in_category(m, n), {} if cache is None else cache, _lawful_semisimplicity)
 
 
 def is_semisimple(obj) -> SemisimplicityReport:
@@ -326,10 +340,23 @@ def is_semisimple(obj) -> SemisimplicityReport:
     with one face is a module over that face's algebra A, and since
     Rad(A/Ann V) = (Rad A + Ann V)/Ann V its radical is Rad(A) mapped
     through the face; a YD object's image is spanned by its operators."""
-    _require_laws(obj)
-    faces = obj.faces
-    face = faces[0] if len(faces) == 1 else None
-    return _operator_semisimplicity(obj.field, obj.dim, obj.operators, face)
+    require_laws(obj)
+    return _lawful_semisimplicity(obj)
+
+
+def cached_verdict(obj, cache: dict) -> bool:
+    """The semisimplicity verdict of ``obj``, its report memoized in
+    ``cache`` under what a report and its guard depend on: each face's
+    ``verdict_key``, its algebra object and the flat tuple of its action
+    entries.  Equal actions written with an integral ``Fraction`` or its
+    ``int`` share one decision; the same matrices over another algebra,
+    which may be no action, do not.  ``duality.verify_serre`` decides each
+    factor here, and ``tensor_semisimplicity`` a YD product in the same
+    cache, where N (x) trivial is N and sign (x) N and N (x) sign carry the
+    same matrices; a product of modules or comodules is decided from its
+    factors, unbuilt.  The key holds no matrix, so ``cache`` keeps no tensor
+    product alive, and no collected object's id returns a stale report."""
+    return _cached_report(obj, cache, is_semisimple).verdict
 
 
 # cosemisimple is semisimple as an H*-module, YD-semisimple as a D(H)-module

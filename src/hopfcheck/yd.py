@@ -15,9 +15,11 @@ that is, the relations of the Drinfel'd double D(H) that move H* past H
 It is checked with ``hopf.combination_differs``, the sparse kernel behind
 H's own laws, as the last entry of the object's ``laws``, after the
 H-face's module laws and the comodule laws; the table is computed once per
-object, unless ``duality.tensor_in_category`` hands it to a product, and
-``check_yd_compat``, the one report function of every kind,
-and the decision guard of ``semisimple`` both read it.
+object, a product's too when first read, and ``check_yd_compat``, the one
+report function of every kind, and the one guard ``modules.require_laws``
+both read it.  A product of lawful objects is lawful
+(``duality.tensor_in_category``), so the engine decides one behind its
+factors' guard and never reads its table.
 Once H's laws, both faces' module laws and this identity hold, V is a
 D(H)-module and the products B_t A_j are the action of the basis f_t h_j of
 D(H), so they span its image in End(V), an algebra closed under products.

@@ -10,10 +10,9 @@ The engine decides coev and ev on the one vector each carries
 unit k, so that tests can check the same maps on built squares k -> N (x) N*
 and back.
 
-A product of lawful objects is handed its law table by construction
-(``duality.tensor_in_category``); ``on_fresh_faces`` rebuilds an object on
-new faces with the same actions, whose tables are computed when read, so
-tests can hold a table against the computed one.
+``on_fresh_faces`` rebuilds an object on new faces with the same actions,
+which have kept nothing, so tests can hold a table, a verdict key or a
+pairing answer an object has kept against one computed anew.
 """
 
 from hopfcheck.duality import category_of, hom_in_category

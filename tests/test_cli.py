@@ -406,6 +406,10 @@ def test_each_command_imports_only_what_it_runs():
     decision = {"hopfcheck.campaign", "hopfcheck.semisimple", "hopfcheck.duality"}
     for command in ("check", "export", "list"):
         assert not loaded[command] & decision, command
+    # a dual or a product is built by duality, which loads the engine only
+    # when verify_serre runs
+    for command in ("dual", "tensor"):
+        assert "hopfcheck.duality" in loaded[command] and "hopfcheck.semisimple" not in loaded[command], command
     for command, modules in loaded.items():
         if command != "campaign":
             assert not modules & {"hopfcheck.campaign", "dataclasses"}, command

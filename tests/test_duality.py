@@ -26,7 +26,6 @@ from hopfcheck.documents import object_to_doc
 from hopfcheck.duality import (
     axioms_in_category,
     build_strong_dual_certificates,
-    cached_verdict,
     coevaluation,
     dual_in_category,
     evaluation,
@@ -52,7 +51,7 @@ from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix, solve_linear
 from hopfcheck.hopf import AlgebraData, HopfAlgebraData
 from hopfcheck.modules import ModuleRep, dual_module, laws_hold, regular_module, tensor_modules, trivial_module
-from hopfcheck.semisimple import brute_force_semisimple, is_semisimple, tensor_semisimplicity
+from hopfcheck.semisimple import brute_force_semisimple, cached_verdict, is_semisimple, tensor_semisimplicity
 from hopfcheck.yd import YDModuleRep, trivial_yd
 
 
@@ -168,6 +167,23 @@ def test_certificates_recheck_both_maps(monkeypatch):
             build_strong_dual_certificates(lookup(oid).payload)
 
 
+def test_certificate_builders_refuse_an_unlawful_object_with_the_guards_error():
+    # the guard comes before any involutivity, rank or re-verification
+    # refusal; on a kC2/Q line where g acts by 2, g g = e fails at (1, 1)
+    identity = Matrix.identity(QQ, 1)
+    g2 = ModuleRep(lookup("kC2/Q").payload, 1, [identity, Matrix.from_rows(QQ, [[2]])], "g2")
+    unlawful = ((lookup("kS3/Q/ydbadline").payload, "yd_compatibility at (2, 4)"), (g2, "action_multiplicative at (1, 1)"))
+    for obj, law in unlawful:
+        with pytest.raises(AxiomError) as alone:
+            is_semisimple(obj)
+        assert law in str(alone.value)
+        for build in (lambda: build_strong_dual_certificates(obj), lambda: split_retraction(identity, obj, obj)):
+            with pytest.raises(AxiomError) as raised:
+                build()
+            assert str(raised.value) == str(alone.value)
+            assert raised.value.report == alone.value.report
+
+
 def test_certificates_for_comodule_and_yd():
     right, left = build_strong_dual_certificates(lookup("kS3/Q/coregular").payload)
     assert right.category == "comodule" and left.category == "comodule"
@@ -245,24 +261,22 @@ def _same_kind_catalog_pairs():
     return [(a, b) for group in groups.values() for a in group for b in group]
 
 
-def test_a_product_is_handed_the_law_table_it_would_compute():
+def test_a_product_computes_the_law_table_of_fresh_faces():
     """On every same-kind catalog product in both orders, the product's law
-    table equals the one computed on fresh faces with the same actions.  A
-    product of lawful objects over a lawful H is handed each face's table
-    and its whole table, over every H: 829 products.  Of the other
-    products, ydbadline's seven compute theirs, and the six with another
-    factor are still refused."""
-    faces_handed = whole_handed = refused = 0
+    table equals the one computed on fresh faces with the same actions.
+    The products of lawful factors pass, as ``tensor_in_category`` proves;
+    of ydbadline's seven products, the six with another factor are
+    refused."""
+    refused = []
     pairs = _same_kind_catalog_pairs()
     for a, b in pairs:
         product = tensor_in_category(a.payload, b.payload)
-        handed = all(face.laws is factor.laws for face, factor in zip(product.faces, a.payload.faces))
-        faces_handed += handed
-        whole_handed += handed and product.laws is a.payload.laws
         report = axioms_in_category(product)
         assert report == axioms_in_category(on_fresh_faces(product)), (a.id, b.id)
-        refused += not report.ok
-    assert (len(pairs), faces_handed, whole_handed, refused) == (836, 829, 829, 6)
+        if not report.ok:
+            refused.append((a.id, b.id))
+    assert len(pairs) == 836 and len(refused) == 6
+    assert all("kS3/Q/ydbadline" in pair and pair[0] != pair[1] for pair in refused)
     product = tensor_in_category(lookup("kS3/Q/ydbadline").payload, lookup("kS3/Q/ydconj3").payload)
     with pytest.raises(AxiomError, match="yd_compatibility at"):
         is_semisimple(product)
@@ -274,17 +288,21 @@ def test_yd_products_and_duals_over_a_non_involutory_h_are_yd_modules():
     line of degree c (g in H4), and both duals, pass their laws on fresh
     faces and the coefficient loop, and are decided: the H*-face over
     (H^op)* gives the left-right coaction n_<1> m_<1> and the dual through
-    S^-1 over every H."""
+    S^-1 over every H.  Each product's report is the one
+    ``tensor_semisimplicity`` gives its factors."""
     algebras = [lookup("H4/Q").payload, lookup("H4/F5").payload] + [e2_algebra(f) for f in (QQ, GF(3), GF(5))]
     for h in algebras:
         adjoint = adjoint_yd(h)
         line = yd_group_line(h, 1, [1, -1] + [0] * (h.dim - 2), "ydline_c_sign")
         assert laws_hold(h) and not h.is_involutory() and laws_hold(adjoint) and laws_hold(line)
-        products = [tensor_in_category(a, b) for a, b in ((adjoint, line), (line, adjoint), (adjoint, adjoint), (line, line))]
+        pairs = ((adjoint, line), (line, adjoint), (adjoint, adjoint), (line, line))
+        products = [tensor_in_category(a, b) for a, b in pairs]
         for obj in products + [dual_in_category(adjoint), dual_in_category(line)]:
             assert axioms_in_category(on_fresh_faces(obj)).ok, (h.name, obj.name)
             assert compat_violation_reference(obj) is None, (h.name, obj.name)
             is_semisimple(obj)
+        for a, b in pairs:
+            _unbuilt_matches_built(a, b)
 
 
 def test_a_yd_object_over_a_singular_antipode_reports_its_laws_and_refuses_constructions():
@@ -321,10 +339,10 @@ def test_a_product_over_a_lawless_h_computes_its_table():
 
 def test_a_second_campaign_runs_no_law_kernel(monkeypatch):
     """Catalog objects keep their law tables and every product the campaign
-    decides is handed its table, so a second campaign in one process runs
-    neither the module-law kernel nor the straightening kernel, and the
-    first runs at most 464 and 79 of them (722 and 112 when every product
-    computed its table)."""
+    decides passes its factors' guard, never its own, so a second campaign
+    in one process runs neither the module-law kernel nor the straightening
+    kernel, and the first runs at most 464 and 79 of them (722 and 112 when
+    every product computed its table)."""
     runs = Counter()
     for owner, kernel in ((AlgebraData, "multiplicativity_violation"), (YDModuleRep, "_straightening_violation")):
 
@@ -573,7 +591,7 @@ def test_a_warm_campaign_builds_and_keys_yd_products_only(monkeypatch):
     # key on those faces only; every catalog face kept its key
     run_campaign()
     kinds, faces, keyed = [], [], []
-    product, tensor = duality.tensor_in_category, duality.tensor_modules
+    product, tensor = semisimple.tensor_in_category, duality.tensor_modules
     key = ModuleRep.__dict__["verdict_key"]
 
     def counted_product(a, b, name=""):
@@ -590,7 +608,7 @@ def test_a_warm_campaign_builds_and_keys_yd_products_only(monkeypatch):
 
     counted = cached_property(counted_key)
     counted.__set_name__(ModuleRep, "verdict_key")
-    monkeypatch.setattr(duality, "tensor_in_category", counted_product)
+    monkeypatch.setattr(semisimple, "tensor_in_category", counted_product)
     monkeypatch.setattr(duality, "tensor_modules", counted_tensor)
     monkeypatch.setattr(ModuleRep, "verdict_key", counted)
     report = run_campaign()
@@ -619,7 +637,7 @@ def test_a_verdict_cache_keeps_no_tensor_product_alive(monkeypatch):
         """A ``Matrix`` that takes weak references: it has no ``__slots__``."""
 
     refs = []
-    real = duality.tensor_in_category
+    real = semisimple.tensor_in_category
 
     def tracked(a, b, name=""):
         product = real(a, b, name)
@@ -630,7 +648,7 @@ def test_a_verdict_cache_keeps_no_tensor_product_alive(monkeypatch):
         refs.extend(weakref.ref(x) for f in faces for x in f.action)
         return product.with_faces(faces, product.name)
 
-    monkeypatch.setattr(duality, "tensor_in_category", tracked)
+    monkeypatch.setattr(semisimple, "tensor_in_category", tracked)
     cache: dict = {}
     for m, n in (("kS3/Q/std2", "kS3/Q/perm"), ("kS3/F3/ydconj3", "kS3/F3/ydconj3")):
         verify_serre(lookup(m).payload, lookup(n).payload, cache)
@@ -681,18 +699,20 @@ def _unbuilt_matches_built(m, n):
 
 
 def test_an_unbuilt_product_has_the_built_products_report():
-    # every ordered same-kind module and comodule pair over all five fields
+    # every ordered same-kind module, comodule and YD pair over all five
+    # fields; a YD pair is built, and decided without a guard of its own
     groups: dict = {}
     for entry in catalog_entries():
-        if entry.kind in ("module", "comodule") and laws_hold(entry.payload) and laws_hold(entry.payload.hopf):
+        if entry.kind != "hopf" and laws_hold(entry.payload) and laws_hold(entry.payload.hopf):
             groups.setdefault((entry.id.rsplit("/", 1)[0], entry.kind), []).append(entry.payload)
-    pairs = not_semisimple = 0
-    for objects in groups.values():
+    pairs, not_semisimple = Counter(), Counter()
+    for (_, kind), objects in groups.items():
         for m in objects:
             for n in objects:
-                not_semisimple += not _unbuilt_matches_built(m, n).verdict
-                pairs += 1
-    assert (pairs, not_semisimple) == (613, 104)
+                not_semisimple[kind] += not _unbuilt_matches_built(m, n).verdict
+                pairs[kind] += 1
+    assert (pairs["module"] + pairs["comodule"], not_semisimple["module"] + not_semisimple["comodule"]) == (613, 104)
+    assert (pairs["yd"], not_semisimple["yd"]) == (216, 10)
 
 
 def test_an_unbuilt_product_of_conjugated_rational_faces_has_the_built_products_report():
@@ -733,11 +753,14 @@ def test_an_unbuilt_product_refuses_an_unlawful_factor_as_before():
                     decide(m, n)
                 assert str(raised.value) == str(alone.value)
                 assert raised.value.report == alone.value.report
-    # a YD product, or one across kinds, is not decided unbuilt
+    # a pair across kinds, or of Hopf algebras, is refused as verify_serre
+    # refuses it; a YD pair is decided
+    for m, n in ((std2, cotrivial), (h, h)):
+        for decide in (verify_serre, tensor_semisimplicity):
+            with pytest.raises(TypeError):
+                decide(m, n)
     ydconj3 = lookup("kS3/F3/ydconj3").payload
-    for m, n in ((ydconj3, ydconj3), (std2, cotrivial)):
-        with pytest.raises(TypeError):
-            tensor_semisimplicity(m, n)
+    assert not tensor_semisimplicity(ydconj3, ydconj3).verdict
 
 
 def test_serre_verdict_involutory_flag():

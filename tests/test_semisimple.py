@@ -367,9 +367,8 @@ def test_the_guard_refuses_exactly_the_objects_whose_laws_fail():
     object with one entry changed in its H-face or in its H*-face, YD lines
     that break only the straightening law, and modules over an unchecked H
     with a zero antipode.  Each object is decided before its reports are
-    read, and each report is computed on fresh faces with the same actions:
-    a product of lawful objects is handed its law table, which the guard
-    reads, so the table read back would only be compared with itself."""
+    read, and each report is computed on fresh faces with the same actions,
+    so the guard's table is compared with one computed apart from it."""
     groups = {}
     for entry in catalog_entries():
         if entry.kind != "hopf":
