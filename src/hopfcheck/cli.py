@@ -21,7 +21,7 @@ from .catalog import CATEGORIES, catalog_entries, lookup
 from .errors import DEFAULT_ORACLE_BOUND, MAX_HOPF_DIM, AxiomError, BoundExceededError, HopfMismatchError, ParseError
 from .fields import field_by_name, field_name
 from .hopf import HopfAlgebraData
-from .modules import axioms_in_category
+from .modules import axioms_in_category, require_laws
 
 # the largest product ``tensor`` builds: its action holds (dim M dim N)^2
 # entries per basis element of H, so memory grows as the fourth power of the
@@ -30,33 +30,38 @@ from .modules import axioms_in_category
 MAX_TENSOR_DIM = MAX_HOPF_DIM**2
 
 
+def _lookup(ref: str):
+    """The catalog entry ``ref``; an unknown reference is a parse error."""
+    try:
+        return lookup(ref)
+    except KeyError as exc:
+        raise ParseError(exc.args[0]) from None
+
+
 def _resolve_hopf(ref: str) -> HopfAlgebraData:
-    entry = lookup(ref)
+    entry = _lookup(ref)
     if entry.kind != "hopf":
         raise ParseError(f"{ref!r} names a {entry.kind}, not a Hopf algebra")
     return entry.payload
 
 
-def _load_target(target: str, unchecked: bool = False):
-    """A catalog id or a path to a JSON document; unless ``unchecked``, an
-    object failing its axioms, a tagged negative fixture among them, is
-    refused with an ``AxiomError``."""
+def _read_target(target: str):
+    """A catalog id or a path to a JSON document, as the object and its
+    catalog entry (None for a document); nothing is checked."""
     if target.endswith(".json"):
         from .documents import load_document, object_from_doc
 
-        obj, entry = object_from_doc(load_document(target), _resolve_hopf, unchecked=unchecked), None
-    else:
-        try:
-            entry = lookup(target)
-        except KeyError as exc:
-            raise ParseError(str(exc)) from None
-        obj = entry.payload
-    # the report reads the laws the object computed when first checked: a
-    # Hopf algebra's in its constructor, a catalog entry's when built
-    if not unchecked:
-        report = axioms_in_category(obj)
-        if not report.ok:
-            raise AxiomError(report)
+        return object_from_doc(load_document(target), _resolve_hopf), None
+    entry = _lookup(target)
+    return entry.payload, entry
+
+
+def _load_target(target: str):
+    """``_read_target``, refused by ``require_laws`` with an ``AxiomError``
+    when the object or its Hopf algebra fails its laws, a tagged negative
+    fixture among them."""
+    obj, entry = _read_target(target)
+    require_laws(obj)
     return obj, entry
 
 
@@ -79,7 +84,7 @@ def _write_document(obj, out: str | None):
 
 
 def _cmd_check(args) -> int:
-    obj, entry = _load_target(args.target, unchecked=True)
+    obj, entry = _read_target(args.target)
     report = axioms_in_category(obj)
     line = f"{obj.kind} axioms: {'PASS' if report.ok else 'FAIL'}"
     if obj.kind == "hopf":
@@ -300,7 +305,7 @@ def main(argv=None) -> int:
         for check in exc.report.failures():
             print(f"  {check.describe()}", file=sys.stderr)
         return 1
-    except (HopfMismatchError, KeyError, TypeError, ValueError) as exc:
+    except (HopfMismatchError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -100,7 +100,7 @@ def hopf_to_doc(h: HopfAlgebraData) -> dict:
     }
 
 
-def hopf_from_doc(doc: dict, unchecked: bool = False) -> HopfAlgebraData:
+def hopf_from_doc(doc: dict) -> HopfAlgebraData:
     name = _expect(doc, "name", str, "hopf document")
     context = f"hopf document {name!r}"
     _refuse_unknown_keys(doc, "hopf", context)
@@ -119,9 +119,7 @@ def hopf_from_doc(doc: dict, unchecked: bool = False) -> HopfAlgebraData:
     unit = _table(doc, "unit", field, (dim,), context)
     counit = _table(doc, "counit", field, (dim,), context)
     antipode = Matrix(field, dim, dim, _table(doc, "antipode", field, (dim, dim), context))
-    return HopfAlgebraData(
-        field, dim, mult, unit, comult, counit, antipode, name=name, unchecked=unchecked
-    )
+    return HopfAlgebraData(field, dim, mult, unit, comult, counit, antipode, name=name)
 
 
 # module/comodule/YD documents ---------------------------------------------------
@@ -203,11 +201,13 @@ def detect_kind(doc: dict) -> str:
     raise ParseError("document has none of the recognized shapes (hopf/module/comodule/yd)")
 
 
-def object_from_doc(doc: dict, resolve_hopf, unchecked: bool = False):
-    """Parse any document; ``resolve_hopf`` maps a name reference to data."""
+def object_from_doc(doc: dict, resolve_hopf):
+    """Parse any document; ``resolve_hopf`` maps a name reference to data.
+    Nothing is checked here: the object's laws are computed when first read
+    (``modules.require_laws``)."""
     kind = detect_kind(doc)
     if kind == "hopf":
-        return hopf_from_doc(doc, unchecked=unchecked)
+        return hopf_from_doc(doc)
     ref = _expect(doc, "hopf", str, f"{kind} document")
     hopf = resolve_hopf(ref)
     if kind == "module":

@@ -10,13 +10,13 @@ Conventions, fixed once and used everywhere:
 
 All axiom checks evaluate exact polynomial identities in the structure
 constants; a failure is data (reported with the first violating index), not
-an exception, unless the object was constructed with checking enabled.
-Every object of the package, an algebra, a Hopf algebra, a module, a
-comodule or a YD module, carries one named law table ``laws`` of (check
-name, first violation or None) pairs, computed once, and one reader,
-``AxiomReport.of``, turns a table into a report: the constructor's check,
-every later report and the decision guard read the same table, so the
-tables must not be edited after construction.
+an exception.  No constructor checks: every object of the package, an
+algebra, a Hopf algebra, a module, a comodule or a YD module, carries one
+named law table ``laws`` of (check name, first violation or None) pairs,
+computed when first read and kept, and one reader, ``AxiomReport.of``,
+turns a table into a report.  Every report and the one refusal,
+``modules.require_laws``, read the same table, so the structure must not be
+edited after construction.
 
 Only H's algebra laws and comult_multiplicative are read off the structure
 constants, the latter as a sparse matrix identity on the n x n matrices of
@@ -126,17 +126,13 @@ def combination_differs(field: Field, size: int, linear, products) -> bool:
 class AlgebraData:
     """Associative unital algebra on a chosen basis."""
 
-    def __init__(self, field: Field, dim: int, mult, unit, name: str = "", unchecked: bool = False):
+    def __init__(self, field: Field, dim: int, mult, unit, name: str = ""):
         self.field = field
         self.dim = dim
         self.mult = mult
         self.unit = unit
         self.name = name
         self._generators = None
-        if not unchecked:
-            report = self.check_algebra_axioms()
-            if not report.ok:
-                raise AxiomError(report)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name or '?'} dim={self.dim} over {self.field!r}>"
@@ -282,17 +278,12 @@ class HopfAlgebraData(AlgebraData):
         counit,
         antipode: Matrix,
         name: str = "",
-        unchecked: bool = False,
     ):
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
         self._dual_algebra = None
-        super().__init__(field, dim, mult, unit, name=name, unchecked=True)
-        if not unchecked:
-            report = self.check_hopf_axioms()
-            if not report.ok:
-                raise AxiomError(report)
+        super().__init__(field, dim, mult, unit, name=name)
 
     # axioms -----------------------------------------------------------------
 
@@ -304,8 +295,8 @@ class HopfAlgebraData(AlgebraData):
     @cached_property
     def laws(self) -> tuple:
         """The ten Hopf laws as (name, first violation or None) pairs, in
-        report order, computed once per object for the constructor's check
-        and every later report alike; the first two are the algebra laws.
+        report order, computed when first read and kept for every report and
+        the guard alike; the first two are the algebra laws.
 
         Each law beyond H's algebra laws is a module statement (Sweedler,
         *Hopf Algebras*, ch. 1 and 4; see the module docstring), indexed in
@@ -389,10 +380,10 @@ class HopfAlgebraData(AlgebraData):
 
         Every structure map is the transpose of its partner in H:
         mult*[i][j][t] = comult[t][i][j], comult*[i][j][t] = mult[j][t][i],
-        unit* = counit, counit* = unit and S* = S^T.  It is built unchecked
-        and memoized: its algebra laws are H's coalgebra laws, which
-        ``check_hopf_axioms`` reads off this same object, and the rest are
-        H's axioms read backwards.
+        unit* = counit, counit* = unit and S* = S^T.  It is memoized, and a
+        check reads H's table, not a table of its own: its algebra laws are
+        H's coalgebra laws, which ``check_hopf_axioms`` reads off this same
+        object, and the rest are H's axioms read backwards.
         """
         if self._dual_algebra is None:
             n = self.dim
@@ -400,7 +391,7 @@ class HopfAlgebraData(AlgebraData):
             comult = [[[self.mult[j][t][i] for t in range(n)] for j in range(n)] for i in range(n)]
             self._dual_algebra = HopfAlgebraData(
                 self.field, n, mult, list(self.counit), comult, list(self.unit),
-                self.antipode.transpose(), name=f"{self.name}^*", unchecked=True,
+                self.antipode.transpose(), name=f"{self.name}^*",
             )
         return self._dual_algebra
 
@@ -408,8 +399,10 @@ class HopfAlgebraData(AlgebraData):
     def op_dual_algebra(self) -> HopfAlgebraData:
         """(H^op)* = (H*)^cop, over which a YD object's H*-face is a module
         (``yd``): H*'s product and unit, the opposite coproduct and the
-        antipode (S^-1)^T.  Built unchecked on first use; S is singular only
-        when H's laws fail, and then the ``AxiomError`` naming them is raised."""
+        antipode (S^-1)^T.  Built on first use; like H*, it has no table of its
+        own that a check reads: a YD object's guard reads H's.  S is singular
+        only when H's laws fail, and then the ``AxiomError`` naming them is
+        raised."""
         try:
             s_inv = solve_linear(self.antipode, Matrix.identity(self.field, self.dim))
         except NoSolutionError:
@@ -417,4 +410,4 @@ class HopfAlgebraData(AlgebraData):
         d, n = self.dual_algebra(), range(self.dim)
         comult = [[[d.comult[i][t][j] for t in n] for j in n] for i in n]
         antipode = s_inv.transpose()
-        return HopfAlgebraData(self.field, self.dim, d.mult, d.unit, comult, d.counit, antipode, name=f"{self.name}^op*", unchecked=True)
+        return HopfAlgebraData(self.field, self.dim, d.mult, d.unit, comult, d.counit, antipode, name=f"{self.name}^op*")

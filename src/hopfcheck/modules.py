@@ -14,7 +14,7 @@ semisimplicity verdict is cached under.  Catalog faces persist, so a second
 campaign in one process repeats none of these computations.  Every kind of
 object carries ``laws``, so ``check_module_axioms`` is the one report
 function for all of them, and ``require_laws`` the one guard that every
-decision and certificate passes first.
+decision, certificate and CLI request passes first.
 """
 
 from __future__ import annotations
@@ -208,12 +208,13 @@ def laws_hold(subject) -> bool:
 
 
 def require_laws(obj):
-    """The one guard of every decision and certificate: refuse an object
-    whose laws fail, exactly when its axiom report or its Hopf algebra's
-    fails.  It reads the ``laws`` tables of H and then of the object, each
-    computed once per object for the reports and this guard alike, and the
-    ``AxiomError`` carries the failing report."""
-    for subject in (obj.hopf, obj):
+    """The one refusal of the package, before every decision, certificate
+    and CLI request: refuse an object whose laws fail, exactly when its
+    axiom report or its Hopf algebra's fails; a Hopf algebra is its own
+    only subject.  It reads the ``laws`` tables of H and then of the
+    object, each computed once per object for the reports and this guard
+    alike, and the ``AxiomError`` carries the failing report."""
+    for subject in (obj,) if obj.kind == "hopf" else (obj.hopf, obj):
         if not laws_hold(subject):
             raise AxiomError(check_module_axioms(subject))
 

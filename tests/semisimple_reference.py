@@ -52,7 +52,7 @@ def image_module(field: Field, dim: int, operators: list[Matrix]) -> ModuleRep:
         raise ValueError("the operators span no algebra: a product leaves their span")
     unit = span.coordinates(Matrix.identity(field, dim).flatten())
     # associative as a matrix algebra and closed as just checked
-    image = AlgebraData(field, len(basis), mult, unit, name="image", unchecked=True)
+    image = AlgebraData(field, len(basis), mult, unit, name="image")
     return ModuleRep(image, dim, basis, name="image")
 
 

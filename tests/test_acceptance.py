@@ -308,7 +308,7 @@ def test_criterion_9_fault_injection(serre_fault):
     for hid in ("kC2/Q", "kC2/F2", "H4/Q", "kdC3/F2", "H4/F5", "kC4/F3", "kS3/F3"):
         doc = hopf_to_doc(lookup(hid).payload)
         for position, bad_doc in _corrupted_copies(doc):
-            damaged = hopf_from_doc(bad_doc, unchecked=True)
+            damaged = hopf_from_doc(bad_doc)
             report = damaged.check_hopf_axioms()
             assert not report.ok, f"{hid} corruption at {position} not caught"
             checks = {c.name: c for c in report.checks}

@@ -281,11 +281,11 @@ def test_each_hopf_algebra_is_built_once_and_checked_once(unbuilt_catalog, monke
 
 def test_each_derived_dual_group_table_equals_a_computed_one():
     # kG passes all ten laws, and each law of k^G is one of kG's read
-    # backwards: a fresh unchecked copy of each k^G computes the same table
+    # backwards: a fresh copy of each k^G computes the same table
     derived = [e.payload for e in hopf_entries() if e.id.startswith("kd")]
     assert len(derived) == 15
     for h in derived:
-        copy = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, h.comult, h.counit, h.antipode, unchecked=True)
+        copy = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, h.comult, h.counit, h.antipode)
         assert h.laws == copy.laws, h.name
         assert h.law_violations == copy.law_violations, h.name
 

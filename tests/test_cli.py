@@ -87,9 +87,16 @@ def test_oversized_hopf_document_exits_two(tmp_path, capsys):
     assert "limit of 16" in err
 
 
-def test_unknown_id_exits_two(capsys):
-    code, _, err = run(capsys, "check", "kC9/Q")
-    assert code == 2
+def test_unknown_id_exits_two(tmp_path, capsys):
+    for target in ("kC9/Q", "kC9/Q/x"):
+        assert run(capsys, "check", target) == (2, "", f"parse error: no catalog entry '{target}'\n")
+    # an unknown Hopf reference in a document is the same parse error
+    doc = object_to_doc(lookup("kC2/Q/regular").payload)
+    doc["hopf"] = "kC9/Q"
+    path = tmp_path / "unknown_hopf.json"
+    path.write_text(canonical_json(doc))
+    for command in ("check", "semisimple"):
+        assert run(capsys, command, str(path)) == (2, "", "parse error: no catalog entry 'kC9/Q'\n"), command
 
 
 def test_semisimple_with_oracle(capsys):
@@ -326,6 +333,21 @@ def test_commands_refuse_a_document_failing_its_axioms(tmp_path, capsys):
         assert code == 1, argv
         assert out == "", argv
         assert "action_multiplicative: FAIL" in err, argv
+    # a Hopf document with a zero antipode: ev and coev of the regular
+    # module fail on b_0 = e, and the one guard refuses it for every command
+    # but check, which prints its report
+    doc = json.loads(canonical_json(hopf_to_doc(lookup("kC2/Q").payload)))
+    doc["antipode"] = [["0", "0"], ["0", "0"]]
+    path = str(tmp_path / "zero_antipode.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(doc))
+    report = "  antipode_left: FAIL at (0,)\n  antipode_right: FAIL at (0,)\n"
+    assert run(capsys, "check", path) == (1, f"hopf axioms: FAIL, involutory: NO (S^2 != id on basis element 0)\n{report}", "")
+    refusal = (
+        "axiom failure: axiom check failed on kC2/Q: antipode_left at (0,), antipode_right at (0,)\n" + report
+    )
+    for argv in (["semisimple", path], ["dual", path], ["export", path], ["tensor", path, path]):
+        assert run(capsys, *argv) == (1, "", refusal), argv
 
 
 def test_division_by_zero_literal_is_a_parse_error(tmp_path, capsys):

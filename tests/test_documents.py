@@ -128,7 +128,7 @@ def test_axiom_check_of_parsed_document(tmp_path):
     # a corrupted structure constant must be caught when the document is checked
     doc = json.loads(canonical_json(hopf_to_doc(lookup("kC2/Q").payload)))
     doc["mult"][1][1][0] = "7"
-    parsed = hopf_from_doc(doc, unchecked=True)
+    parsed = hopf_from_doc(doc)
     report = parsed.check_hopf_axioms()
     assert isinstance(report, AxiomReport)
     assert not report.ok
@@ -148,7 +148,7 @@ _BAD_SCALAR = 1.5
 def _parse(entry_id, doc):
     entry = lookup(entry_id)
     if entry.kind == "hopf":
-        return hopf_from_doc(doc, unchecked=True)
+        return hopf_from_doc(doc)
     return object_from_doc(doc, _resolve)
 
 

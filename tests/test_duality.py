@@ -312,7 +312,7 @@ def test_a_yd_object_over_a_singular_antipode_reports_its_laws_and_refuses_const
     (H^op)*-face, raise the ``AxiomError`` naming H's failing law."""
     h = lookup("kC2/Q").payload
     broken = HopfAlgebraData(
-        h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.zeros(h.field, h.dim, h.dim), unchecked=True
+        h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.zeros(h.field, h.dim, h.dim)
     )
     y = trivial_yd(broken)
     assert axioms_in_category(y).ok
@@ -328,7 +328,7 @@ def test_a_product_over_a_lawless_h_computes_its_table():
     h = lookup("kC2/Q").payload
     comult = [[list(row) for row in slab] for slab in h.comult]
     comult[1][0][0] += 1
-    broken = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, comult, h.counit, h.antipode, unchecked=True)
+    broken = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, comult, h.counit, h.antipode)
     regular = regular_module(broken)
     assert laws_hold(regular) and not laws_hold(broken)
     product = tensor_in_category(regular, regular)
@@ -438,7 +438,7 @@ def test_pairing_violations_equal_the_squares_on_every_face():
     for entry in hopf_entries():
         h = entry.payload
         bad = HopfAlgebraData(
-            h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.identity(h.field, h.dim), unchecked=True
+            h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.identity(h.field, h.dim)
         )
         for module in (regular_module(bad), trivial_module(bad)):
             for got, want in _pairing_and_square_violations(module):
@@ -761,6 +761,11 @@ def test_an_unbuilt_product_refuses_an_unlawful_factor_as_before():
                 decide(m, n)
     ydconj3 = lookup("kS3/F3/ydconj3").payload
     assert not tensor_semisimplicity(ydconj3, ydconj3).verdict
+    # with no cache, an unlawful YD factor is refused on either side
+    bad, trivial = lookup("kS3/Q/ydbadline").payload, lookup("kS3/Q/ydtrivial").payload
+    for m, n in ((bad, trivial), (trivial, bad)):
+        with pytest.raises(AxiomError, match=r"yd_compatibility at \(2, 4\)"):
+            tensor_semisimplicity(m, n)
 
 
 def test_serre_verdict_involutory_flag():

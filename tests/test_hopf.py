@@ -9,6 +9,7 @@ from hopfcheck.errors import AxiomError
 from hopfcheck.fields import GF, QQ
 from hopfcheck.hopf import AlgebraData, HopfAlgebraData
 from hopfcheck.matrix import EchelonSpan, Matrix
+from hopfcheck.modules import require_laws, trivial_module
 
 
 def kc2():
@@ -34,7 +35,6 @@ def test_zero_antipode_fails_only_antipode_axioms():
         h.counit,
         Matrix.zeros(h.field, 2, 2),
         name="broken",
-        unchecked=True,
     )
     report = broken.check_hopf_axioms()
     failed = {c.name: c.first_violation for c in report.failures()}
@@ -48,7 +48,7 @@ def _with_comult_term(h, i, x, y):
     for j, a in x.items():
         for t, b in y.items():
             comult[i][j][t] += a * b
-    return HopfAlgebraData(h.field, h.dim, h.mult, h.unit, comult, h.counit, h.antipode, unchecked=True)
+    return HopfAlgebraData(h.field, h.dim, h.mult, h.unit, comult, h.counit, h.antipode)
 
 
 def test_each_antipode_law_fails_on_its_own():
@@ -96,7 +96,7 @@ def test_comult_multiplicative_equals_the_square_route():
                 for t in range(len(row)):
                     comult = [[list(r) for r in s] for s in h.comult]
                     comult[i][j][t] = field.add(comult[i][j][t], field.one())
-                    broken = HopfAlgebraData(field, h.dim, h.mult, h.unit, comult, h.counit, h.antipode, unchecked=True)
+                    broken = HopfAlgebraData(field, h.dim, h.mult, h.unit, comult, h.counit, h.antipode)
                     violation = _comult_multiplicative(broken)
                     assert violation == comult_multiplicative_on_square(broken), (hid, i, j, t)
                     failures += violation is not None
@@ -105,12 +105,18 @@ def test_comult_multiplicative_equals_the_square_route():
     assert failures == 477
 
 
-def test_checked_construction_rejects_bad_data():
+def test_bad_data_is_built_and_refused_by_the_guard():
+    # no constructor checks: a zero antipode is built without error, its
+    # report names both antipode laws, and the one guard refuses it, and a
+    # module over it, with the AxiomError carrying that report
     h = kc2()
-    with pytest.raises(AxiomError):
-        HopfAlgebraData(
-            h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.zeros(h.field, 2, 2)
-        )
+    broken = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.zeros(h.field, 2, 2), name="broken")
+    report = broken.check_hopf_axioms()
+    assert [(c.name, c.first_violation) for c in report.failures()] == [("antipode_left", (0,)), ("antipode_right", (0,))]
+    for subject in (broken, trivial_module(broken)):
+        with pytest.raises(AxiomError) as refused:
+            require_laws(subject)
+        assert refused.value.report == report
 
 
 def test_involutory_flags():
@@ -225,9 +231,9 @@ def test_involutory_antipode_identities():
 
 def test_bad_algebra_rejected():
     one, zero = QQ.one(), QQ.zero()
-    # "multiplication" that drops everything to zero has no unit
-    with pytest.raises(AxiomError):
-        AlgebraData(QQ, 1, [[[zero]]], [one])
+    # "multiplication" that drops everything to zero has no unit: 1 b_0 is 0
+    report = AlgebraData(QQ, 1, [[[zero]]], [one]).check_algebra_axioms()
+    assert [(c.name, c.first_violation) for c in report.failures()] == [("unit", ("left", 0, 0))]
 
 
 def test_regular_action_matrices_multiply_like_the_table():

@@ -25,7 +25,7 @@ from hopfcheck.errors import AxiomError, BoundExceededError
 from hopfcheck.fields import GF, QQ
 from hopfcheck.hopf import AlgebraData, HopfAlgebraData
 from hopfcheck.matrix import EchelonSpan, Matrix, NoSolutionError, solve_linear
-from hopfcheck.modules import ModuleRep, check_module_axioms, regular_module, tensor_modules, trivial_module
+from hopfcheck.modules import ModuleRep, check_module_axioms, laws_hold, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import (
     brute_force_semisimple,
     charpoly,
@@ -228,6 +228,8 @@ def test_a_modules_action_is_checked_once_for_its_report_and_its_decisions(monke
     test has checked its modules."""
     h = group_algebra(QQ, "C2", "kC2/Q")
     m = tensor_modules(regular_module(h), trivial_module(h))
+    # H's own laws are computed when first read, so read them before counting
+    assert laws_hold(h)
     checked = []
     check = AlgebraData.multiplicativity_violation
 
@@ -365,8 +367,8 @@ def test_the_guard_refuses_exactly_the_objects_whose_laws_fail():
     every catalog object, ydbadline included, on every same-kind product
     over one Hopf algebra of dim <= 36, and on corrupted objects: a YD
     object with one entry changed in its H-face or in its H*-face, YD lines
-    that break only the straightening law, and modules over an unchecked H
-    with a zero antipode.  Each object is decided before its reports are
+    that break only the straightening law, and modules over an H with a
+    zero antipode.  Each object is decided before its reports are
     read, and each report is computed on fresh faces with the same actions,
     so the guard's table is compared with one computed apart from it."""
     groups = {}
@@ -386,7 +388,7 @@ def test_the_guard_refuses_exactly_the_objects_whose_laws_fail():
     straightening_only = [yd_incompatible_line(lookup(f"kS3/{f}").payload) for f in ("F3", "F5")]
     h = lookup("kC2/Q").payload
     zero_antipode = HopfAlgebraData(
-        h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.zeros(h.field, h.dim, h.dim), unchecked=True
+        h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.zeros(h.field, h.dim, h.dim)
     )
     corrupted += straightening_only + [trivial_module(zero_antipode), regular_module(zero_antipode)]
     refusals = 0
