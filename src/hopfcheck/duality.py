@@ -80,11 +80,7 @@ def hs_rank(dim: int, field: Field) -> HSRank:
 # edited after construction, so one pair serves every object of that dimension
 @lru_cache(maxsize=None)
 def _pairing_vectors(dim: int, field: Field) -> tuple[Matrix, Matrix]:
-    zero, one = field.zero(), field.one()
-    col = [zero] * (dim * dim)
-    for i in range(dim):
-        col[i * dim + i] = one
-    coev = Matrix.column(field, col)
+    coev = Matrix.column(field, Matrix.identity(field, dim).flatten())
     return coev, coev.transpose()
 
 

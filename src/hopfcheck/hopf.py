@@ -139,18 +139,10 @@ class AlgebraData:
 
     # structure access -------------------------------------------------------
 
-    def left_mult_matrix(self, i: int) -> Matrix:
-        """Matrix of x -> b_i * x in the chosen basis."""
-        zero = self.field.zero()
-        e = [[zero] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for t, c in enumerate(self.mult[i][j]):
-                if c:
-                    e[t][j] = c
-        return Matrix(self.field, self.dim, self.dim, e)
-
     def regular_action_matrices(self) -> list[Matrix]:
-        return [self.left_mult_matrix(i) for i in range(self.dim)]
+        """The matrices L_i of x -> b_i x, L_i[t][j] = m_ij^t: the transposes
+        of the slabs ``mult[i]``."""
+        return [Matrix(self.field, self.dim, self.dim, slab).transpose() for slab in self.mult]
 
     def generators(self) -> list[int]:
         """Indices of basis elements that, with 1, generate the algebra;
@@ -164,37 +156,24 @@ class AlgebraData:
         """
         if self._generators is None:
             field, n = self.field, self.dim
-            p = field.characteristic
             zero, one = field.zero(), field.one()
-
-            def times(word, g):
-                # coordinates of word * b_g
-                out = [0] * n
-                for i, w in enumerate(word):
-                    if w:
-                        for t, c in enumerate(self.mult[i][g]):
-                            if c:
-                                out[t] += w * c
-                return [x % p for x in out] if p else out
-
             span = EchelonSpan(field, n)
             span.add(self.unit)
-            words, kept = [list(self.unit)], []
+            words, kept, right = [list(self.unit)], [], []
             for g in range(n):
                 basis = [one if t == g else zero for t in range(n)]
                 if not span.add(basis):
                     continue
-                # the words before ``closed`` are closed under the earlier generators
-                closed = len(words)
                 kept.append(g)
-                words.append(basis)
-                idx = 0
-                while idx < len(words):
-                    for k in kept if idx >= closed else (g,):
-                        word = times(words[idx], k)
-                        if span.add(word):
-                            words.append(word)
-                    idx += 1
+                # words times b_g are their rows times R_g, R_g[i][t] = m_ig^t
+                right.append(Matrix(field, n, n, [slab[g] for slab in self.mult]))
+                # the words so far are closed under the earlier generators, so
+                # they need b_g only; each new word needs every kept generator
+                new = [basis] + [w for w in (Matrix(field, len(words), n, words) * right[-1]).entries if span.add(w)]
+                while new:
+                    words += new
+                    rows = Matrix(field, len(new), n, new)
+                    new = [w for r in right for w in (rows * r).entries if span.add(w)]
             self._generators = kept
         return self._generators
 
@@ -202,15 +181,17 @@ class AlgebraData:
 
     def check_algebra_axioms(self) -> AxiomReport:
         """Associativity and the unit law, the first two laws of ``laws``
-        (of a Hopf algebra's too)."""
-        return AxiomReport.of(self.name or "algebra", self.laws[:2])
+        (of a Hopf algebra's too), read off ``law_violations``: a Hopf
+        algebra computes none of its other laws for this report."""
+        return AxiomReport.of(self.name or "algebra", self._algebra_laws())
 
-    @cached_property
-    def laws(self) -> tuple:
+    def _algebra_laws(self) -> tuple:
         """The named law table: associativity and unit, each with its first
         violation or None."""
         unit, associativity = self.law_violations
         return ("associativity", associativity), ("unit", unit)
+
+    laws = cached_property(_algebra_laws)
 
     @cached_property
     def law_violations(self) -> tuple:
@@ -320,13 +301,10 @@ class HopfAlgebraData(AlgebraData):
         r = regular_module(self)
         left = r.pairing_violation(coev=False, dual_first=True)
         right = r.pairing_violation(coev=True, dual_first=False)
-        unit, associativity = self.law_violations
         counit, coassociativity = dual.law_violations
         (_, counit_unit), (_, counit_multiplicative) = trivial_module(self).laws
         _, comult_unit = trivial_module(dual).laws[1]
-        return (
-            ("associativity", associativity),
-            ("unit", unit),
+        return self._algebra_laws() + (
             ("coassociativity", coassociativity),
             ("counit", counit),
             ("comult_multiplicative", self._comult_multiplicative_violation()),
@@ -344,14 +322,14 @@ class HopfAlgebraData(AlgebraData):
         left multiplications, the coefficient of b_e (x) b_f in
         Delta(b_i) Delta(b_j) is (sum_ab Delta_i^ab L_a M_j L_b^T)[e][f], so
         the law is sum_t m_ij^t M_t = sum_ab Delta_i^ab L_a M_j L_b^T: one
-        sparse combination per (i, j), with every L_a M_j built once.
+        sparse combination per (i, j), with every L_a M_j built once.  L_b^T
+        is the slab ``mult[b]``.
         """
         field, n = self.field, self.dim
-        lmats = self.regular_action_matrices()
         comult = [Matrix(field, n, n, slab) for slab in self.comult]
         m_rows = sparse_rows(comult)
-        lm_rows = [sparse_rows([left * m for m in comult]) for left in lmats]
-        lt_rows = sparse_rows([left.transpose() for left in lmats])
+        lm_rows = [sparse_rows([left * m for m in comult]) for left in self.regular_action_matrices()]
+        lt_rows = sparse_rows([Matrix(field, n, n, slab) for slab in self.mult])
         for i in range(n):
             terms = [(c, a, b) for a, row in enumerate(self.comult[i]) for b, c in enumerate(row) if c]
             for j in range(n):

@@ -192,14 +192,7 @@ class Matrix:
         return all(not x for row in self.entries for x in row)
 
     def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        zero, one = self.field.zero(), self.field.one()
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if x != (one if i == j else zero):
-                    return False
-        return True
+        return self.rows == self.cols and self.entries == Matrix.identity(self.field, self.rows).entries
 
     def flatten(self):
         """Row-major flat list of entries."""

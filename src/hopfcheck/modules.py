@@ -278,27 +278,21 @@ def dual_module(n: ModuleRep, name: str = "") -> ModuleRep:
 
 def joint_hom_space(pairs) -> list[Matrix]:
     """Canonical basis of the maps g that intertwine every (source, target)
-    pair of modules at once; all sources share one space, all targets another."""
+    pair of modules at once; all sources share one space, all targets another.
+
+    On the row-major vec(g), g A = B g reads (I_nd (x) A^T - B (x) I_md) vec(g) = 0."""
     md, nd = pairs[0][0].dim, pairs[0][1].dim
     field = pairs[0][0].field
-    zero = field.zero()
-    rows = []
     for m, n in pairs:
         require_same_hopf(m.algebra, n.algebra)
-        for am, an in zip(m.action, n.action):
-            for r in range(nd):
-                for c in range(md):
-                    coeff = [zero] * (nd * md)
-                    for s in range(md):
-                        x = am.entries[s][c]
-                        if x:
-                            coeff[r * md + s] = field.add(coeff[r * md + s], x)
-                    for s in range(nd):
-                        x = an.entries[r][s]
-                        if x:
-                            coeff[s * md + c] = field.sub(coeff[s * md + c], x)
-                    rows.append(coeff)
     if nd * md == 0:
         return []
+    left, right = Matrix.identity(field, nd), Matrix.identity(field, md)
+    rows = [
+        row
+        for m, n in pairs
+        for am, an in zip(m.action, n.action)
+        for row in (left.kron(am.transpose()) - an.kron(right)).entries
+    ]
     system = Matrix(field, len(rows), nd * md, rows)
     return [Matrix.from_flat(field, nd, md, v.flatten()) for v in kernel_basis(system)]

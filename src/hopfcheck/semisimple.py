@@ -144,18 +144,6 @@ def charpoly(m: Matrix) -> list:
     return polys[n]
 
 
-def _fast_trace_of_product(a: Matrix, b: Matrix):
-    p = a.field.characteristic
-    total = 0
-    for i, arow in enumerate(a.entries):
-        for j, x in enumerate(arow):
-            if x:
-                y = b.entries[j][i]
-                if y:
-                    total = total + x * y
-    return total % p if p else total
-
-
 def _echelon(field: Field, vectors: list[list]) -> list[list]:
     """The reduced echelon basis of the span of ``vectors``.  Elimination
     leaves integral values as Fraction(n, 1) over Q; the basis holds them
@@ -193,8 +181,10 @@ def _radical_coordinates(field: Field, basis: list[Matrix]) -> list[list]:
       out by tr(ab) and I_k, inside I_(k-1), by the coefficient of
       lambda^(n-q) in charpoly(ab), q = p^k; it reaches Rad(A) once q > n.
 
-    tr(ab) = tr(ba) and charpoly(ab) = charpoly(ba), so each Gram matrix is
-    symmetric and only its upper triangle is computed.
+    tr(ab) is the dot product of the entries of a and of b^T, so the trace
+    Gram matrix is one product F G^T, F with the flattened elements as rows
+    and G their flattened transposes.  charpoly(ab) = charpoly(ba), so each
+    later Gram matrix is symmetric and only its upper triangle is computed.
     """
     p = field.characteristic
     n = basis[0].rows if basis else 0
@@ -203,13 +193,17 @@ def _radical_coordinates(field: Field, basis: list[Matrix]) -> list[list]:
     q = 1
     while current:
         mats = [combination(field, n, c, basis) for c in current]
-        size = len(mats)
-        gram = [[None] * size for _ in range(size)]
-        for i, a in enumerate(mats):
-            for j in range(i, size):
-                b = mats[j]
-                gram[i][j] = gram[j][i] = _fast_trace_of_product(a, b) if q == 1 else charpoly(a * b)[n - q]
-        alphas = [alpha.flatten() for alpha in kernel_basis(Matrix.from_rows(field, gram))]
+        if q == 1:
+            flats = Matrix.from_rows(field, [a.flatten() for a in mats])
+            gram = flats * Matrix.from_rows(field, [b.transpose().flatten() for b in mats]).transpose()
+        else:
+            size = len(mats)
+            rows = [[None] * size for _ in range(size)]
+            for i, a in enumerate(mats):
+                for j in range(i, size):
+                    rows[i][j] = rows[j][i] = charpoly(a * mats[j])[n - q]
+            gram = Matrix(field, size, size, rows)
+        alphas = [alpha.flatten() for alpha in kernel_basis(gram)]
         if not alphas:
             return []
         combos = Matrix.from_rows(field, alphas) * Matrix.from_rows(field, current)

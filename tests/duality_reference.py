@@ -13,11 +13,43 @@ and back.
 ``on_fresh_faces`` rebuilds an object on new faces with the same actions,
 which have kept nothing, so tests can hold a table, a verdict key or a
 pairing answer an object has kept against one computed anew.
+
+``hom_reference`` solves the Hom space from the intertwining system written
+out one coefficient at a time, for the engine's Kronecker-built system to
+be held against.
 """
 
 from hopfcheck.duality import category_of, hom_in_category
-from hopfcheck.matrix import Matrix, NoSolutionError, solve_linear
+from hopfcheck.matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from hopfcheck.modules import ModuleRep, trivial_module
+
+
+def hom_reference(source, target) -> list[Matrix]:
+    """The canonical basis of the maps g with g A_i = B_i g on every face,
+    row (r, c) of the system being the coefficient of g at (r, c) in
+    g A_i - B_i g."""
+    md, nd = source.dim, target.dim
+    field = source.field
+    if nd * md == 0:
+        return []
+    zero = field.zero()
+    rows = []
+    for m, n in zip(source.faces, target.faces):
+        for am, an in zip(m.action, n.action):
+            for r in range(nd):
+                for c in range(md):
+                    coeff = [zero] * (nd * md)
+                    for s in range(md):
+                        x = am.entries[s][c]
+                        if x:
+                            coeff[r * md + s] = field.add(coeff[r * md + s], x)
+                    for s in range(nd):
+                        x = an.entries[r][s]
+                        if x:
+                            coeff[s * md + c] = field.sub(coeff[s * md + c], x)
+                    rows.append(coeff)
+    system = Matrix(field, len(rows), nd * md, rows)
+    return [Matrix.from_flat(field, nd, md, v.flatten()) for v in kernel_basis(system)]
 
 
 def on_fresh_faces(obj):

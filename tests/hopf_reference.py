@@ -11,9 +11,61 @@ written out through field operations.  Each takes a Hopf algebra ``h`` and
 returns its first violation, indexed in H's own terms, or None.
 ``comult_multiplicative_on_square`` is the module statement the package
 checked before, that R (x) R is a module, with its (i, j) index.
+
+``left_multiplication`` and ``generators_reference`` build the regular
+action and the greedy generating set entry by entry, for the package's
+transposed slabs and row-times-matrix products to be held against.
 """
 
+from hopfcheck.matrix import EchelonSpan, Matrix
 from hopfcheck.modules import regular_module, tensor_modules
+
+
+def left_multiplication(h, i):
+    """The matrix L_i of x -> b_i x, L_i[t][j] = m_ij^t, set entry by entry."""
+    zero = h.field.zero()
+    e = [[zero] * h.dim for _ in range(h.dim)]
+    for j in range(h.dim):
+        for t, c in enumerate(h.mult[i][j]):
+            if c:
+                e[t][j] = c
+    return Matrix(h.field, h.dim, h.dim, e)
+
+
+def generators_reference(h):
+    """``generators()`` with each word times b_g summed coefficient by
+    coefficient from the structure constants."""
+    field, n = h.field, h.dim
+    p = field.characteristic
+    zero, one = field.zero(), field.one()
+
+    def times(word, g):
+        out = [0] * n
+        for i, w in enumerate(word):
+            if w:
+                for t, c in enumerate(h.mult[i][g]):
+                    if c:
+                        out[t] += w * c
+        return [x % p for x in out] if p else out
+
+    span = EchelonSpan(field, n)
+    span.add(h.unit)
+    words, kept = [list(h.unit)], []
+    for g in range(n):
+        basis = [one if t == g else zero for t in range(n)]
+        if not span.add(basis):
+            continue
+        closed = len(words)
+        kept.append(g)
+        words.append(basis)
+        idx = 0
+        while idx < len(words):
+            for k in kept if idx >= closed else (g,):
+                word = times(words[idx], k)
+                if span.add(word):
+                    words.append(word)
+            idx += 1
+    return kept
 
 
 def associativity_violation(h):

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from hopf_reference import antipode_violation, comult_multiplicative_on_square
+from hopf_reference import (
+    antipode_violation,
+    comult_multiplicative_on_square,
+    generators_reference,
+    left_multiplication,
+)
 from matrix_reference import is_invertible
 from hopfcheck.catalog import catalog_entries, group_algebra, hopf_entries, lookup
 from hopfcheck.errors import AxiomError
@@ -236,6 +241,14 @@ def test_bad_algebra_rejected():
     assert [(c.name, c.first_violation) for c in report.failures()] == [("unit", ("left", 0, 0))]
 
 
+def test_algebra_axioms_of_a_hopf_algebra_compute_only_the_algebra_laws():
+    h = group_algebra(QQ, "S3", "kS3")
+    report = h.check_algebra_axioms()
+    assert "laws" not in h.__dict__
+    assert report.checks == h.check_hopf_axioms().checks[:2]
+    assert [c.name for c in report.checks] == ["associativity", "unit"]
+
+
 def test_regular_action_matrices_multiply_like_the_table():
     h = group_algebra(GF(3), "S3", "tmp")
     mats = h.regular_action_matrices()
@@ -247,6 +260,11 @@ def test_regular_action_matrices_multiply_like_the_table():
                 if c:
                     combo = combo + mats[t].scale(c)
             assert prod == combo
+    # and equal L_i[t][j] = m_ij^t set entry by entry, for every catalog H and H*
+    for entry in hopf_entries():
+        for algebra in (entry.payload, entry.payload.dual_algebra()):
+            want = [left_multiplication(algebra, i) for i in range(algebra.dim)]
+            assert algebra.regular_action_matrices() == want, algebra.name
 
 
 def test_generating_sets_are_read_greedily_in_index_order():
@@ -282,6 +300,7 @@ def test_one_and_the_generating_set_generate_every_catalog_algebra():
     algebras = [a for entry in hopf_entries() for a in (entry.payload, entry.payload.dual_algebra())]
     assert len(algebras) == 74
     for algebra in algebras:
+        assert algebra.generators() == generators_reference(algebra), algebra.name
         assert _generated_dimension(algebra, algebra.generators()) == algebra.dim, algebra.name
         # without its last generator the set generates less
         assert _generated_dimension(algebra, algebra.generators()[:-1]) < algebra.dim, algebra.name

@@ -124,6 +124,12 @@ def test_matmul_and_power():
     assert (p * p).is_identity()
     assert p.power(5) == p
     assert p.power(0).is_identity()
+    # int and Fraction(n, 1) entries compare by value; a non-square matrix is no identity
+    assert Matrix.from_rows(QQ, [[Fraction(1), 0], [0, 1]]).is_identity()
+    assert Matrix.from_rows(QQ, [[1, Fraction(0)], [Fraction(0), Fraction(1)]]).is_identity()
+    assert not Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0]]).is_identity()
+    assert not Matrix.from_rows(GF(3), [[1, 0], [0, 1], [0, 0]]).is_identity()
+    assert not Matrix.zeros(QQ, 0, 2).is_identity()
 
 
 def test_trace_transpose_stack():
