@@ -203,8 +203,13 @@ axioms_in_category = check_module_axioms
 
 
 def laws_hold(subject) -> bool:
-    """Whether every law in the ``laws`` table of ``subject`` holds."""
-    return all(violation is None for _, violation in subject.laws)
+    """Whether every law in the ``laws`` table of ``subject`` holds.  A plain
+    loop: the guard runs it thousands of times per campaign, and a generator
+    under ``all`` costs several times as much."""
+    for _, violation in subject.laws:
+        if violation is not None:
+            return False
+    return True
 
 
 def require_laws(obj):

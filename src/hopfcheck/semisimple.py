@@ -14,8 +14,13 @@ axiom report or its Hopf algebra's fails.  It reads the named law tables
 ``laws`` of H and of the object, each computed once per object for the
 reports and the guard alike.  A product of lawful objects is lawful
 (``duality.tensor_in_category``), so ``tensor_semisimplicity`` decides
-M (x) N behind its factors' guard, never the product's own.  Then the
-engine takes one of two routes:
+M (x) N behind its factors' guard, never the product's own.  Then one rule
+decides first, for every kind: an object whose face algebras all have zero
+radical is semisimple, and so is a product of two such objects.  The face
+algebras are H for a module, H* for a comodule, and H and (H^op)* for a YD
+object; (H^op)* is H* as an algebra, and D(H) is semisimple exactly when H
+and H* are (Radford, *J. Algebra* 157, 1993).  Otherwise the engine takes
+one of two routes:
 
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
   by the operators.  Rad(A) is computed once per algebra object and mapped
@@ -23,14 +28,15 @@ engine takes one of two routes:
   such objects is not built either (``tensor_semisimplicity``): z acts on it
   by sum_jt Delta(z)^jt A_j (x) A'_t, so Rad(A) is pushed through Delta,
   once per algebra object, and onto the factors, one operator per radical
-  basis vector and none when Rad(A) = 0;
-* a YD module's image is that of D(H), whose table is not built.  Once the
-  laws hold, V is a D(H)-module (Kassel, *Quantum Groups*, ch. IX) and the
-  operators B_t A_j are the action of the basis f_t h_j of D(H), so their
-  span is the image of D(H), closed under products without a check.  Its
-  reduced echelon basis is all the route uses.  The product of two YD
-  objects is built, and decided once per face key in the verdict cache
-  that ``cached_verdict`` fills.
+  basis vector;
+* a YD module over a non-semisimple double: its image is that of D(H),
+  whose table is not built.  Once the laws hold, V is a D(H)-module
+  (Kassel, *Quantum Groups*, ch. IX) and the operators B_t A_j are the
+  action of the basis f_t h_j of D(H), so their span is the image of D(H),
+  closed under products without a check.  Its reduced echelon basis is
+  all the route uses.  The product of two such YD objects is built, and
+  decided once per face key in the verdict cache that ``cached_verdict``
+  fills.
 
 A radical is computed in a faithful representation of the algebra on F^n:
 the regular one (n = dim A) for H and H*, and V itself (n = dim V) for a
@@ -294,8 +300,23 @@ def _cached_report(obj, cache: dict, decide) -> SemisimplicityReport:
     return report
 
 
+def _semisimple_faces(obj) -> bool:
+    """Whether every face algebra of ``obj`` has zero radical: H for a
+    module, H* for a comodule, H and (H^op)* for a YD object.  A lawful
+    object over such faces is semisimple, and so is a product of two.  One
+    face leaves no radical operator to map.  (H^op)* is H* as an algebra,
+    and D(H) is semisimple exactly when H and H* are (Radford, J. Algebra
+    157, 1993): its integral is lambda >< Lambda, and
+    eps(lambda >< Lambda) = lambda(1) eps(Lambda) is nonzero, by Larson and
+    Sweedler, exactly when both are semisimple.  So the image of D(H) in
+    End(V) has zero radical too."""
+    return not any(_algebra_radical(face.algebra) for face in obj.faces)
+
+
 def _lawful_semisimplicity(obj) -> SemisimplicityReport:
     """``is_semisimple`` of an object whose laws hold, unguarded."""
+    if _semisimple_faces(obj):
+        return _radical_report(obj.field, obj.dim, [])
     faces = obj.faces
     face = faces[0] if len(faces) == 1 else None
     return _operator_semisimplicity(obj.field, obj.dim, obj.operators, face)
@@ -308,19 +329,25 @@ def tensor_semisimplicity(m, n, cache: dict | None = None) -> SemisimplicityRepo
     Both objects pass the guard first, so an unlawful factor is refused with
     its own ``AxiomError``; the product of lawful objects is lawful
     (``duality.tensor_in_category``), so it is decided with no guard of its
-    own.  A module or comodule pair is not built: M (x) N is a module over
-    the algebra A of the factors' faces, where z acts by
-    rho(z) = sum_jt Delta(z)^jt A_j (x) A'_t, so Rad(A) pushed through Delta
-    (``_coproduct_radical``) and onto the factors (``tensor_operator``) is
-    the product's radical image, one operator per radical basis vector, and
-    none when Rad(A) = 0.  A YD pair is built and its image decided, once
-    per face key in ``cache`` (see ``cached_verdict``)."""
+    own.  The product's faces are over the factors' face algebras, so when
+    these have zero radical (``_semisimple_faces``) it is semisimple, and no
+    pair of any kind is built.  Otherwise a module or comodule pair is not
+    built either: M (x) N is a module over the algebra A of the factors'
+    faces, where z acts by rho(z) = sum_jt Delta(z)^jt A_j (x) A'_t, so
+    Rad(A) pushed through Delta (``_coproduct_radical``) and onto the
+    factors (``tensor_operator``) is the product's radical image, one
+    operator per radical basis vector.  A YD pair over a non-semisimple
+    double is built and its image decided, once per face key in ``cache``
+    (see ``cached_verdict``)."""
     _common_category(m, n, "cannot tensor objects of different kinds")
     require_laws(m)
     require_laws(n)
+    for face, other in zip(m.faces, n.faces):
+        require_same_hopf(face.algebra, other.algebra)
+    if _semisimple_faces(m):
+        return _radical_report(m.field, m.dim * n.dim, [])
     if len(m.faces) == 1:
         (face,), (other,) = m.faces, n.faces
-        require_same_hopf(face.algebra, other.algebra)
         images = [tensor_operator(face, other, delta) for delta in _coproduct_radical(face.algebra)]
         return _radical_report(m.field, m.dim * n.dim, images)
     return _cached_report(tensor_in_category(m, n), {} if cache is None else cache, _lawful_semisimplicity)
@@ -331,7 +358,8 @@ def is_semisimple(obj) -> SemisimplicityReport:
     module, H* for a comodule, D(H) for a Yetter-Drinfel'd module; the
     stable subspaces are exactly the subobjects in each category.  An
     object whose laws fail is refused with an ``AxiomError``.  An object
-    with one face is a module over that face's algebra A, and since
+    whose face algebras have zero radical is semisimple.  Otherwise an
+    object with one face is a module over that face's algebra A, and since
     Rad(A/Ann V) = (Rad A + Ann V)/Ann V its radical is Rad(A) mapped
     through the face; a YD object's image is spanned by its operators."""
     require_laws(obj)
@@ -345,11 +373,12 @@ def cached_verdict(obj, cache: dict) -> bool:
     entries.  Equal actions written with an integral ``Fraction`` or its
     ``int`` share one decision; the same matrices over another algebra,
     which may be no action, do not.  ``duality.verify_serre`` decides each
-    factor here, and ``tensor_semisimplicity`` a YD product in the same
-    cache, where N (x) trivial is N and sign (x) N and N (x) sign carry the
-    same matrices; a product of modules or comodules is decided from its
-    factors, unbuilt.  The key holds no matrix, so ``cache`` keeps no tensor
-    product alive, and no collected object's id returns a stale report."""
+    factor here, and ``tensor_semisimplicity`` a YD product over a
+    non-semisimple double in the same cache, where N (x) trivial is N and
+    sign (x) N and N (x) sign carry the same matrices; any other product is
+    decided from its factors, unbuilt.  The key holds no matrix, so
+    ``cache`` keeps no tensor product alive, and no collected object's id
+    returns a stale report."""
     return _cached_report(obj, cache, is_semisimple).verdict
 
 

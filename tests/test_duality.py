@@ -600,9 +600,11 @@ def test_serre_decides_each_distinct_face_key_once(monkeypatch):
 
 
 def test_a_warm_campaign_builds_and_keys_yd_products_only(monkeypatch):
-    # a module or comodule pair is decided from its factors: a warm campaign
-    # builds one product per YD pair, two faces each, and computes a verdict
-    # key on those faces only; every catalog face kept its key
+    # a module or comodule pair is decided from its factors, and so is a YD
+    # pair over a semisimple double, where Rad(H) = Rad(H*) = 0: a warm
+    # campaign builds one product per other YD pair, two faces each, and
+    # computes a verdict key on those faces only; every catalog face kept
+    # its key
     run_campaign()
     kinds, faces, keyed = [], [], []
     product, tensor = semisimple.tensor_in_category, duality.tensor_modules
@@ -626,9 +628,11 @@ def test_a_warm_campaign_builds_and_keys_yd_products_only(monkeypatch):
     monkeypatch.setattr(duality, "tensor_modules", counted_tensor)
     monkeypatch.setattr(ModuleRep, "verdict_key", counted)
     report = run_campaign()
-    yd_pairs = sum(v.category == "yd" for v in report.serre_verdicts)
-    assert yd_pairs == 147 and kinds == ["yd"] * yd_pairs
-    assert len(faces) == 2 * yd_pairs
+    yd_hopfs = [lookup(v.hopf_name).payload for v in report.serre_verdicts if v.category == "yd"]
+    radical = semisimple._algebra_radical
+    built_pairs = sum(bool(radical(h) or radical(h.dual_algebra())) for h in yd_hopfs)
+    assert len(yd_hopfs) == 147 and built_pairs == 42 and kinds == ["yd"] * built_pairs
+    assert len(faces) == 2 * built_pairs
     built = {id(face) for face in faces}
     assert keyed and all(id(face) in built for face in keyed)
 

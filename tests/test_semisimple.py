@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -21,7 +22,7 @@ from hopfcheck.catalog import (
 )
 from hopfcheck.comodules import ComoduleRep, regular_comodule
 from hopfcheck.duality import axioms_in_category, tensor_in_category
-from hopfcheck.errors import AxiomError, BoundExceededError
+from hopfcheck.errors import AxiomError, BoundExceededError, HopfMismatchError
 from hopfcheck.fields import GF, QQ
 from hopfcheck.hopf import AlgebraData, HopfAlgebraData
 from hopfcheck.matrix import EchelonSpan, Matrix, NoSolutionError, solve_linear
@@ -32,6 +33,7 @@ from hopfcheck.semisimple import (
     is_cosemisimple,
     is_semisimple,
     is_yd_semisimple,
+    tensor_semisimplicity,
 )
 from hopfcheck.semisimple import _image_basis, _operator_semisimplicity
 from hopfcheck.yd import YDModuleRep
@@ -219,6 +221,60 @@ def test_a_yd_radical_is_computed_in_v(monkeypatch):
     report = is_yd_semisimple(product)
     assert shapes == [(9, 17)]
     assert (report.verdict, report.radical_dim) == (False, 11)
+
+
+def _semisimple_double(h) -> bool:
+    return not semisimple._algebra_radical(h) and not semisimple._algebra_radical(h.dual_algebra())
+
+
+def test_a_yd_object_over_a_semisimple_double_gets_the_report_of_the_image_route():
+    """A YD object whose face algebras have zero radical is decided without
+    the image of D(H); the image route, run on the built object, gives the
+    same report: every lawful catalog YD object, and every same-H pair over
+    a semisimple double, whose product is semisimple."""
+    groups = {}
+    for entry in catalog_entries():
+        if entry.kind == "yd" and entry.expected_failure is None:
+            groups.setdefault(entry.id.rsplit("/", 1)[0], []).append(entry.payload)
+    objects = [o for group in groups.values() for o in group]
+    for o in objects:
+        assert is_semisimple(o) == _operator_semisimplicity(o.field, o.dim, o.operators, None), o
+    pairs = [
+        pair
+        for group in groups.values()
+        if _semisimple_double(group[0].hopf)
+        for pair in combinations_with_replacement(group, 2)
+    ]
+    for a, b in pairs:
+        product = tensor_in_category(a, b)
+        by_image = _operator_semisimplicity(product.field, product.dim, product.operators, None)
+        assert tensor_semisimplicity(a, b) == by_image and by_image.verdict, (a, b)
+    assert (len(objects), len(pairs)) == (78, 105)
+
+
+def test_the_radical_of_op_dual_is_zero_exactly_when_that_of_the_dual_is():
+    """(H^op)* is H* as an algebra, so a YD object's star face has zero
+    radical exactly when H* has: every catalog Hopf algebra."""
+    hopfs = [entry.payload for entry in hopf_entries()]
+    radical = semisimple._algebra_radical
+    for h in hopfs:
+        assert bool(radical(h.op_dual_algebra)) == bool(radical(h.dual_algebra())), h
+    assert sum(bool(radical(h.dual_algebra())) for h in hopfs) == 6
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ("kS3/F5/ydconj3", "kC3/F5/ydtrivial"),  # semisimple doubles
+        ("kS3/F3/ydconj3", "kC3/F3/ydtrivial"),  # neither double semisimple
+        ("kS3/F5/ydconj3", "kS3/F3/ydconj3"),  # one of each
+    ],
+)
+def test_a_yd_pair_over_two_hopf_algebras_is_refused_naming_them(left, right):
+    a, b = lookup(left).payload, lookup(right).payload
+    message = f"objects live over different algebras: '{a.hopf.name}' vs '{b.hopf.name}'"
+    with pytest.raises(HopfMismatchError, match=re.escape(message)):
+        tensor_semisimplicity(a, b)
 
 
 def test_a_modules_action_is_checked_once_for_its_report_and_its_decisions(monkeypatch):
