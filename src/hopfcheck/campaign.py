@@ -21,7 +21,6 @@ from . import __version__
 from .catalog import CATEGORIES, HOPF_IDS, hopf_entries, objects_over
 from .duality import (
     SerreVerdict,
-    axioms_in_category,
     build_strong_dual_certificates,
     coevaluation,
     evaluation,
@@ -31,6 +30,7 @@ from .duality import (
 )
 from .errors import DEFAULT_ORACLE_BOUND, BoundExceededError, CertificateError, NotInvolutoryError, RankNotInvertibleError
 from .fields import field_by_name
+from .modules import check_module_axioms
 from .semisimple import brute_force_semisimple, cached_verdict
 
 
@@ -122,7 +122,7 @@ def run_campaign(
             entries = objects_over(hopf_entry.id, kind)
             valid = []
             for entry in entries:
-                obj_report = axioms_in_category(entry.payload)
+                obj_report = check_module_axioms(entry.payload)
                 report.entries_checked += 1
                 if entry.expected_failure is not None:
                     confirmed = entry.expected_failure in {c.name for c in obj_report.failures()}

@@ -31,7 +31,7 @@ from .comodules import ComoduleRep, regular_comodule, trivial_comodule
 from .fields import Field, field_by_name, field_name
 from .hopf import HopfAlgebraData
 from .matrix import Matrix
-from .modules import ModuleRep, axioms_in_category, regular_module, trivial_module
+from .modules import ModuleRep, check_module_axioms, regular_module, trivial_module
 from .yd import YDModuleRep, trivial_yd
 
 HOPF_FIELDS = ("Q", "F2", "F3", "F5", "F7")
@@ -301,7 +301,7 @@ def _check_entry(entry: CatalogEntry):
     # is read through check_hopf_axioms, which bench/spans.py times as
     # hopf.axioms_s, as it timed the constructors' check
     payload = entry.payload
-    report = payload.check_hopf_axioms() if payload.kind == "hopf" else axioms_in_category(payload)
+    report = payload.check_hopf_axioms() if payload.kind == "hopf" else check_module_axioms(payload)
     if entry.expected_failure is None:
         if not report.ok:
             raise AssertionError(f"catalog entry {entry.id} failed its axiom check:\n{report.describe()}")

@@ -21,7 +21,7 @@ from .catalog import CATEGORIES, catalog_entries, lookup
 from .errors import DEFAULT_ORACLE_BOUND, MAX_HOPF_DIM, AxiomError, BoundExceededError, HopfMismatchError, ParseError
 from .fields import field_by_name, field_name
 from .hopf import HopfAlgebraData
-from .modules import axioms_in_category, require_laws
+from .modules import check_module_axioms, require_laws
 
 # the largest product ``tensor`` builds: its action holds (dim M dim N)^2
 # entries per basis element of H, so memory grows as the fourth power of the
@@ -85,7 +85,7 @@ def _write_document(obj, out: str | None):
 
 def _cmd_check(args) -> int:
     obj, entry = _read_target(args.target)
-    report = axioms_in_category(obj)
+    report = check_module_axioms(obj)
     line = f"{obj.kind} axioms: {'PASS' if report.ok else 'FAIL'}"
     if obj.kind == "hopf":
         witness = obj.involution_violation

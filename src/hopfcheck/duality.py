@@ -27,12 +27,13 @@ dual and Hom space are the module constructions applied face by face.
 A YD object's H*-face is an (H^op)*-module (``yd``), so its product
 coaction is n_<1> m_<1> and its dual goes through S^-1 over every H.
 Every object also carries its named law table ``laws``, so one function,
-``axioms_in_category``, reports the axioms of every kind, and one guard,
-``modules.require_laws``, refuses an unlawful object before any verdict or
-certificate.  A product of lawful objects is lawful (``tensor_in_category``),
-so the engine decides a product behind its factors' guard alone
-(``semisimple.tensor_semisimplicity``).  ``verify_serre`` imports the engine
-when it runs, so building a dual or a product loads none of it.
+``modules.check_module_axioms``, reports the axioms of every kind, and one
+guard, ``modules.require_laws``, refuses an unlawful object before any
+verdict or certificate.  A product of lawful objects is lawful
+(``tensor_in_category``), so the engine decides a product behind its
+factors' guard alone (``semisimple.tensor_semisimplicity``).
+``verify_serre`` imports the engine when it runs, so building a dual or a
+product loads none of it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .errors import (
 from .fields import Field
 from .matrix import Matrix, NoSolutionError, kernel_basis, solve_linear
 from .modules import (
-    axioms_in_category,
     dual_module,
     joint_hom_space,
     require_laws,
@@ -111,7 +111,7 @@ def _common_category(a, b, mismatch: str) -> str:
     return kind
 
 
-def tensor_in_category(a, b, name: str = ""):
+def tensor_in_category(a, b):
     """M (x) N, the module tensor product taken face by face.
 
     The product computes its law table when first read.  When the laws of
@@ -146,13 +146,13 @@ def tensor_in_category(a, b, name: str = ""):
     """
     _common_category(a, b, "cannot tensor objects of different kinds")
     require_same_hopf(a.hopf, b.hopf)  # a mismatch names H, not a face's H*
-    label = name or f"({a.name})(x)({b.name})"
+    label = f"({a.name})(x)({b.name})"
     return a.with_faces(tuple(tensor_modules(x, y, name=label) for x, y in zip(a.faces, b.faces)), label)
 
 
-def dual_in_category(obj, name: str = ""):
+def dual_in_category(obj):
     category_of(obj)
-    label = name or f"({obj.name})*"
+    label = f"({obj.name})*"
     return obj.with_faces(tuple(dual_module(face, name=label) for face in obj.faces), label)
 
 
@@ -351,24 +351,20 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
     ``consistent`` is false exactly when the tensor product is semisimple,
     one factor has invertible rank, and the other factor fails to be
     semisimple; over an involutory Hopf algebra that would contradict the
-    theorem under test and must abort any campaign loudly.  Each factor's
-    verdict comes first, through ``cache``, or one of this pair alone, so
-    an unlawful factor is refused with its own ``AxiomError``.  The
-    product's verdict is ``semisimple.tensor_semisimplicity`` in the same
-    cache, for every kind.
+    theorem under test and must abort any campaign loudly.  The pair's only
+    check is ``semisimple.tensor_semisimplicity``, which refuses objects of
+    two kinds or over two Hopf algebras and an unlawful factor with its own
+    ``AxiomError``, and decides the product in ``cache``.  Each factor's
+    verdict is then read through the same cache, or one of this pair alone.
     """
     from .semisimple import cached_verdict, tensor_semisimplicity
 
-    kind = _common_category(m, n, "cannot compare objects of different kinds")
-    h = m.hopf
-    require_same_hopf(h, n.hopf)
     if cache is None:
         cache = {}
-    conclusion_m = cached_verdict(m, cache)
-    conclusion_n = cached_verdict(n, cache)
     hypothesis = tensor_semisimplicity(m, n, cache).verdict
+    h = m.hopf
     return SerreVerdict(
-        category=kind,
+        category=m.kind,
         m_name=getattr(m, "name", "?"),
         n_name=getattr(n, "name", "?"),
         hopf_name=h.name,
@@ -376,6 +372,6 @@ def verify_serre(m, n, cache: dict | None = None) -> SerreVerdict:
         hypothesis_holds=hypothesis,
         rank_invertible_m=hs_rank(m.dim, h.field).invertible,
         rank_invertible_n=hs_rank(n.dim, h.field).invertible,
-        conclusion_m=conclusion_m,
-        conclusion_n=conclusion_n,
+        conclusion_m=cached_verdict(m, cache),
+        conclusion_n=cached_verdict(n, cache),
     )

@@ -193,13 +193,9 @@ def _pairing_kernel(face: ModuleRep, coev: bool, dual_first: bool):
 def check_module_axioms(obj) -> AxiomReport:
     """The axiom report of any object: its ``laws``, one check each in table
     order.  Modules, comodules, YD modules and Hopf algebras all carry
-    ``laws``, so this one function is also ``check_comodule_axioms``,
-    ``check_yd_compat`` and ``axioms_in_category``."""
+    ``laws``, so this one function is also ``check_comodule_axioms`` and
+    ``check_yd_compat``."""
     return AxiomReport.of(obj.name or obj.kind, obj.laws)
-
-
-# every object, a Hopf algebra too, carries its ``laws``: one report for all
-axioms_in_category = check_module_axioms
 
 
 def laws_hold(subject) -> bool:

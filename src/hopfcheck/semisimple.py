@@ -14,29 +14,27 @@ axiom report or its Hopf algebra's fails.  It reads the named law tables
 ``laws`` of H and of the object, each computed once per object for the
 reports and the guard alike.  A product of lawful objects is lawful
 (``duality.tensor_in_category``), so ``tensor_semisimplicity`` decides
-M (x) N behind its factors' guard, never the product's own.  Then one rule
-decides first, for every kind: an object whose face algebras all have zero
-radical is semisimple, and so is a product of two such objects.  The face
-algebras are H for a module, H* for a comodule, and H and (H^op)* for a YD
-object; (H^op)* is H* as an algebra, and D(H) is semisimple exactly when H
-and H* are (Radford, *J. Algebra* 157, 1993).  Otherwise the engine takes
-one of two routes:
+M (x) N behind its factors' guard, never the product's own.  Then each
+object shape takes one route:
 
 * a module or a comodule (an H*-module) has one face, whose algebra A acts
   by the operators.  Rad(A) is computed once per algebra object and mapped
-  through the face; no image algebra is built.  The product M (x) N of two
-  such objects is not built either (``tensor_semisimplicity``): z acts on it
-  by sum_jt Delta(z)^jt A_j (x) A'_t, so Rad(A) is pushed through Delta,
-  once per algebra object, and onto the factors, one operator per radical
-  basis vector;
-* a YD module over a non-semisimple double: its image is that of D(H),
-  whose table is not built.  Once the laws hold, V is a D(H)-module
-  (Kassel, *Quantum Groups*, ch. IX) and the operators B_t A_j are the
-  action of the basis f_t h_j of D(H), so their span is the image of D(H),
-  closed under products without a check.  Its reduced echelon basis is
-  all the route uses.  The product of two such YD objects is built, and
-  decided once per face key in the verdict cache that ``cached_verdict``
-  fills.
+  through the face; no image algebra is built, and Rad(A) = 0 gives the
+  empty report.  The product M (x) N of two such objects is not built
+  either (``tensor_semisimplicity``): z acts on it by
+  sum_jt Delta(z)^jt A_j (x) A'_t, so Rad(A) is pushed through Delta, once
+  per algebra object, and onto the factors, one operator per radical basis
+  vector;
+* a YD module, or a product of two, has two faces and acts through D(H).
+  D(H) is semisimple exactly when H and H* are (Radford, *J. Algebra* 157,
+  1993), so when Rad(H) and Rad(H*) are both zero the object is
+  semisimple.  Otherwise its image is that of D(H), whose table is not
+  built.  Once the laws hold, V is a D(H)-module (Kassel, *Quantum
+  Groups*, ch. IX) and the operators B_t A_j are the action of the basis
+  f_t h_j of D(H), so their span is the image of D(H), closed under
+  products without a check.  Its reduced echelon basis is all the route
+  uses.  The product of two such YD objects is built, and decided once per
+  face key in the verdict cache that ``cached_verdict`` fills.
 
 A radical is computed in a faithful representation of the algebra on F^n:
 the regular one (n = dim A) for H and H*, and V itself (n = dim V) for a
@@ -70,7 +68,7 @@ from .errors import DEFAULT_ORACLE_BOUND, BoundExceededError
 from .fields import Field, _integral
 from .hopf import AlgebraData, HopfAlgebraData
 from .matrix import EchelonSpan, Matrix, combination, kernel_basis
-from .modules import ModuleRep, require_laws, require_same_hopf, tensor_operator
+from .modules import require_laws, require_same_hopf, tensor_operator
 
 
 class SemisimplicityReport(namedtuple("SemisimplicityReport", "verdict radical_dim radical_basis method")):
@@ -266,27 +264,15 @@ def _radical_report(field: Field, dim: int, images: list[Matrix]) -> Semisimplic
     return SemisimplicityReport(not radical, len(radical), radical, method)
 
 
-def _operator_semisimplicity(
-    field: Field, dim: int, operators: list[Matrix], face: ModuleRep | None = None
-) -> SemisimplicityReport:
-    """Verdict on V = F^dim by "Rad(A) acts as zero", certified by the
-    radical of the image rho(A) = A/Ann(V), which is rho(Rad A) because
-    Rad(A/I) = (Rad A + I)/I for finite-dimensional A.
-
-    ``face`` is the module whose action the operators are; Rad(A) is then
-    computed once per algebra object, in its regular representation, and
-    mapped through it.  Without a face the operators span the image (a YD
-    object's products), whose reduced echelon basis acts faithfully on
-    F^dim, where its radical is computed.  The operators are not checked
-    here: ``is_semisimple`` and ``tensor_semisimplicity`` guard them.
-    """
-    if face is None:
-        # V is a faithful module over the image, and smaller than the image's
-        # regular representation when dim A > dim V
-        basis = _image_basis(field, dim, operators)
-        coordinates = _radical_coordinates(field, basis)
-    else:
-        basis, coordinates = face.action, _algebra_radical(face.algebra)
+def _operator_semisimplicity(field: Field, dim: int, operators: list[Matrix]) -> SemisimplicityReport:
+    """Verdict on V = F^dim by the radical of the image its operators span,
+    the route of a YD object over a non-semisimple double.  The image's
+    reduced echelon basis acts faithfully on F^dim, where its radical is
+    computed: V is smaller than the image's regular representation when
+    dim A > dim V.  The operators are not checked here: ``is_semisimple``
+    and ``tensor_semisimplicity`` guard them."""
+    basis = _image_basis(field, dim, operators)
+    coordinates = _radical_coordinates(field, basis)
     return _radical_report(field, dim, [combination(field, dim, z, basis) for z in coordinates])
 
 
@@ -300,56 +286,51 @@ def _cached_report(obj, cache: dict, decide) -> SemisimplicityReport:
     return report
 
 
-def _semisimple_faces(obj) -> bool:
-    """Whether every face algebra of ``obj`` has zero radical: H for a
-    module, H* for a comodule, H and (H^op)* for a YD object.  A lawful
-    object over such faces is semisimple, and so is a product of two.  One
-    face leaves no radical operator to map.  (H^op)* is H* as an algebra,
-    and D(H) is semisimple exactly when H and H* are (Radford, J. Algebra
-    157, 1993): its integral is lambda >< Lambda, and
+def _semisimple_double(h: HopfAlgebraData) -> bool:
+    """Whether D(H) is semisimple: exactly when H and H* are (Radford,
+    J. Algebra 157, 1993).  Its integral is lambda >< Lambda, and
     eps(lambda >< Lambda) = lambda(1) eps(Lambda) is nonzero, by Larson and
-    Sweedler, exactly when both are semisimple.  So the image of D(H) in
-    End(V) has zero radical too."""
-    return not any(_algebra_radical(face.algebra) for face in obj.faces)
+    Sweedler, exactly when both are semisimple.  The image of D(H) in End(V)
+    then has zero radical too."""
+    return not _algebra_radical(h) and not _algebra_radical(h.dual_algebra())
 
 
 def _lawful_semisimplicity(obj) -> SemisimplicityReport:
     """``is_semisimple`` of an object whose laws hold, unguarded."""
-    if _semisimple_faces(obj):
-        return _radical_report(obj.field, obj.dim, [])
-    faces = obj.faces
-    face = faces[0] if len(faces) == 1 else None
-    return _operator_semisimplicity(obj.field, obj.dim, obj.operators, face)
+    field, dim, faces = obj.field, obj.dim, obj.faces
+    if len(faces) == 1:
+        (face,) = faces
+        return _radical_report(field, dim, [combination(field, dim, z, face.action) for z in _algebra_radical(face.algebra)])
+    if _semisimple_double(obj.hopf):
+        return _radical_report(field, dim, [])
+    return _operator_semisimplicity(field, dim, obj.operators)
 
 
 def tensor_semisimplicity(m, n, cache: dict | None = None) -> SemisimplicityReport:
     """``is_semisimple(tensor_in_category(m, n))`` for two objects of one
-    kind.
+    kind over one Hopf algebra.
 
     Both objects pass the guard first, so an unlawful factor is refused with
     its own ``AxiomError``; the product of lawful objects is lawful
     (``duality.tensor_in_category``), so it is decided with no guard of its
-    own.  The product's faces are over the factors' face algebras, so when
-    these have zero radical (``_semisimple_faces``) it is semisimple, and no
-    pair of any kind is built.  Otherwise a module or comodule pair is not
-    built either: M (x) N is a module over the algebra A of the factors'
-    faces, where z acts by rho(z) = sum_jt Delta(z)^jt A_j (x) A'_t, so
-    Rad(A) pushed through Delta (``_coproduct_radical``) and onto the
-    factors (``tensor_operator``) is the product's radical image, one
-    operator per radical basis vector.  A YD pair over a non-semisimple
-    double is built and its image decided, once per face key in ``cache``
-    (see ``cached_verdict``)."""
+    own.  A module or comodule pair is not built: M (x) N is a module over
+    the algebra A of the factors' faces, where z acts by
+    rho(z) = sum_jt Delta(z)^jt A_j (x) A'_t, so Rad(A) pushed through Delta
+    (``_coproduct_radical``) and onto the factors (``tensor_operator``) is
+    the product's radical image, one operator per radical basis vector.  A
+    YD pair is semisimple over a semisimple double (``_semisimple_double``),
+    and is otherwise built and its image decided, once per face key in
+    ``cache`` (see ``cached_verdict``)."""
     _common_category(m, n, "cannot tensor objects of different kinds")
+    require_same_hopf(m.hopf, n.hopf)
     require_laws(m)
     require_laws(n)
-    for face, other in zip(m.faces, n.faces):
-        require_same_hopf(face.algebra, other.algebra)
-    if _semisimple_faces(m):
-        return _radical_report(m.field, m.dim * n.dim, [])
-    if len(m.faces) == 1:
-        (face,), (other,) = m.faces, n.faces
-        images = [tensor_operator(face, other, delta) for delta in _coproduct_radical(face.algebra)]
-        return _radical_report(m.field, m.dim * n.dim, images)
+    field, dim, faces = m.field, m.dim * n.dim, m.faces
+    if len(faces) == 1:
+        (face,), (other,) = faces, n.faces
+        return _radical_report(field, dim, [tensor_operator(face, other, delta) for delta in _coproduct_radical(face.algebra)])
+    if _semisimple_double(m.hopf):
+        return _radical_report(field, dim, [])
     return _cached_report(tensor_in_category(m, n), {} if cache is None else cache, _lawful_semisimplicity)
 
 
@@ -358,10 +339,10 @@ def is_semisimple(obj) -> SemisimplicityReport:
     module, H* for a comodule, D(H) for a Yetter-Drinfel'd module; the
     stable subspaces are exactly the subobjects in each category.  An
     object whose laws fail is refused with an ``AxiomError``.  An object
-    whose face algebras have zero radical is semisimple.  Otherwise an
-    object with one face is a module over that face's algebra A, and since
+    with one face is a module over that face's algebra A, and since
     Rad(A/Ann V) = (Rad A + Ann V)/Ann V its radical is Rad(A) mapped
-    through the face; a YD object's image is spanned by its operators."""
+    through the face.  A YD object is semisimple when Rad(H) and Rad(H*)
+    are zero, and otherwise its image is spanned by its operators."""
     require_laws(obj)
     return _lawful_semisimplicity(obj)
 
@@ -373,10 +354,10 @@ def cached_verdict(obj, cache: dict) -> bool:
     entries.  Equal actions written with an integral ``Fraction`` or its
     ``int`` share one decision; the same matrices over another algebra,
     which may be no action, do not.  ``duality.verify_serre`` decides each
-    factor here, and ``tensor_semisimplicity`` a YD product over a
-    non-semisimple double in the same cache, where N (x) trivial is N and
-    sign (x) N and N (x) sign carry the same matrices; any other product is
-    decided from its factors, unbuilt.  The key holds no matrix, so
+    factor here, after ``tensor_semisimplicity`` has decided a YD product
+    over a non-semisimple double in the same cache, where N (x) trivial is
+    N and sign (x) N and N (x) sign carry the same matrices; any other
+    product is decided from its factors, unbuilt.  The key holds no matrix, so
     ``cache`` keeps no tensor product alive, and no collected object's id
     returns a stale report."""
     return _cached_report(obj, cache, is_semisimple).verdict

@@ -8,7 +8,6 @@ from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import HOPF_IDS, catalog_entries, hopf_entries, lookup, objects_over
 from hopfcheck.comodules import check_comodule_axioms
 from hopfcheck.documents import canonical_json, object_to_doc
-from hopfcheck.duality import axioms_in_category
 from hopfcheck.fields import GF, QQ
 from hopfcheck.hopf import AlgebraData, HopfAlgebraData
 from hopfcheck.modules import check_module_axioms
@@ -73,10 +72,10 @@ _LAW_NAMES = {
 def test_each_kind_reports_its_one_law_table_in_order():
     # one report function for every kind, Hopf entries and negative fixtures
     # included, reading the kind's named table in its order
-    assert check_module_axioms is check_comodule_axioms is check_yd_compat is axioms_in_category
+    assert check_module_axioms is check_comodule_axioms is check_yd_compat
     for entry in catalog_entries():
         obj = entry.payload
-        report = axioms_in_category(obj)
+        report = check_module_axioms(obj)
         assert [name for name, _ in obj.laws] == [c.name for c in report.checks] == _LAW_NAMES[entry.kind], entry.id
         assert report.subject == obj.name and report.ok == (entry.expected_failure is None), entry.id
         if entry.kind == "hopf":

@@ -24,7 +24,6 @@ from hopfcheck.catalog import (
 from hopfcheck.comodules import ComoduleRep, trivial_comodule
 from hopfcheck.documents import object_to_doc
 from hopfcheck.duality import (
-    axioms_in_category,
     build_strong_dual_certificates,
     coevaluation,
     dual_in_category,
@@ -50,7 +49,7 @@ from hopfcheck.errors import (
 from hopfcheck.fields import GF, QQ
 from hopfcheck.matrix import Matrix, solve_linear
 from hopfcheck.hopf import AlgebraData, HopfAlgebraData
-from hopfcheck.modules import ModuleRep, dual_module, laws_hold, regular_module, tensor_modules, trivial_module
+from hopfcheck.modules import ModuleRep, check_module_axioms, dual_module, laws_hold, regular_module, tensor_modules, trivial_module
 from hopfcheck.semisimple import brute_force_semisimple, cached_verdict, is_semisimple, tensor_semisimplicity
 from hopfcheck.yd import YDModuleRep, trivial_yd
 
@@ -284,8 +283,8 @@ def test_a_product_computes_the_law_table_of_fresh_faces():
     pairs = _same_kind_catalog_pairs()
     for a, b in pairs:
         product = tensor_in_category(a.payload, b.payload)
-        report = axioms_in_category(product)
-        assert report == axioms_in_category(on_fresh_faces(product)), (a.id, b.id)
+        report = check_module_axioms(product)
+        assert report == check_module_axioms(on_fresh_faces(product)), (a.id, b.id)
         if not report.ok:
             refused.append((a.id, b.id))
     assert len(pairs) == 836 and len(refused) == 6
@@ -312,7 +311,7 @@ def test_yd_products_and_duals_over_a_non_involutory_h_are_yd_modules():
         products = [tensor_in_category(a, b) for a, b in pairs]
         reports = []
         for obj in products + [dual_in_category(adjoint), dual_in_category(line)]:
-            assert axioms_in_category(on_fresh_faces(obj)).ok, (h.name, obj.name)
+            assert check_module_axioms(on_fresh_faces(obj)).ok, (h.name, obj.name)
             assert compat_violation_reference(obj) is None, (h.name, obj.name)
             reports.append(is_semisimple(obj))
         for (a, b), want in zip(pairs, reports):
@@ -329,7 +328,7 @@ def test_a_yd_object_over_a_singular_antipode_reports_its_laws_and_refuses_const
         h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.zeros(h.field, h.dim, h.dim)
     )
     y = trivial_yd(broken)
-    assert axioms_in_category(y).ok
+    assert check_module_axioms(y).ok
     for build in (lambda: tensor_in_category(y, y), lambda: dual_in_category(y)):
         with pytest.raises(AxiomError, match="antipode_left at"):
             build()
@@ -346,8 +345,8 @@ def test_a_product_over_a_lawless_h_computes_its_table():
     regular = regular_module(broken)
     assert laws_hold(regular) and not laws_hold(broken)
     product = tensor_in_category(regular, regular)
-    report = axioms_in_category(product)
-    assert report == axioms_in_category(on_fresh_faces(product))
+    report = check_module_axioms(product)
+    assert report == check_module_axioms(on_fresh_faces(product))
     assert [c.name for c in report.failures()] == ["action_multiplicative"]
 
 
@@ -560,7 +559,8 @@ def test_serre_decides_each_distinct_face_key_once(monkeypatch):
     # with one shared cache, every pair of kS3/F3 YD objects decides each
     # (face algebras, actions) key once: N (x) ydtrivial is N, and the sign
     # line of degree e on either side of N carries the same matrices.  The
-    # module pairs decide only their factors, and build no product
+    # module pairs decide only their factors, and build no product.  Every
+    # decision of one object, a factor or a built product, is counted
     h = group_algebra(GF(3), "S3", "kS3/F3")
     modules = [
         regular_module(h),
@@ -572,17 +572,17 @@ def test_serre_decides_each_distinct_face_key_once(monkeypatch):
     signs = [a.entries[0][0] for a in s3_sign_module(h).action]
     yd_objects = [trivial_yd(h), yd_group_line(h, 0, signs, "ydline_e_sign"), yd_s3_conjugation(h)]
     decided, built = [], []
-    decide, tensor = semisimple._operator_semisimplicity, duality.tensor_modules
+    decide, tensor = semisimple._lawful_semisimplicity, duality.tensor_modules
 
-    def counted(field, dim, operators, face=None):
-        decided.append(tuple(operators))
-        return decide(field, dim, operators, face)
+    def counted(obj):
+        decided.append(tuple(obj.operators))
+        return decide(obj)
 
     def counted_tensor(m, n, name=""):
         built.append((m, n))
         return tensor(m, n, name)
 
-    monkeypatch.setattr(semisimple, "_operator_semisimplicity", counted)
+    monkeypatch.setattr(semisimple, "_lawful_semisimplicity", counted)
     monkeypatch.setattr(duality, "tensor_modules", counted_tensor)
     cache: dict = {}
     for m in modules:
@@ -610,9 +610,9 @@ def test_a_warm_campaign_builds_and_keys_yd_products_only(monkeypatch):
     product, tensor = semisimple.tensor_in_category, duality.tensor_modules
     key = ModuleRep.__dict__["verdict_key"]
 
-    def counted_product(a, b, name=""):
+    def counted_product(a, b):
         kinds.append(a.kind)
-        return product(a, b, name)
+        return product(a, b)
 
     def counted_tensor(m, n, name=""):
         faces.append(tensor(m, n, name))
@@ -657,8 +657,8 @@ def test_a_verdict_cache_keeps_no_tensor_product_alive(monkeypatch):
     refs = []
     real = semisimple.tensor_in_category
 
-    def tracked(a, b, name=""):
-        product = real(a, b, name)
+    def tracked(a, b):
+        product = real(a, b)
         faces = tuple(
             ModuleRep(f.algebra, f.dim, [Tracked(x.field, x.rows, x.cols, x.entries) for x in f.action], f.name)
             for f in product.faces
