@@ -185,12 +185,13 @@ def pairing_violation(obj, coev: bool, dual_first: bool):
     """``morphism_violation`` of coev: k -> square (``coev``) or of
     ev: square -> k, where the square is N (x) N*, or N* (x) N with
     ``dual_first``, read face by face off ``ModuleRep.pairing_violation``,
-    which decides each map once per face on the one vector it carries.
-    Generators are numbered across faces as ``morphism_violation`` numbers
-    them."""
+    which decides each map once per face on the one vector it carries, on
+    the rows of the face algebra's ``generators`` when the laws of ``obj``
+    and of its Hopf algebra hold.  Generators are numbered across faces as
+    ``morphism_violation`` numbers them."""
     offset = 0
     for face in obj.faces:
-        i = face.pairing_violation(coev, dual_first)
+        i = face.pairing_violation(coev, dual_first, obj)
         if i is not None:
             return (offset + i,)
         offset += face.hopf.dim

@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-# digits and one slash only: Fraction() alone would also take "1e999999999"
-_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# the canonical form's digits: no leading zero, no "+", no "_", and a
+# denominator that is not 0; Fraction() alone would also take "1e999999999"
+_RATIONAL_LITERAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
 def _integral(x: Fraction):
@@ -145,16 +146,27 @@ class Rationals(Field):
     def scalar_from_doc(self, value):
         """A JSON integer, or a string "a" or "a/b" in lowest terms with b > 1:
         exactly the canonical form ``scalar_to_doc`` emits.  Integers come
-        back as ``int``, "a/b" as ``Fraction``."""
+        back as ``int``, "a/b" as ``Fraction``.
+
+        The grammar fixes the digits, "-0" is refused, and "a/b" is in
+        lowest terms with b > 1 exactly when b != 1 and ``Fraction(a, b)``
+        keeps b as its denominator; digits past ``int``'s limit are refused.
+        No ``Fraction(str)`` and no string round trip."""
         if isinstance(value, int) and not isinstance(value, bool):
             return value
-        if isinstance(value, str) and _RATIONAL_LITERAL.fullmatch(value):
+        match = _RATIONAL_LITERAL.fullmatch(value) if isinstance(value, str) else None
+        if match and value != "-0":
+            numerator, denominator = match.groups()
             try:
-                x = Fraction(value)
-            except (ValueError, ZeroDivisionError):  # over int()'s digit limit, or "a/0"
-                x = None
-            if x is not None and str(x) == value:
-                return _integral(x)
+                if denominator is None:
+                    return int(numerator)
+                b = int(denominator)
+                x = Fraction(int(numerator), b)
+            except ValueError:  # over int()'s digit limit
+                pass
+            else:
+                if x.denominator == b != 1:
+                    return x
         raise ValueError(f"not a rational literal: {value!r}")
 
     def spec_to_doc(self):

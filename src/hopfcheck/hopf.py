@@ -31,9 +31,9 @@ certificates also use, decided once per face and kept with it.  The two
 antipode laws equal the coefficient laws when H is associative and unital
 (R is then faithful); the others equal them outright.
 
-Two laws closed under products are checked only on the rows i of a
-generating set G of the algebra (``AlgebraData.generators``), when their
-preconditions hold, and on every row otherwise:
+Four laws closed under products are checked only on the rows i of a
+generating set G of the acting algebra (``AlgebraData.generators``), when
+their preconditions hold, and on every row otherwise:
 
 * a module law A_i A_j = sum_t m_ij^t A_t, when H is unital and
   associative and the unit acts as I: the x with rho(xy) = rho(x) rho(y)
@@ -43,7 +43,20 @@ preconditions hold, and on every row otherwise:
   generator on the left; Clifford and Preston, *The Algebraic Theory of
   Semigroups* I, 1961, section 1.2): the left nucleus
   {x : (xy)z = x(yz) for all y, z} of any algebra is closed under
-  products, and with the unit law it contains 1.
+  products, and with the unit law it contains 1;
+* coev: k -> square and ev: square -> k being module maps, the square
+  N (x) N* or N* (x) N, when the laws of N and of H hold
+  (``modules.ModuleRep.pairing_violation``): the square is then a module,
+  as H lawful makes H* and (H^op)* lawful and S an algebra anti-map, so
+  the b with b.v = eps(b) v, v the vector coev carries, like the b with
+  ev.b = eps(b) ev, form a subspace that contains 1 and is closed under
+  products.  H's own antipode laws, which make N* a module, scan every
+  row;
+* a YD object's straightening law, when H's laws and both faces' module
+  laws (the module and the comodule laws) hold (``yd``): it is linear in
+  h and holds for 1, and it holds for hk when it holds for h and for k,
+  as Delta is multiplicative and both faces are modules (Montgomery,
+  *Hopf Algebras and Their Actions on Rings*, CBMS 82, section 10.6).
 
 A subspace that contains 1 and G and is closed under products holds every
 left-normed word in G, and these words span the algebra by construction
@@ -143,6 +156,17 @@ class AlgebraData:
         """The matrices L_i of x -> b_i x, L_i[t][j] = m_ij^t: the transposes
         of the slabs ``mult[i]``."""
         return [Matrix(self.field, self.dim, self.dim, slab).transpose() for slab in self.mult]
+
+    @cached_property
+    def multiplication_rows(self) -> tuple:
+        """The nonzero constants of left and of right multiplication by each
+        basis element: ``left[s][t]`` lists (b, m_sb^t) and ``right[j][t]``
+        lists (a, m_aj^t).  Built once per algebra, for the straightening
+        law of every YD object over it (``yd``)."""
+        n, mult = range(self.dim), self.mult
+        left = [[[(b, row[t]) for b, row in enumerate(mult[s]) if row[t]] for t in n] for s in n]
+        right = [[[(a, mult[a][j][t]) for a in n if mult[a][j][t]] for t in n] for j in n]
+        return left, right
 
     def generators(self) -> list[int]:
         """Indices of basis elements that, with 1, generate the algebra;

@@ -149,14 +149,25 @@ class ModuleRep:
         key, as their actions are equal."""
         return self.algebra, tuple(chain.from_iterable(row for a in self.action for row in a.entries))
 
-    def pairing_violation(self, coev: bool, dual_first: bool):
+    def pairing_violation(self, coev: bool, dual_first: bool, obj=None):
         """The first i at which coev: k -> square (``coev``) or ev: square -> k
         fails to intertwine b_i on this face, or None; the square is N (x) N*,
         or N* (x) N with ``dual_first``.  Each of the four maps is decided at
-        most once per face, by ``_pairing_kernel``, and kept."""
+        most once per face, by ``_pairing_kernel``, and kept.
+
+        ``obj`` is the object this is a face of.  When its laws and its Hopf
+        algebra's hold, the square is a module, and the b with
+        b.coev(1) = eps(b) coev(1), like the b with ev.b = eps(b) ev, form a
+        subspace that holds 1 and is closed under products; the kernel then
+        scans only the rows in the algebra's ``generators``, which decide the
+        map and find its first violation (see ``hopf``).  Otherwise, and
+        without ``obj`` (H's antipode laws, which make N* a module), it scans
+        every row.  The precondition is read only when the map is decided."""
         key = coev, dual_first
         if key not in self._pairing_violations:
-            self._pairing_violations[key] = _pairing_kernel(self, coev, dual_first)
+            lawful = obj is not None and laws_hold(obj.hopf) and laws_hold(obj)
+            scan = self.algebra.generators() if lawful else None
+            self._pairing_violations[key] = _pairing_kernel(self, coev, dual_first, scan)
         return self._pairing_violations[key]
 
 
@@ -165,9 +176,10 @@ def _sparse_identity(field, dim: int) -> list:
     return [[(r, field.one())] for r in range(dim)]
 
 
-def _pairing_kernel(face: ModuleRep, coev: bool, dual_first: bool):
+def _pairing_kernel(face: ModuleRep, coev: bool, dual_first: bool, scan=None):
     """``ModuleRep.pairing_violation``, decided on the one vector the map
-    carries, without building N*, k or the square.
+    carries, without building N*, k or the square, on the rows i in
+    ``scan`` (every row when None).
 
     (X (x) Y).vec(I) = vec(X Y^T), vec(I)^T.(X (x) Y) = vec(X^T Y)^T and
     A*_d^T = A_S(b_d).  With (n, d) the legs of N and N* in Delta_i^jt, that
@@ -178,7 +190,7 @@ def _pairing_kernel(face: ModuleRep, coev: bool, dual_first: bool):
     h = face.hopf
     plain, twisted = face.sparse_action, face.sparse_twisted_action
     identity = _sparse_identity(h.field, face.dim)
-    for i in range(h.dim):
+    for i in range(h.dim) if scan is None else scan:
         products = []
         for j, row in enumerate(h.comult[i]):
             for t, c in enumerate(row):

@@ -38,7 +38,7 @@ from functools import cached_property
 from .comodules import ComoduleRep, trivial_comodule
 from .hopf import HopfAlgebraData, combination_differs
 from .matrix import Matrix
-from .modules import ModuleRep, check_module_axioms, require_same_hopf, trivial_module
+from .modules import ModuleRep, check_module_axioms, laws_hold, require_same_hopf, trivial_module
 
 
 class YDModuleRep:
@@ -109,14 +109,22 @@ class YDModuleRep:
 
     def _straightening_violation(self):
         """First (i, t) at which the straightening identity of the module
-        docstring fails, or None: one sparse combination per (i, t)."""
+        docstring fails, or None: one sparse combination per (i, t).
+
+        When the laws of H, of the module and of the comodule hold, only the
+        rows i in H's ``generators`` are scanned: the identity is linear in
+        h, holds for h = 1, and holds for hk when it holds for h and for k
+        (Delta multiplicative, the module and the comodule law; Montgomery,
+        *Hopf Algebras and Their Actions on Rings*, 10.6), so these rows
+        decide it and hold its first violation (see ``hopf``).  Otherwise
+        every row is scanned."""
         h, n = self.hopf, self.hopf.dim
+        lawful = laws_hold(h) and laws_hold(self.module) and laws_hold(self.comodule)
         a_rows = self.module.sparse_action
         b_rows = self.comodule.star_module.sparse_action
         # left[s][t] holds (b, m_sb^t) and right[j][t] holds (a, m_aj^t)
-        left = [[[(b, row[t]) for b, row in enumerate(h.mult[s]) if row[t]] for t in range(n)] for s in range(n)]
-        right = [[[(a, h.mult[a][j][t]) for a in range(n) if h.mult[a][j][t]] for t in range(n)] for j in range(n)]
-        for i in range(n):
+        left, right = h.multiplication_rows
+        for i in h.generators() if lawful else range(n):
             terms = [(c, j, s) for j, row in enumerate(h.comult[i]) for s, c in enumerate(row) if c]
             for t in range(n):
                 products = [(c * x, a_rows[j], b_rows[b]) for c, j, s in terms for b, x in left[s][t]]

@@ -221,9 +221,9 @@ def pairing_kernel_runs(monkeypatch):
     runs = Counter()
     kernel = modules._pairing_kernel
 
-    def counted(face, coev, dual_first):
+    def counted(face, *args):
         runs[id(face)] += 1
-        return kernel(face, coev, dual_first)
+        return kernel(face, *args)
 
     monkeypatch.setattr(modules, "_pairing_kernel", counted)
     return runs
@@ -248,6 +248,61 @@ def test_a_second_campaign_runs_no_pairing_kernel(pairing_kernel_runs):
     pairing_kernel_runs.clear()
     assert run_campaign().ok
     assert not pairing_kernel_runs
+
+
+def _pairing_scans(monkeypatch):
+    """The number of rows each run of the pairing kernel combines, one entry
+    per run: inside the kernel, ``combination_differs`` runs once per row."""
+    scans, running = [], []
+    kernel, differs = modules._pairing_kernel, modules.combination_differs
+
+    def counted_differs(*args):
+        if running:
+            scans[-1] += 1
+        return differs(*args)
+
+    def recorded(face, *args):
+        scans.append(0)
+        running.append(face)
+        try:
+            return kernel(face, *args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(modules, "_pairing_kernel", recorded)
+    monkeypatch.setattr(modules, "combination_differs", counted_differs)
+    return scans
+
+
+def test_a_lawful_face_decides_its_pairing_maps_on_the_generators(monkeypatch):
+    # every map holds, so a scan of the rows [1, 2] of kS3's generators runs
+    # to its end: two rows of six, on each of the four maps
+    obj = on_fresh_faces(lookup("kS3/Q/std2").payload)
+    assert laws_hold(obj.hopf) and laws_hold(obj) and obj.hopf.generators() == [1, 2]
+    scans = _pairing_scans(monkeypatch)
+    assert all(pairing_violation(obj, coev, dual_first) is None for coev in (True, False) for dual_first in (False, True))
+    assert scans == [2] * 4
+
+
+def test_a_face_over_an_unlawful_hopf_algebra_scans_every_row(monkeypatch):
+    # with S = id the antipode laws fail, so N* is no module and the trivial
+    # module's four maps, which all hold, are scanned on all six rows
+    h = lookup("kS3/Q").payload
+    bad = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, h.comult, h.counit, Matrix.identity(h.field, h.dim))
+    module = trivial_module(bad)
+    assert not laws_hold(bad) and laws_hold(module)
+    scans = _pairing_scans(monkeypatch)
+    assert all(pairing_violation(module, coev, dual_first) is None for coev in (True, False) for dual_first in (False, True))
+    assert scans == [6] * 4
+
+
+def test_the_antipode_laws_scan_every_row(monkeypatch):
+    # H's own antipode laws make N* a module, so they cannot assume it
+    h = lookup("kS3/Q").payload
+    fresh = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, h.comult, h.counit, h.antipode)
+    scans = _pairing_scans(monkeypatch)
+    assert laws_hold(fresh)
+    assert scans == [6] * 2
 
 
 def _same_kind_catalog_pairs():
@@ -386,7 +441,8 @@ def _conjugator(field, dim):
 def test_a_change_of_basis_keeps_hom_dimensions_verdicts_and_radicals(field_name):
     # P.N.P^-1 is isomorphic to N, so it has the same Hom dimension with
     # every same-kind object over the same H, in both directions, the same
-    # verdict and the same radical dimension
+    # verdict and the same radical dimension; its law table and its four
+    # pairing maps, read off faces with fractions over Q, are N's
     field = {"Q": QQ, "F3": GF(3)}[field_name]
     groups: dict = {}
     for entry in catalog_entries():
@@ -399,6 +455,9 @@ def test_a_change_of_basis_keeps_hom_dimensions_verdicts_and_radicals(field_name
             conj = _conjugator(field, obj.dim)
             faces = tuple(ModuleRep(f.algebra, f.dim, [conj(a) for a in f.action], f.name) for f in obj.faces)
             moved = obj.with_faces(faces, f"P.{obj.name}.P^-1")
+            assert moved.laws == obj.laws, obj.name
+            maps = [(coev, dual_first) for coev in (True, False) for dual_first in (False, True)]
+            assert [pairing_violation(moved, *m) for m in maps] == [pairing_violation(obj, *m) for m in maps], obj.name
             want, got = semisimple.is_semisimple(obj), semisimple.is_semisimple(moved)
             assert (got.verdict, got.radical_dim) == (want.verdict, want.radical_dim), obj.name
             for other in group:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,50 @@ def test_rational_literals_decode_to_int_or_fraction():
     assert type(QQ.scalar_from_doc("-3/2")) is Fraction and QQ.scalar_from_doc("-3/2") == Fraction(-3, 2)
     # the encoding cannot tell the two representations apart
     assert QQ.scalar_to_doc(3) == QQ.scalar_to_doc(Fraction(3)) == "3"
+
+
+def _canonical_by_round_trip(value):
+    """The earlier definition of the canonical grammar: digits and one slash,
+    then ``str(Fraction(value)) == value``; what it accepts, or ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+        try:
+            x = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            x = None
+        if x is not None and str(x) == value:
+            return x.numerator if x.denominator == 1 else x
+    raise ValueError(value)
+
+
+def _decoded(decode, value):
+    try:
+        x = decode(value)
+    except ValueError:
+        return "refused"
+    return type(x), x
+
+
+def test_rational_literals_are_accepted_exactly_as_the_round_trip_accepts_them():
+    big = "9" * 4300
+    literals = [
+        "0", "-0", "-0/1", "0/1", "0/5", "-0/5", "1/1", "3/1", "-3/1", "2/4", "10/15", "-10/15", "007", "-007",
+        "1/007", "7/4", "-7/4", "1/2", "-1/2", "12", "-12", "1/0", "0/0", "3/-2", "-", "/", "1/", "/2", "",
+        "1_0", "1/1_0", "+3", " 3", "3 ", "1.5", "1e3", "١٢", "1/٢", "٣",
+        "5" * 5000, "1/" + "7" * 5000, big, "-" + big, "1/" + big, big + "/" + "1" + "0" * 4299,
+        "1" + "0" * 4299 + "/" + "3" * 4300,
+        0, 3, -7, 10**50, True, False, None, 1.5, [1], {"1": 2},
+    ]
+    rng = random.Random(20261022)
+    literals += ["".join(rng.choice("0123456789-/") for _ in range(rng.randint(1, 7))) for _ in range(20000)]
+    literals += [f"{rng.randint(-999, 999)}/{rng.randint(0, 999)}" for _ in range(20000)]
+    accepted = 0
+    for value in literals:
+        want = _decoded(_canonical_by_round_trip, value)
+        assert _decoded(QQ.scalar_from_doc, value) == want, repr(value)[:80]
+        accepted += want != "refused"
+    assert accepted > 10000
+    # "a" decodes to an int and "a/b" to a Fraction, however large
+    for value, kind in (("-12", int), ("5" * 4000, int), ("-7/4", Fraction), ("1/" + "7" * 4000, Fraction)):
+        assert type(QQ.scalar_from_doc(value)) is kind, value[:20]

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from duality_reference import on_fresh_faces
 from yd_reference import compat_violation_reference
+from hopfcheck import yd
 from hopfcheck.catalog import catalog_entries, lookup, yd_group_line
 from hopfcheck.comodules import ComoduleRep
 from hopfcheck.duality import dual_in_category, hom_in_category, tensor_in_category
@@ -82,6 +84,41 @@ def test_straightening_check_agrees_with_the_coefficient_loop_on_corruptions():
             checked += 1
             failing += want is not None
     assert (checked, failing) == (1074, 557)
+
+
+def _comodule_conjugates(y):
+    """y with only its comodule conjugated by each permutation of the basis
+    but the identity: both faces stay lawful, the straightening law need
+    not."""
+    dim, coaction = y.dim, y.comodule.coaction
+    for sigma in list(permutations(range(dim)))[1:]:
+        cells = [[None] * dim for _ in range(dim)]
+        for a in range(dim):
+            for b in range(dim):
+                cells[sigma[a]][sigma[b]] = coaction[a][b]
+        yield YDModuleRep(y.module, ComoduleRep(y.hopf, dim, cells))
+
+
+def test_straightening_on_the_generators_finds_the_full_scans_first_violation(monkeypatch):
+    # lawful faces, so only the rows in H's generators are scanned (b_1 and
+    # b_2 over kS3); with the laws read as failing, the same check scans
+    # every row
+    checked, failing_rows = 0, set()
+    for entry in _yd_objects():
+        if entry.payload.dim < 2:
+            continue
+        for bad in _comodule_conjugates(entry.payload):
+            *face_laws, (_, got) = bad.laws
+            assert all(violation is None for _, violation in face_laws), entry.id
+            with monkeypatch.context() as m:
+                m.setattr(yd, "laws_hold", lambda subject: False)
+                assert got == bad._straightening_violation(), entry.id
+            assert (got and got[0]) == _reference_first_i(bad), entry.id
+            checked += 1
+            failing_rows.add(got and got[0])
+    assert checked == 26
+    # some conjugates hold on b_1 and fail first on the second generator
+    assert failing_rows == {None, 1, 2}
 
 
 def test_noncentral_degree_with_trivial_character_fails_on_any_symmetric_group_entry():
