@@ -9,13 +9,11 @@ specialized to each base field when built, so one table serves every
 characteristic.
 
 The catalog is built one group at a time: a Hopf entry together with every
-object over it, on first use.  No constructor checks; ``_check_entry``
-computes each entry's ``laws`` once, when its group is first built, and
-asserts its report: entries tagged with ``expected_failure`` must fail
-exactly that check, and every other entry must pass.  kG is built once per
-field and shared by the group of k^G, whose Hopf entry is built on kG's
-dual tables: each law of k^G is a law of kG read backwards, so k^G's law
-tables are kG's, not computed again.
+object over it, on first use.  Building computes no law: like every other
+object, an entry computes its ``laws`` when they are first read, and
+``modules.require_laws`` refuses it then if one fails.  The tests check
+that entries tagged with ``expected_failure`` fail exactly that law and
+that every other entry passes.
 
 Identifiers follow <hopf>/<field>[/<object>], e.g. "kS3/F3/regular",
 where <object> is the object's own name.
@@ -31,7 +29,7 @@ from .comodules import ComoduleRep, regular_comodule, trivial_comodule
 from .fields import Field, field_by_name, field_name
 from .hopf import HopfAlgebraData
 from .matrix import Matrix
-from .modules import ModuleRep, check_module_axioms, regular_module, trivial_module
+from .modules import ModuleRep, regular_module, trivial_module
 from .yd import YDModuleRep, trivial_yd
 
 HOPF_FIELDS = ("Q", "F2", "F3", "F5", "F7")
@@ -118,25 +116,12 @@ def group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
     return _hopf_from_ints(field, mult, unit, comult, [1] * n, antipode, name)
 
 
-@lru_cache(maxsize=None)
-def _shared_group_algebra(field: Field, group: str) -> HopfAlgebraData:
-    """kG over ``field``, built once: the Hopf entry of kG's group and the
-    algebra whose dual tables k^G is built on."""
-    return group_algebra(field, group, f"k{group}/{field_name(field)}")
-
-
 def dual_group_algebra(field: Field, group: str, name: str) -> HopfAlgebraData:
     """Functions on the group, k^G = (kG)*: pointwise product, coproduct dual
-    to the group law, built on the tables of the group algebra's dual.  Its
-    laws are kG's, computed once for both: each law of k^G is a law of kG
-    read backwards, so k^G's law tables are kG's, and ``_check_entry``
-    asserts them once for each entry."""
-    g = _shared_group_algebra(field, group)
-    d = g.dual_algebra()
-    h = HopfAlgebraData(field, d.dim, d.mult, d.unit, d.comult, d.counit, d.antipode, name=name)
-    h.law_violations = d.law_violations  # kG's counit law and coassociativity
-    h.laws = g.laws
-    return h
+    to the group law, built on the tables of the group algebra's dual; a
+    fresh copy on every call."""
+    d = group_algebra(field, group, f"k{group}/{field_name(field)}").dual_algebra()
+    return HopfAlgebraData(field, d.dim, d.mult, d.unit, d.comult, d.counit, d.antipode, name=name)
 
 
 def sweedler_algebra(field: Field, name: str) -> HopfAlgebraData:
@@ -295,25 +280,6 @@ def _register(entries, hid: str, payload, note: str, expected_failure: str | Non
     entries[eid] = CatalogEntry(eid, payload, note, expected_failure)
 
 
-def _check_entry(entry: CatalogEntry):
-    # the build-time assertion: the report computes the entry's laws, except
-    # a k^G entry's, which are the table of the kG it shares; a Hopf entry's
-    # is read through check_hopf_axioms, which bench/spans.py times as
-    # hopf.axioms_s, as it timed the constructors' check
-    payload = entry.payload
-    report = payload.check_hopf_axioms() if payload.kind == "hopf" else check_module_axioms(payload)
-    if entry.expected_failure is None:
-        if not report.ok:
-            raise AssertionError(f"catalog entry {entry.id} failed its axiom check:\n{report.describe()}")
-    else:
-        failed = {c.name for c in report.failures()}
-        if entry.expected_failure not in failed:
-            raise AssertionError(
-                f"negative fixture {entry.id} was expected to fail {entry.expected_failure!r}, "
-                f"but failed {sorted(failed)!r}"
-            )
-
-
 def _register_standard(entries, hid: str, h: HopfAlgebraData, notes):
     """Register H and its trivial and regular module, comodule and YD
     object, with the family's provenance ``notes`` in that order."""
@@ -323,7 +289,7 @@ def _register_standard(entries, hid: str, h: HopfAlgebraData, notes):
 
 
 def _group_algebra_entries(entries, hid: str, group: str, fname: str):
-    h = _shared_group_algebra(field_by_name(fname), group)
+    h = group_algebra(field_by_name(fname), group, hid)
     _register_standard(entries, hid, h, (
         f"group algebra of {group}: basis the group, diagonal coproduct, inverse antipode",
         "counit action on one dimension",
@@ -408,18 +374,16 @@ HOPF_IDS = tuple(sorted(_GROUP_BUILDERS))
 
 @lru_cache(maxsize=None)
 def _group(hid: str) -> dict[str, CatalogEntry]:
-    """The Hopf entry ``hid`` and every object over it, each axiom-checked."""
+    """The Hopf entry ``hid`` and every object over it."""
     build, *args = _GROUP_BUILDERS[hid]
     entries: dict[str, CatalogEntry] = {}
     build(entries, hid, *args)
-    for entry in entries.values():
-        _check_entry(entry)
     return entries
 
 
 @lru_cache(maxsize=1)
 def _catalog() -> dict[str, CatalogEntry]:
-    """Every group, built and checked."""
+    """Every group, built."""
     entries: dict[str, CatalogEntry] = {}
     for hid in _GROUP_BUILDERS:
         entries.update(_group(hid))

@@ -188,10 +188,11 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if isinstance(p, bool) or not isinstance(p, int):
             raise ValueError(f"not an integer characteristic: {p!r}")
+        # the range first: trial division takes time proportional to sqrt(p)
+        if p >= 2**31:
+            raise ValueError(f"prime {p} out of the supported machine-word range")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if not 2 <= p < 2**31:
-            raise ValueError(f"prime {p} out of the supported machine-word range")
         self.p = p
         self.characteristic = p
         # hashed on every memoized (dim, field) lookup, so computed once

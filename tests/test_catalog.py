@@ -8,11 +8,11 @@ from hopfcheck.campaign import run_campaign
 from hopfcheck.catalog import HOPF_IDS, catalog_entries, hopf_entries, lookup, objects_over
 from hopfcheck.comodules import check_comodule_axioms
 from hopfcheck.documents import canonical_json, object_to_doc
-from hopfcheck.fields import GF, QQ
+from hopfcheck.fields import QQ
 from hopfcheck.hopf import AlgebraData, HopfAlgebraData
 from hopfcheck.modules import check_module_axioms
 from hopfcheck.semisimple import brute_force_semisimple, is_semisimple
-from hopfcheck.yd import check_yd_compat
+from hopfcheck.yd import YDModuleRep, check_yd_compat
 
 
 def test_minimum_hopf_coverage():
@@ -183,7 +183,6 @@ def test_catalog_tables_equal_the_recorded_ones():
 def _clear_catalog():
     catalog._group.cache_clear()
     catalog._catalog.cache_clear()
-    catalog._shared_group_algebra.cache_clear()
 
 
 @pytest.fixture
@@ -268,32 +267,44 @@ def test_each_hopf_algebra_is_built_once_and_checked_once(unbuilt_catalog, monke
 
     monkeypatch.setattr(HopfAlgebraData, "_comult_multiplicative_violation", counted)
     catalog_entries()
-    # the 20 kG and 2 H4; each k^G is checked as the kG it shares
-    assert len(tables) == 22 and len(set(tables)) == 22
-    assert not any(name.startswith("kd") for name in tables)
+    # building computes no law
+    assert tables == []
     run_campaign()
-    # the campaign reports every k^G's laws, derived from the kG it shares
-    assert len(tables) == 22
+    # the campaign reads every Hopf entry's table, k^G's own included
+    assert sorted(tables) == list(HOPF_IDS)
     run_campaign()
-    assert len(tables) == 22
+    assert len(tables) == 37
 
 
-def test_each_derived_dual_group_table_equals_a_computed_one():
-    # kG passes all ten laws, and each law of k^G is one of kG's read
-    # backwards: a fresh copy of each k^G computes the same table
-    derived = [e.payload for e in hopf_entries() if e.id.startswith("kd")]
-    assert len(derived) == 15
-    for h in derived:
-        copy = HopfAlgebraData(h.field, h.dim, h.mult, h.unit, h.comult, h.counit, h.antipode)
-        assert h.laws == copy.laws, h.name
-        assert h.law_violations == copy.law_violations, h.name
+def test_building_the_catalog_computes_no_law(unbuilt_catalog, monkeypatch):
+    kernels = [
+        (AlgebraData, "multiplicativity_violation"),
+        (HopfAlgebraData, "_comult_multiplicative_violation"),
+        (YDModuleRep, "_straightening_violation"),
+    ]
+    runs = []
+    for owner, kernel in kernels:
+
+        def counted(*args, _run=getattr(owner, kernel), _kernel=kernel):
+            runs.append(_kernel)
+            return _run(*args)
+
+        monkeypatch.setattr(owner, kernel, counted)
+    catalog_entries()
+    assert runs == []
+    # a request computes the tables its guard reads, H's and the object's,
+    # and no other entry's; a computed table is kept in the entry's __dict__
+    _clear_catalog()
+    assert cli.main(["semisimple", "kS3/F3/std2"]) == 0
+    computed = [e.id for e in catalog._group("kS3/F3").values() if "laws" in vars(e.payload)]
+    assert computed == ["kS3/F3", "kS3/F3/std2"] and runs
 
 
 def test_lookup_of_a_dual_group_entry_builds_only_its_group(unbuilt_catalog):
     lookup("kdS3/F3/regular")
     assert _built_groups() == 1
-    assert lookup("kS3/F3").payload is catalog._shared_group_algebra(GF(3), "S3")
-    assert _built_groups() == 2 and catalog._shared_group_algebra.cache_info().currsize == 1
+    lookup("kS3/F3")
+    assert _built_groups() == 2
 
 
 def test_catalog_is_the_union_of_its_groups_in_id_order(unbuilt_catalog):

@@ -409,8 +409,9 @@ def test_a_second_campaign_runs_no_law_kernel(monkeypatch):
     """Catalog objects keep their law tables and every product the campaign
     decides passes its factors' guard, never its own, so a second campaign
     in one process runs neither the module-law kernel nor the straightening
-    kernel, and the first runs at most 464 and 79 of them (722 and 112 when
-    every product computed its table)."""
+    kernel.  The first, which computes every table, runs at most 509 and 79
+    of them: four module-law runs for each of the 37 Hopf tables, k^G's
+    included, and 361 for the objects."""
     runs = Counter()
     for owner, kernel in ((AlgebraData, "multiplicativity_violation"), (YDModuleRep, "_straightening_violation")):
 
@@ -420,7 +421,7 @@ def test_a_second_campaign_runs_no_law_kernel(monkeypatch):
 
         monkeypatch.setattr(owner, kernel, counted)
     run_campaign()
-    assert runs["multiplicativity_violation"] <= 464 and runs["_straightening_violation"] <= 79, runs
+    assert runs["multiplicativity_violation"] <= 509 and runs["_straightening_violation"] <= 79, runs
     runs.clear()
     assert run_campaign().ok
     assert not runs

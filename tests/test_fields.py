@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcheck import fields
 from hopfcheck.fields import (
     GF,
     QQ,
@@ -104,6 +105,21 @@ def test_prime_field_descriptor_needs_a_json_integer(p):
         field_from_doc({"Fp": p})
     with pytest.raises(ValueError):
         PrimeField(p)
+
+
+@pytest.mark.parametrize("p", [2**31, 2**61 - 1, 2**100 + 277])
+def test_a_characteristic_beyond_the_machine_word_is_refused_before_trial_division(p, monkeypatch):
+    # trial division takes time proportional to sqrt(p): about 85 s for
+    # 2^61 - 1, so an untrusted descriptor must be refused by its range first
+    def never(n):
+        raise AssertionError(f"is_prime({n}) was called")
+
+    monkeypatch.setattr(fields, "is_prime", never)
+    for build in (lambda: PrimeField(p), lambda: field_from_doc({"Fp": p}), lambda: field_by_name(f"Fp:{p}")):
+        with pytest.raises(ValueError, match=f"prime {p} out of the supported machine-word range"):
+            build()
+    monkeypatch.undo()
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
 
 
 def test_field_by_name():
